@@ -94,7 +94,7 @@ def _draw_block(cfg: SimulationConfig) -> int:
     """Uniforms one replication draws at a time: its expected number of draws
     (two per renewal cycle) plus slack, so that most replications draw once."""
     cycles = cfg.mission_time / (1.0 / cfg.failure_rate + 1.0 / cfg.repair_rate)
-    return min(int(2.0 * cycles + 4.0 * math.sqrt(cycles)) + 8, MAX_DRAW_BLOCK)
+    return int(min(2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0, MAX_DRAW_BLOCK))
 
 
 def _uniforms(rng: np.random.Generator, block: int):

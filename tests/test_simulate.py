@@ -160,6 +160,11 @@ class TestDrawPath:
         monkeypatch.setattr(simulate, "_draw_block", lambda cfg: block)
         return rng
 
+    def test_block_size_is_capped(self):
+        assert simulate._draw_block(base_config()) == 30
+        huge = base_config(failure_rate=1e300, repair_rate=1e300, mission_time=1e10)
+        assert simulate._draw_block(huge) == simulate.MAX_DRAW_BLOCK
+
     def test_zero_inside_a_block_is_skipped(self, monkeypatch):
         # 0.5 fails, 0.0 is skipped, 0.9 repairs, 1e-10 outlives the mission
         self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, 1e-10)
