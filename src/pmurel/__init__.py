@@ -35,9 +35,11 @@ from .markov import (
     STATES,
     GeneratorMatrix,
     StateDistribution,
+    TransientSolution,
     build_unified_model,
     interaction_reliability_markov,
     transient_distribution,
+    transient_grid,
 )
 from .simulate import (
     ExposureTable,
@@ -69,6 +71,7 @@ __all__ = [
     "SimulationSummary",
     "SoftwareParams",
     "StateDistribution",
+    "TransientSolution",
     "TriangularFuzzyNumber",
     "alpha_cut",
     "build_exposure_table",
@@ -90,5 +93,6 @@ __all__ = [
     "software_reliability",
     "sse",
     "transient_distribution",
+    "transient_grid",
     "weibull_reliability",
 ]

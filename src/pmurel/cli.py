@@ -29,13 +29,7 @@ from .curves import (
 )
 from .fitting import effective_rate, fit_scan
 from .fuzzy import FuzzyIndex, alpha_cut, defuzzify, fuzzy_availability, fuzzy_unavailability
-from .markov import (
-    OPERATIONAL_STATES,
-    STATES,
-    StateDistribution,
-    build_unified_model,
-    transient_distribution,
-)
+from .markov import StateDistribution, build_unified_model, operational_mass, transient_grid
 from .simulate import ExposureTable, run_simulation
 
 EXIT_OK = 0
@@ -128,12 +122,12 @@ def cmd_curve(cfg: RunConfig, out: Path, args) -> int:
 def cmd_markov(cfg: RunConfig, out: Path, args) -> int:
     gen = build_unified_model(cfg.markov.transitions)
     initial = StateDistribution.point_mass(gen.states, "UP")
-    rows = []
-    for t in cfg.markov.time_grid.values():
-        dist = transient_distribution(gen, initial, t)
-        r_int = min(1.0, sum(dist[s] for s in OPERATIONAL_STATES))
-        rows.append((t, *(dist[s] for s in STATES), r_int))
-    header = ["t"] + [f"Q_{s}" for s in STATES] + ["R_interaction"]
+    solution = transient_grid(gen, initial, cfg.markov.time_grid.values())
+    rows = [
+        (t, *dist.probs, operational_mass(dist))
+        for t, dist in zip(solution.times, solution.distributions)
+    ]
+    header = ["t"] + [f"Q_{s}" for s in gen.states] + ["R_interaction"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "markov.csv", header, rows)
     return EXIT_OK

@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Below this relative rate gap the generic hypoexponential formula loses
-# digits to cancellation; switch to the analytic equal-rate limit.
-_EQUAL_RATE_REL_TOL = 1e-9
+from .markov import GeneratorMatrix, interaction_reliability_markov
 
 
 def _check_time(t: float) -> float:
@@ -113,15 +111,19 @@ def software_reliability(p: SoftwareParams, t: float) -> float:
 def interaction_reliability_closed_form(p: InteractionParams, t: float) -> float:
     """Survival of the two-stage chain UP -> degraded -> failed.
 
-    Generic form (l2 e^{-l1 t} - l1 e^{-l2 t}) / (l2 - l1); for (nearly)
-    equal rates the analytic limit (1 + l t) e^{-l t} is used instead.
+    The hypoexponential form (l2 e^{-l1 t} - l1 e^{-l2 t}) / (l2 - l1) is
+    symmetric in the two rates.  With l1 the smaller rate it is evaluated as
+    e^{-l1 t} (1 - l1 expm1(-(l2 - l1) t) / (l2 - l1)), which adds only
+    nonnegative terms and so loses no digits at any rate gap; ordering the
+    rates keeps expm1 in [-1, 0], so nothing overflows.  Equal rates give
+    the limit (1 + l t) e^{-l t}.
     """
     t = _check_time(t)
-    l1, l2 = p.lambda1, p.lambda2
-    if abs(l2 - l1) < _EQUAL_RATE_REL_TOL * l1:
-        lam = 0.5 * (l1 + l2)
-        return (1.0 + lam * t) * math.exp(-lam * t)
-    return (l2 * math.exp(-l1 * t) - l1 * math.exp(-l2 * t)) / (l2 - l1)
+    l1, l2 = sorted((p.lambda1, p.lambda2))
+    if l1 == l2:
+        return (1.0 + l1 * t) * math.exp(-l1 * t)
+    gap = l2 - l1
+    return math.exp(-l1 * t) * (1.0 - l1 * math.expm1(-gap * t) / gap)
 
 
 def composite_pmu_reliability(
@@ -135,8 +137,6 @@ def composite_pmu_reliability(
     ``inter`` is either InteractionParams (closed form) or a GeneratorMatrix
     (transient solve of the full state model).
     """
-    from .markov import GeneratorMatrix, interaction_reliability_markov
-
     t = _check_time(t)
     if isinstance(inter, InteractionParams):
         r_int = interaction_reliability_closed_form(inter, t)

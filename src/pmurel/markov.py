@@ -15,12 +15,35 @@ The three F_* states together form the total-failure aggregate.  The chain's
 interaction reliability is the probability mass still inside the operational
 subset {UP, HD1, HD2, HD3} at time t.
 
-Transient distributions are solved by uniformization: the generator Q is
-embedded into a discrete chain P = I + Q/rate driven by a Poisson number of
-jumps, and the Poisson series is truncated once its mass reaches
-1 - 1e-10.  Long horizons are split into steps so the Poisson weights never
-underflow.  Generators with a vanishing uniformization rate fall back to a
-truncated power series of exp(Q t).
+Transient distributions are solved by uniformization: with rate the largest
+exit rate, the generator Q is embedded into the discrete chain
+P = I + Q/rate, and exp(Q h) = sum_k Poisson(rate*h, k) P^k.
+
+``transient_grid`` solves one chain over a whole nondecreasing time grid and
+is the only solve path; ``transient_distribution`` is its one-point case.
+
+* Grid stepping.  The solve steps from each grid point to the next, never
+  from t = 0.  Each interval dt is split into ceil(rate*dt / 64) equal
+  sub-steps so the Poisson weights never underflow.  For every distinct
+  sub-step length h the step matrix M_h = sum_{k<=K} w_k P^k is built once;
+  each sub-step is then one vector-matrix product.
+* Budget split.  The truncation budget of 1e-10 is split evenly over all
+  sub-steps of the grid: K is the first index at which the Poisson weights
+  reach 1 - 1e-10 / (number of sub-steps).
+* Tail-mass accounting.  The truncated weight 1 - sum_{k<=K} w_k is added
+  onto the last power P^K, row by row so that the rounding of the powers
+  goes with it.  Every row of M_h then sums to 1, and chained solves
+  conserve probability.  Each sub-step still moves any entry by at most its
+  tail mass away from the exact solution, and since both sum to 1 the error
+  at a grid point is at most the sum of the tail masses before it.  The
+  total is reported as the achieved bound.
+* Nothing is clipped or cut short silently.  Uniformization adds only
+  nonnegative terms.  A Poisson sum that stalls short of its target raises
+  ArithmeticError.
+
+Intervals with rate*dt <= 1e-6 (including every interval of a zero
+generator) use a truncated power series of exp(Q dt) instead, and
+StateDistribution validates its result.
 """
 
 from __future__ import annotations
@@ -198,29 +221,104 @@ def _series_step(q: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return result
 
 
-def _uniformized_step(q: np.ndarray, x: np.ndarray, t: float, rate: float, eps: float) -> np.ndarray:
-    # One uniformization step: sum_k Poisson(rate*t, k) * x @ P^k with
-    # P = I + Q/rate, truncated when the accumulated Poisson mass reaches
-    # 1 - eps.  rate*t must be small enough that exp(-rate*t) does not
-    # underflow (guaranteed by the step splitting in transient_distribution).
-    mean = rate * t
-    p = np.eye(q.shape[0]) + q / rate
+def _step_matrix(p: np.ndarray, mean: float, eps: float) -> tuple[np.ndarray, float, int]:
+    # Uniformization step matrix sum_{k<=K} Poisson(mean, k) P^k, K the first
+    # index at which the Poisson weights reach 1 - eps.  Each row's shortfall
+    # from 1 (the tail mass 1 - sum(weights), plus the rounding of the powers)
+    # is added onto the same row of P^K, so every row sums to 1 and repeated
+    # steps do not drift.  Returns the matrix, the tail mass and the number
+    # of terms K + 1.  mean must be small enough that exp(-mean) does not
+    # underflow (guaranteed by the sub-step splitting in transient_grid).
     weight = math.exp(-mean)
     cumulative = weight
-    vec = x.copy()
-    result = weight * vec
-    k = 0
-    # Loop guard: past mean + 12*sqrt(mean) the Poisson tail is far below
-    # any eps we use; without it, rounding could stall `cumulative` just
-    # under the target.
+    power = np.eye(p.shape[0])
+    m = weight * power
+    # Past mean + 12*sqrt(mean) the Poisson tail is far below any eps we
+    # use; a sum still short of 1 - eps there has stalled in rounding.
     k_max = int(mean + 12.0 * math.sqrt(mean) + 60.0)
-    while cumulative < 1.0 - eps and k < k_max:
+    k = 0
+    while cumulative < 1.0 - eps:
+        if k == k_max:
+            raise ArithmeticError(
+                f"Poisson weights of mean {mean!r} stalled at {cumulative!r} after "
+                f"{k + 1} terms, short of the truncation target 1 - {eps!r}"
+            )
         k += 1
-        vec = vec @ p
+        power = power @ p
         weight *= mean / k
         cumulative += weight
-        result += weight * vec
-    return result
+        m += weight * power
+    m += (1.0 - m.sum(axis=1))[:, np.newaxis] * power
+    return m, 1.0 - cumulative, k + 1
+
+
+@dataclass(frozen=True)
+class TransientSolution:
+    """Distributions of one chain over a time grid, with solver diagnostics.
+
+    ``error_bound`` is the achieved Poisson truncation bound: no entry of any
+    distribution is further than this from the exact solution, apart from
+    floating-point rounding.  ``steps`` counts the uniformization sub-steps
+    and ``poisson_terms`` the Poisson terms summed into the step matrices.
+    """
+
+    times: tuple[float, ...]
+    distributions: tuple[StateDistribution, ...]
+    error_bound: float
+    steps: int
+    poisson_terms: int
+
+
+def transient_grid(g: GeneratorMatrix, initial: StateDistribution, times) -> TransientSolution:
+    """Distributions at each of ``times`` of the chain started from ``initial``.
+
+    ``times`` must be finite, >= 0 and nondecreasing; repeated times are
+    allowed.  The solve steps from each grid point to the next with Poisson
+    truncation error at most 1e-10 over the whole grid.
+    """
+    times = tuple(float(t) for t in times)
+    if initial.states != g.states:
+        raise ValueError("initial distribution is labeled for different states")
+    previous = 0.0
+    for t in times:
+        if not math.isfinite(t) or t < previous:
+            raise ValueError(
+                f"times must be finite, >= 0 and nondecreasing, got {t} after {previous}"
+            )
+        previous = t
+
+    q = g.matrix
+    rate = float(np.max(-np.diag(q)))
+    intervals = [b - a for a, b in zip((0.0,) + times, times)]
+    # Sub-steps per interval; 0 marks an interval solved by the power series.
+    splits = [
+        math.ceil(rate * dt / _MAX_STEP_MEAN) if rate * dt > _SERIES_THRESHOLD else 0
+        for dt in intervals
+    ]
+    steps = sum(splits)
+    step_eps = _POISSON_TRUNCATION_EPS / max(1, steps)
+    p = np.eye(q.shape[0]) + q / rate if steps else None
+    step_matrices: dict[float, tuple[np.ndarray, float]] = {}
+    error_bound = 0.0
+    poisson_terms = 0
+
+    x = initial.probs
+    distributions = []
+    for dt, n in zip(intervals, splits):
+        if n:
+            h = dt / n
+            if h not in step_matrices:
+                m, tail, terms = _step_matrix(p, rate * h, step_eps)
+                step_matrices[h] = m, tail
+                poisson_terms += terms
+            m, tail = step_matrices[h]
+            for _ in range(n):
+                x = x @ m
+            error_bound += n * tail
+        elif dt > 0.0:
+            x = _series_step(q, x, dt)
+        distributions.append(StateDistribution(g.states, x))
+    return TransientSolution(times, tuple(distributions), error_bound, steps, poisson_terms)
 
 
 def transient_distribution(
@@ -228,30 +326,15 @@ def transient_distribution(
 ) -> StateDistribution:
     """Distribution at time t of the chain started from ``initial``.
 
-    Solves the forward equations by uniformization with Poisson truncation
-    error at most 1e-10 over the whole horizon.
+    The one-point case of ``transient_grid``: Poisson truncation error at
+    most 1e-10 over the whole horizon.
     """
-    t = float(t)
-    if math.isnan(t) or t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if initial.states != g.states:
-        raise ValueError("initial distribution is labeled for different states")
-    if t == 0.0:
-        return StateDistribution(g.states, initial.probs)
+    return transient_grid(g, initial, (t,)).distributions[0]
 
-    q = g.matrix
-    rate = float(np.max(-np.diag(q)))
-    x = np.array(initial.probs, dtype=float)
-    if rate * t <= _SERIES_THRESHOLD:
-        x = _series_step(q, x, t)
-    else:
-        n_steps = max(1, math.ceil(rate * t / _MAX_STEP_MEAN))
-        step_eps = _POISSON_TRUNCATION_EPS / n_steps
-        dt = t / n_steps
-        for _ in range(n_steps):
-            x = _uniformized_step(q, x, dt, rate, step_eps)
-    np.clip(x, 0.0, 1.0, out=x)
-    return StateDistribution(g.states, x)
+
+def operational_mass(dist: StateDistribution) -> float:
+    """Probability of the operational states {UP, HD1, HD2, HD3} present in ``dist``."""
+    return min(1.0, sum(dist[s] for s in OPERATIONAL_STATES if s in dist.states))
 
 
 def interaction_reliability_markov(g: GeneratorMatrix, t: float) -> float:
@@ -260,6 +343,5 @@ def interaction_reliability_markov(g: GeneratorMatrix, t: float) -> float:
     Operational means any of {UP, HD1, HD2, HD3} that exist in the model;
     the chain is started as a point mass on UP.
     """
-    dist = transient_distribution(g, StateDistribution.point_mass(g.states, "UP"), t)
-    total = sum(dist[s] for s in OPERATIONAL_STATES if s in g.states)
-    return min(1.0, total)
+    up = StateDistribution.point_mass(g.states, "UP")
+    return operational_mass(transient_distribution(g, up, t))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pmurel import markov
 from pmurel.cli import main
 from pmurel.config import SCHEMA
 from pmurel.csvout import write_csv
@@ -95,6 +96,13 @@ class TestCurveCommand:
 
 
 class TestMarkovCommand:
+    def test_short_poisson_sum_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no truncation budget: the default grid's Poisson sum stalls short of 1
+        monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)
+        assert main(["markov", "--out", str(tmp_path)]) == 3
+        assert "stalled" in capsys.readouterr().err
+        assert not (tmp_path / "markov.csv").exists()
+
     def test_markov_csv_headers_and_origin(self, tmp_path):
         out = tmp_path / "out"
         assert main(["markov", "--out", str(out)]) == 0

@@ -1,6 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmurel.curves import (
     HardwareParams,
@@ -145,6 +148,31 @@ class TestInteractionClosedForm:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             interaction_reliability_closed_form(INTER, -1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        l1=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        gap=st.floats(-9.0, 1.0).map(lambda e: 10.0**e),
+        swap=st.booleans(),
+        scaled_t=st.floats(0.0, 30.0),
+    )
+    def test_matches_decimal_oracle_at_every_rate_gap(self, l1, gap, swap, scaled_t):
+        # the generic form evaluated in 50 digits from the same float inputs;
+        # relative gaps reach down to 1e-9, where subtracting the two
+        # exponentials loses half the double digits
+        l2 = l1 * (1.0 + gap)
+        if swap:
+            l1, l2 = l2, l1
+        t = scaled_t / max(l1, l2)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b, u = Decimal(l1), Decimal(l2), Decimal(t)
+            if a == b:
+                exact = (1 + a * u) * (-a * u).exp()
+            else:
+                exact = (b * (-a * u).exp() - a * (-b * u).exp()) / (b - a)
+        r = interaction_reliability_closed_form(InteractionParams(l1, l2), t)
+        assert abs(Decimal(r) - exact) <= Decimal(1e-14) * exact
 
 
 class TestCurveInvariants:

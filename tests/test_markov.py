@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from pmurel import markov
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
 from pmurel.markov import (
     ALLOWED_TRANSITIONS,
@@ -15,9 +18,24 @@ from pmurel.markov import (
     interaction_reliability_markov,
     parse_transition,
     transient_distribution,
+    transient_grid,
 )
 
 REDUCED_RATES = {"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3}
+# Restart and recovery rates 1e5 times the slow ones: stiff enough that one
+# grid interval needs several uniformization sub-steps.
+STIFF_RATES = {
+    "UP->HD1": 1e-3,
+    "UP->HD2": 2e-3,
+    "UP->HD3": 8.92e-4,
+    "UP->SD": 5e-2,
+    "HD1->F_HW": 1e-2,
+    "HD2->F_HW": 5e-3,
+    "HD2->UP": 50.0,
+    "HD3->F_INT": 3.92e-3,
+    "SD->F_SW": 1e-2,
+    "SD->UP": 500.0,
+}
 ORACLE_TIMES = [0.0, 10.0, 100.0, 500.0, 1000.0, 5000.0]
 
 
@@ -250,3 +268,89 @@ class TestInteractionReliability:
         values = [interaction_reliability_markov(g, t) for t in ORACLE_TIMES]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+
+
+# Each allowed transition is absent or has a rate log-uniform in [1e-4, 1e3].
+stiff_rates = st.dictionaries(
+    st.sampled_from(ALLOWED_TRANSITIONS),
+    st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+    min_size=1,
+)
+# Grids start anywhere in [0, 10] and advance by uneven steps: repeated
+# points, steps short enough for the power-series fallback, and long ones.
+grid_steps = st.one_of(st.just(0.0), st.floats(1e-10, 1e-7), st.floats(1e-3, 5.0))
+grids = st.tuples(st.floats(0.0, 10.0), st.lists(grid_steps, max_size=8)).map(
+    lambda sg: [float(v) for v in sg[0] + np.cumsum([0.0] + sg[1])]
+)
+
+
+class TestTransientGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(rates=stiff_rates, times=grids, start=st.sampled_from(STATES))
+    def test_matches_matrix_exponential_oracle(self, rates, times, start):
+        g = build_unified_model(rates)
+        init = StateDistribution.point_mass(STATES, start)
+        solution = transient_grid(g, init, times)
+        assert solution.times == tuple(times)
+        assert solution.error_bound <= 1e-10
+        for t, dist in zip(times, solution.distributions):
+            oracle = init.probs @ expm(g.matrix * t)
+            assert np.abs(dist.probs - oracle).max() <= 1e-9
+            assert abs(float(dist.probs.sum()) - 1.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(rates=stiff_rates, t=st.floats(0.0, 20.0))
+    def test_one_point_grid_is_transient_distribution(self, rates, t):
+        g = build_unified_model(rates)
+        init = StateDistribution.point_mass(STATES, "UP")
+        (dist,) = transient_grid(g, init, [t]).distributions
+        assert np.array_equal(dist.probs, transient_distribution(g, init, t).probs)
+
+    def test_chained_solves_conserve_mass(self):
+        # each call adds its truncated Poisson tail back, so the sum does not
+        # drift; dropping the tail ran out of tolerance after 14 calls
+        g = build_unified_model(STIFF_RATES)
+        init = StateDistribution.point_mass(STATES, "UP")
+        dist = init
+        for _ in range(100):
+            dist = transient_distribution(g, dist, 0.2)
+        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
+        assert np.abs(dist.probs - init.probs @ expm(g.matrix * 20.0)).max() <= 1e-9
+
+    def test_stiff_grid_diagnostics(self):
+        g = build_unified_model(STIFF_RATES)
+        times = [i * (20.0 / 50) for i in range(51)]
+        solution = transient_grid(g, StateDistribution.point_mass(STATES, "UP"), times)
+        # rate 500.01 over 50 intervals of 0.4: ceil(200.004 / 64) = 4 sub-steps each
+        assert solution.steps == 200
+        assert 0.0 < solution.error_bound <= 1e-10
+        assert solution.poisson_terms > 0
+
+    def test_exact_cases(self):
+        init = StateDistribution(STATES, np.full(len(STATES), 1.0 / len(STATES)))
+        zero = transient_grid(build_unified_model({}), init, [0.0, 1.0, 1e4])
+        assert all(np.array_equal(d.probs, init.probs) for d in zero.distributions)
+        assert (zero.steps, zero.poisson_terms, zero.error_bound) == (0, 0, 0.0)
+        g = build_unified_model(STIFF_RATES)
+        solution = transient_grid(g, init, [0.0, 0.0, 3.0, 3.0, 3.0])
+        first, again, later, *repeats = solution.distributions
+        assert np.array_equal(first.probs, init.probs)
+        assert np.array_equal(again.probs, init.probs)
+        assert all(np.array_equal(d.probs, later.probs) for d in repeats)
+        assert transient_grid(g, init, []).distributions == ()
+
+    @pytest.mark.parametrize(
+        "times", [[1.0, 0.5], [-1.0], [0.0, math.nan], [math.inf], [2.0, 3.0, 2.5]]
+    )
+    def test_rejects_bad_times(self, times):
+        g = build_unified_model(STIFF_RATES)
+        with pytest.raises(ValueError):
+            transient_grid(g, StateDistribution.point_mass(STATES, "UP"), times)
+
+    def test_short_poisson_sum_raises(self, monkeypatch):
+        # with no budget the sum must reach exactly 1; at the default grid's
+        # Poisson mean 0.392 it stalls one rounding step short
+        monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)
+        g = build_unified_model(REDUCED_RATES)
+        with pytest.raises(ArithmeticError):
+            transient_grid(g, StateDistribution.point_mass(STATES, "UP"), [0.0, 100.0])
