@@ -6,12 +6,13 @@ accumulates a clock until the mission horizon.  Replications are aggregated
 into availability and failure-count estimates plus the interval-bucketed
 exposure table consumed by the rate-fitting module.
 
-Reproducibility contract: replication i draws from its own substream, derived
-from (master_seed, i) via numpy's SeedSequence spawn keys, and every reduction
-(the summary statistics and each exposure-table bin) adds in replication
-order.  Replications run one after another in the calling thread; there are
-no workers.  The same configuration therefore produces bit-identical results,
-whatever the block size of the draws or the chunk size of the bucketing.
+Reproducibility contract: replication i draws from its own substream, the
+PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
+every reduction (the summary statistics and each exposure-table bin) adds in
+replication order.  Replications run one after another in the calling
+thread; there are no workers.  The same configuration therefore produces
+bit-identical results, whatever the block size of the draws or the chunk
+size of the bucketing.
 
 The engine is array-native: uniforms are drawn in blocks, each replication's
 history is one small float array, and exposure bucketing is a handful of
@@ -20,11 +21,21 @@ numpy calls per chunk of traces.  Draws go through ``math.log``, not
 clock and bin adds in event order, so the results equal those of a scalar
 one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py`` keeps
 such a loop as its reference).
+
+Substreams are built without a SeedSequence object per replication:
+SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
+whole aligned block of replication indices at once, and each substream's
+PCG64 is seeded from its row of that block.  Tests check the substreams'
+states against numpy's own SeedSequence for equality.  A substream's
+``bit_generator.seed_seq`` is a private holder of its seed words, so
+``Generator.spawn()`` on a substream is not supported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +76,151 @@ class SimulationConfig:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
 
 
+# SeedSequence's hash constants and pool size (numpy's bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
+# Replication indices whose substream seeds are hashed together.  A power of
+# two below 2**32, so no block straddles a change in the number of 32-bit
+# words of its indices.
+_SUBSTREAM_BLOCK = 4096
+
+
+def _nonnegative_int(value, name: str) -> int:
+    """``value`` as an int, rejected as SeedSequence rejects it: a
+    non-integer (e.g. 1.5) raises TypeError, a negative one ValueError."""
+    n = operator.index(value)
+    if n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
+    return n
+
+
+def _words32(n: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits
+    it: 0 is one zero word."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of
+    ``entropy``, a (rows, words) uint32 array of assembled entropy words with
+    at least the pool size of words per row.
+
+    Mirrors SeedSequence's ``mix_entropy`` and ``generate_state`` one column
+    at a time; the hash constant advances identically for every row.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype=np.uint32)
+    for dst in range(2 * _POOL_SIZE):
+        value = pool[dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, dst] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+# A pure function of its arguments returning a read-only array, so sharing the
+# two most recent blocks between callers changes no result.
+@functools.lru_cache(maxsize=2)
+def _substream_block(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of replications ``block * _SUBSTREAM_BLOCK`` onwards,
+    one row of four uint64 per replication."""
+    run = _words32(master_seed)
+    # SeedSequence pads the run entropy to the pool size when a spawn key is given.
+    run += [0] * (_POOL_SIZE - len(run))
+    spawn = _words32(block * _SUBSTREAM_BLOCK)
+    entropy = np.empty((_SUBSTREAM_BLOCK, len(run) + len(spawn)), dtype=np.uint32)
+    entropy[:] = run + spawn
+    # Only the lowest word of the index varies within a block.
+    entropy[:, len(run)] += np.arange(_SUBSTREAM_BLOCK, dtype=np.uint32)
+    words = _seed_sequence_state(entropy)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _seed_words_class() -> type:
+    """The class of a substream's seed-word holder, defined on first use
+    because importing numpy.random takes about 12 ms that commands without a
+    Monte Carlo run need not pay.  PCG64 accepts it as a SeedSequence because
+    it subclasses ISeedSequence (a registered virtual subclass would cost
+    about 1 µs more per PCG64)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Stands in for one substream's SeedSequence: hands PCG64 the state
+        words computed for it.  It cannot spawn."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a substream's seed holds exactly PCG64's four uint64 words")
+            return self._words
+
+        def __reduce__(self):
+            return _seed_words, (self._words,)
+
+    return SeedWords
+
+
+def _seed_words(words: np.ndarray):
+    """A seed-word holder for ``words``; unpickling a substream calls it too."""
+    return _seed_words_class()(words)
+
+
 def replication_rng(master_seed: int, replication_index: int) -> np.random.Generator:
     """Independent random substream for one replication.
 
-    Built from SeedSequence(master_seed) spawn key (replication_index,), so
-    any replication's stream can be constructed directly without generating
-    the preceding ones.
+    A fresh Generator whose PCG64 state equals that of
+    ``np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
+    spawn_key=(replication_index,)))``, so any replication's stream can be
+    constructed directly without generating the preceding ones.  Arguments
+    are checked as SeedSequence checks them (negative: ValueError,
+    non-integer: TypeError; booleans count as 0 and 1).
+
+    The SeedSequence hash is evaluated in numpy for the whole aligned block
+    of indices holding ``replication_index`` and kept for the next calls.
+    The Generator's ``bit_generator.seed_seq`` is a private word holder, not
+    a SeedSequence, so ``Generator.spawn()`` is not supported.
     """
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication_index,))
-    return np.random.default_rng(seq)
+    seed = _nonnegative_int(master_seed, "master_seed")
+    block, row = divmod(_nonnegative_int(replication_index, "replication_index"), _SUBSTREAM_BLOCK)
+    # A copy, so a Generator that is kept does not keep its whole block alive.
+    words = _substream_block(seed, block)[row].copy()
+    return np.random.Generator(np.random.PCG64(_seed_words(words)))
 
 
 def sample_exponential(rate: float, rng: np.random.Generator) -> float:

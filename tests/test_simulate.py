@@ -1,7 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmurel import simulate
 from pmurel.csvout import write_csv
@@ -99,6 +102,91 @@ class TestSampleExponential:
         seq1 = [sample_exponential(1.0, rng1) for _ in range(10)]
         seq2 = [sample_exponential(1.0, rng2) for _ in range(10)]
         assert seq1 != seq2
+
+
+def seed_sequence_rng(seed, index):
+    """A replication's substream as numpy's own SeedSequence builds it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def assert_same_stream(rng, seed, index):
+    want = seed_sequence_rng(seed, index)
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(rng.random(64), want.random(64))
+
+
+BLOCK = simulate._SUBSTREAM_BLOCK
+EDGE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 5, 2**200 + 3]
+EDGE_INDICES = [
+    0, 1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2**31,
+    2**32 - BLOCK - 1, 2**32 - BLOCK, 2**32 - 1, 2**32, 2**32 + BLOCK,
+    2**40 + 3, 2**64 - 1, 2**64, 2**70 + 5,
+]
+block_edges = st.builds(
+    lambda block, offset: block * BLOCK + offset,
+    st.integers(0, 2**60),
+    st.sampled_from([0, 1, BLOCK - 1]),
+)
+
+
+class TestReplicationRng:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_block_edges_match_seed_sequence(self, seed):
+        for index in EDGE_INDICES:
+            assert_same_stream(replication_rng(seed, index), seed, index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64), st.integers(2**96, 2**160)),
+        index=st.one_of(st.sampled_from(EDGE_INDICES), block_edges, st.integers(0, 2**80)),
+    )
+    def test_matches_seed_sequence(self, seed, index):
+        assert_same_stream(replication_rng(seed, index), seed, index)
+
+    @settings(max_examples=50, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3 * BLOCK)), min_size=2, max_size=12))
+    def test_call_order_does_not_matter(self, calls):
+        # out of order, and interleaving more seeds and blocks than are kept
+        for seed, index in calls:
+            assert_same_stream(replication_rng(seed, index), seed, index)
+
+    def test_each_call_returns_an_independent_generator(self):
+        first, second = replication_rng(7, BLOCK + 3), replication_rng(7, BLOCK + 3)
+        assert first.bit_generator is not second.bit_generator
+        first.random(1000)
+        assert_same_stream(second, 7, BLOCK + 3)
+        assert first.bit_generator.state != second.bit_generator.state
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2**64), 5), (3, -(2**40))])
+    def test_negative_arguments_raise_value_error(self, seed, index):
+        for build in (replication_rng, seed_sequence_rng):
+            with pytest.raises(ValueError):
+                build(seed, index)
+
+    @pytest.mark.parametrize("seed,index", [(1.5, 0), (0, 1.5), (2.0, 0), (0, np.float64(3.0))])
+    def test_non_integer_arguments_raise_type_error(self, seed, index):
+        for build in (replication_rng, seed_sequence_rng):
+            with pytest.raises(TypeError):
+                build(seed, index)
+
+    @pytest.mark.parametrize(
+        "seed,index,same_as",
+        [(True, False, (1, 0)), (False, True, (0, 1)), (np.int64(9), np.uint64(BLOCK), (9, BLOCK))],
+    )
+    def test_booleans_and_numpy_integers_are_accepted(self, seed, index, same_as):
+        rng = replication_rng(seed, index)
+        assert rng.bit_generator.state == replication_rng(*same_as).bit_generator.state
+        assert_same_stream(rng, seed, index)
+
+    def test_pickled_substream_resumes(self):
+        rng = replication_rng(7, 3)
+        rng.random(5)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(copy.random(64), rng.random(64))
+
+    def test_spawn_is_not_supported(self):
+        with pytest.raises(TypeError):
+            replication_rng(7, 3).spawn(1)
 
 
 class TestRunReplication:

@@ -3,7 +3,8 @@
 The reference functions below are a scalar engine: one scalar draw per
 event, traces as tuples of (ttf, ttr) pairs, and exposure bucketing by scalar
 ``searchsorted`` calls and a loop over the intervals each up period covers.
-The array-native engine must reproduce them bit for bit, so every comparison
+Its random streams come from numpy's own ``SeedSequence``, not from
+``replication_rng``, so the substream derivation is checked too.  The array-native engine must reproduce them bit for bit, so every comparison
 here is ``==``, never approximate.
 """
 
@@ -19,7 +20,6 @@ from pmurel.simulate import (
     ReplicationTrace,
     SimulationConfig,
     build_exposure_table,
-    replication_rng,
     run_replication,
 )
 
@@ -59,7 +59,9 @@ class ReferenceTrace:
 
 
 def reference_run_replication(cfg, replication_index):
-    rng = replication_rng(cfg.master_seed, replication_index)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(replication_index,))
+    )
     horizon = cfg.mission_time
     clock = 0.0
     cycles = []
