@@ -20,17 +20,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, CurvesSection, FuzzySection, RunConfig, default_config, load_config
 from .csvout import write_csv
 from .curves import (
     interaction_reliability_closed_form,
     software_reliability,
     weibull_reliability,
 )
-from .fitting import effective_rate, fit_scan
+from .fitting import FitResult, effective_rate, fit_scan
 from .fuzzy import FuzzyIndex, alpha_cut, defuzzify, fuzzy_availability, fuzzy_unavailability
 from .markov import StateDistribution, build_unified_model, operational_mass, transient_grid
-from .simulate import ExposureTable, run_simulation
+from .simulate import ExposureTable, SimulationConfig, SimulationSummary, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,36 +86,67 @@ def _write_band(out: Path, name: str, band: FuzzyIndex) -> None:
     write_csv(out / name, ["alpha", "lo", "hi"], band.rows())
 
 
-def cmd_fuzzy(cfg: RunConfig, out: Path, args) -> int:
-    fz = cfg.fuzzy
+def _fuzzy(fz: FuzzySection, out: Path) -> tuple[float, float]:
+    """Write the rate and availability bands and crisp.csv; return the crisp
+    (defuzzified) failure and repair rates."""
     failure, repair = fz.failure_number(), fz.repair_number()
     grid = fz.alpha_grid()
     failure_band = FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid))
     repair_band = FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid))
+    lam, mu = defuzzify(failure), defuzzify(repair)
     out.mkdir(parents=True, exist_ok=True)
     _write_band(out, "failure_rate.csv", failure_band)
     _write_band(out, "repair_rate.csv", repair_band)
     _write_band(out, "availability.csv", fuzzy_availability(failure, repair, grid))
     _write_band(out, "unavailability.csv", fuzzy_unavailability(failure, repair, grid))
+    write_csv(out / "crisp.csv", ["quantity", "value"], [("failure_rate", lam), ("repair_rate", mu)])
+    return lam, mu
+
+
+def _simulate(sim: SimulationConfig, out: Path) -> SimulationSummary:
+    """Run the Monte Carlo campaign; write summary.csv and exposure.csv."""
+    summary = run_simulation(sim)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
-        out / "crisp.csv",
-        ["quantity", "value"],
-        [("failure_rate", defuzzify(failure)), ("repair_rate", defuzzify(repair))],
+        out / "summary.csv",
+        ["availability", "mean_failures", "availability_se", "mean_failures_se"],
+        [(summary.availability, summary.mean_failures,
+          summary.availability_se, summary.mean_failures_se)],
     )
+    write_csv(out / "exposure.csv", EXPOSURE_HEADER, summary.exposure.rows())
+    return summary
+
+
+def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
+    """Fit the interaction rates at each ratio; write fit.csv."""
+    results = fit_scan(table, ratios)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "fit.csv", ["G", "lambda1", "lambda2", "sse"],
+              [(r.g, r.lambda1, r.lambda2, r.sse) for r in results])
+    return results
+
+
+def _curve(cv: CurvesSection, out: Path) -> list[tuple]:
+    """Evaluate the component curves on the grid; write curve.csv and return
+    its rows (t, R_hw, R_sw, R_int, R_pmu)."""
+    rows = []
+    for t in cv.time_grid.values():
+        r_hw = weibull_reliability(cv.hardware, t)
+        r_sw = software_reliability(cv.software, t)
+        r_int = interaction_reliability_closed_form(cv.interaction, t)
+        rows.append((t, r_hw, r_sw, r_int, r_hw * r_sw * r_int))
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
+    return rows
+
+
+def cmd_fuzzy(cfg: RunConfig, out: Path, args) -> int:
+    _fuzzy(cfg.fuzzy, out)
     return EXIT_OK
 
 
 def cmd_curve(cfg: RunConfig, out: Path, args) -> int:
-    cv = cfg.curves
-    hw, sw, inter = cv.hardware_params(), cv.software_params(), cv.interaction_params()
-    rows = []
-    for t in cv.time_grid.values():
-        r_hw = weibull_reliability(hw, t)
-        r_sw = software_reliability(sw, t)
-        r_int = interaction_reliability_closed_form(inter, t)
-        rows.append((t, r_hw, r_sw, r_int, r_hw * r_sw * r_int))
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
+    _curve(cfg.curves, out)
     return EXIT_OK
 
 
@@ -133,20 +164,8 @@ def cmd_markov(cfg: RunConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _write_simulation(out: Path, summary) -> None:
-    write_csv(
-        out / "summary.csv",
-        ["availability", "mean_failures", "availability_se", "mean_failures_se"],
-        [(summary.availability, summary.mean_failures,
-          summary.availability_se, summary.mean_failures_se)],
-    )
-    write_csv(out / "exposure.csv", EXPOSURE_HEADER, summary.exposure.rows())
-
-
 def cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
-    summary = run_simulation(cfg.simulation.to_simulation_config())
-    out.mkdir(parents=True, exist_ok=True)
-    _write_simulation(out, summary)
+    _simulate(cfg.simulation, out)
     return EXIT_OK
 
 
@@ -169,125 +188,71 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
     return ExposureTable(tuple(counts), tuple(times))
 
 
-def _fit_rows(table: ExposureTable, ratios) -> list[tuple]:
-    return [(r.g, r.lambda1, r.lambda2, r.sse) for r in fit_scan(table, ratios)]
-
-
 def cmd_fit(cfg: RunConfig, out: Path, args) -> int:
-    if getattr(args, "g", None) is not None and getattr(args, "g_grid", None) is not None:
+    if args.g is not None and args.g_grid is not None:
         raise ConfigError("give either --g or --g-grid, not both")
-    if getattr(args, "g", None) is not None:
+    if args.g is not None:
         ratios = [args.g]
-    elif getattr(args, "g_grid", None) is not None:
-        ratios = list(args.g_grid)
     else:
-        ratios = cfg.fit.ratios()
-    exposure_path = Path(args.exposure) if getattr(args, "exposure", None) else out / "exposure.csv"
-    table = _read_exposure_csv(exposure_path)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "fit.csv", ["G", "lambda1", "lambda2", "sse"], _fit_rows(table, ratios))
+        ratios = args.g_grid or cfg.fit.ratios()
+    table = _read_exposure_csv(Path(args.exposure) if args.exposure else out / "exposure.csv")
+    _fit(table, ratios, out)
     return EXIT_OK
 
 
 def cmd_pipeline(cfg: RunConfig, out: Path, args) -> int:
-    report: list[str] = []
-    report.append("PMU reliability pipeline report")
-    report.append("===============================")
-    report.append(f"time unit: {cfg.time_unit}")
-    report.append("")
-
-    def stage(name, fn):
+    def stage(name, fn, *fn_args):
         try:
-            return fn()
+            return fn(*fn_args)
         except (ConfigError, OSError, ValueError, ArithmeticError) as exc:
             raise type(exc)(f"pipeline stage '{name}' failed: {exc}") from exc
 
-    # Stage 1: fuzzy bands and crisp rates.
-    def run_fuzzy():
-        cmd_fuzzy(cfg, out, args)
-        fz = cfg.fuzzy
-        failure, repair = fz.failure_number(), fz.repair_number()
-        lam, mu = defuzzify(failure), defuzzify(repair)
-        unit = cfg.time_unit[:-1] if cfg.time_unit.endswith("s") else cfg.time_unit
-        report.append("[1] fuzzy rate selection (alpha-cut propagation, centroid defuzzification)")
-        report.append(f"    crisp failure rate : {lam:.6g} per {unit}")
-        report.append(f"    crisp repair rate  : {mu:.6g} per {unit}")
-        report.append(
-            f"    two-state availability mu/(lambda+mu) : {mu / (lam + mu):.6f}"
-        )
-        report.append("    files: failure_rate.csv repair_rate.csv availability.csv "
-                      "unavailability.csv crisp.csv")
-        return lam, mu
+    lam, mu = stage("fuzzy", _fuzzy, cfg.fuzzy, out)
+    # The simulation always runs at the defuzzified rates.
+    sim = replace(cfg.simulation, failure_rate=lam, repair_rate=mu)
+    summary = stage("simulate", _simulate, sim, out)
+    results = stage("fit", _fit, summary.exposure, cfg.fit.ratios(), out)
+    curve = stage("curve", _curve, cfg.curves, out)
 
-    lam, mu = stage("fuzzy", run_fuzzy)
-
-    # Stage 2: Monte Carlo campaign at the defuzzified rates.
-    def run_sim():
-        sim_cfg = cfg.simulation.to_simulation_config(failure_rate=lam, repair_rate=mu)
-        summary = run_simulation(sim_cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_simulation(out, summary)
-        renewal = sim_cfg.mission_time / (1.0 / lam + 1.0 / mu)
-        report.append("")
-        report.append(
-            f"[2] Monte Carlo campaign ({sim_cfg.n_replications} missions of "
-            f"{sim_cfg.mission_time:g} {cfg.time_unit}, seed {sim_cfg.master_seed})"
-        )
-        report.append(
-            f"    availability estimate : {summary.availability:.6f}"
-            f" (se {summary.availability_se:.2g})"
-        )
-        report.append(
-            f"    mean failures/mission : {summary.mean_failures:.4f}"
-            f" (se {summary.mean_failures_se:.2g};"
-            f" renewal-theory value {renewal:.4f})"
-        )
-        report.append("    files: summary.csv exposure.csv")
-        return summary
-
-    summary = stage("simulate", run_sim)
-
-    # Stage 3: interaction-rate fit on the simulated exposure table.
-    def run_fit():
-        ratios = cfg.fit.ratios()
-        results = fit_scan(summary.exposure, ratios)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "fit.csv", ["G", "lambda1", "lambda2", "sse"],
-                  [(r.g, r.lambda1, r.lambda2, r.sse) for r in results])
-        report.append("")
-        report.append("[3] interaction-rate least squares on the exposure table")
-        for r in results:
-            report.append(
-                f"    G={r.g:g}: lambda1={r.lambda1:.6g}, lambda2={r.lambda2:.6g},"
-                f" sse={r.sse:.6g},"
-                f" effective rate {effective_rate(r.lambda1, r.lambda2):.6g}"
-            )
-        report.append("    (the effective rate is the only identified quantity;"
-                      " it is the same for every G)")
-        report.append("    file: fit.csv")
-        return results
-
-    stage("fit", run_fit)
-
-    # Stage 4: closed-form reliability curves.
-    def run_curve():
-        cmd_curve(cfg, out, args)
-        cv = cfg.curves
-        horizon = cv.time_grid.stop
-        hw, sw, inter = cv.hardware_params(), cv.software_params(), cv.interaction_params()
-        r_hw = weibull_reliability(hw, horizon)
-        r_sw = software_reliability(sw, horizon)
-        r_int = interaction_reliability_closed_form(inter, horizon)
-        report.append("")
-        report.append(f"[4] component reliability curves over [0, {horizon:g}]")
-        report.append(
-            f"    at the horizon: hardware {r_hw:.6g}, software {r_sw:.6g},"
-            f" interaction {r_int:.6g}, product {r_hw * r_sw * r_int:.6g}"
-        )
-        report.append("    file: curve.csv")
-
-    stage("curve", run_curve)
-
+    unit = cfg.time_unit[:-1] if cfg.time_unit.endswith("s") else cfg.time_unit
+    renewal = sim.mission_time / (1.0 / lam + 1.0 / mu)
+    grid = cfg.curves.time_grid
+    _, r_hw, r_sw, r_int, r_pmu = curve[-1]
+    report = [
+        "PMU reliability pipeline report",
+        "===============================",
+        f"time unit: {cfg.time_unit}",
+        "",
+        "[1] fuzzy rate selection (alpha-cut propagation, centroid defuzzification)",
+        f"    crisp failure rate : {lam:.6g} per {unit}",
+        f"    crisp repair rate  : {mu:.6g} per {unit}",
+        f"    two-state availability mu/(lambda+mu) : {mu / (lam + mu):.6f}",
+        "    files: failure_rate.csv repair_rate.csv availability.csv "
+        "unavailability.csv crisp.csv",
+        "",
+        f"[2] Monte Carlo campaign ({sim.n_replications} missions of "
+        f"{sim.mission_time:g} {cfg.time_unit}, seed {sim.master_seed})",
+        f"    availability estimate : {summary.availability:.6f}"
+        f" (se {summary.availability_se:.2g})",
+        f"    mean failures/mission : {summary.mean_failures:.4f}"
+        f" (se {summary.mean_failures_se:.2g}; renewal-theory value {renewal:.4f})",
+        "    files: summary.csv exposure.csv",
+        "",
+        "[3] interaction-rate least squares on the exposure table",
+        *(
+            f"    G={r.g:g}: lambda1={r.lambda1:.6g}, lambda2={r.lambda2:.6g},"
+            f" sse={r.sse:.6g}, effective rate {effective_rate(r.lambda1, r.lambda2):.6g}"
+            for r in results
+        ),
+        "    (the effective rate is the only identified quantity;"
+        " it is the same for every G)",
+        "    file: fit.csv",
+        "",
+        f"[4] component reliability curves over [{grid.start:g}, {grid.stop:g}]",
+        f"    at the horizon: hardware {r_hw:.6g}, software {r_sw:.6g},"
+        f" interaction {r_int:.6g}, product {r_pmu:.6g}",
+        "    file: curve.csv",
+    ]
     (out / "report.txt").write_text("\n".join(report) + "\n")
     return EXIT_OK
 

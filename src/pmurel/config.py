@@ -5,6 +5,14 @@ section per pipeline stage (fuzzy, curves, markov, simulation, fit).
 Unknown keys anywhere are rejected by name, so typos never silently fall
 back to defaults.  Command-line flags override file values after loading.
 
+Sections hold the engine's own types: the keys of ``curves.hardware``,
+``curves.software``, ``curves.interaction`` and ``simulation`` are the fields
+of ``HardwareParams``, ``SoftwareParams``, ``InteractionParams`` and
+``SimulationConfig``, and those types check their values; ``markov``
+transitions are checked by ``build_unified_model``.  This module checks
+only the JSON shape (objects, numbers, integers, required keys) and the
+sections it defines itself.
+
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
 the documented default interpretation) or ``"hours_per_repair"`` (the value
@@ -15,13 +23,16 @@ declared ``time_unit`` and are never converted implicitly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
+from .curves import HardwareParams, InteractionParams, SoftwareParams
 from .fuzzy import TriangularFuzzyNumber
-from .markov import ALLOWED_TRANSITIONS
+from .markov import build_unified_model
 from .simulate import SimulationConfig
 
 SCHEMA = "pmu-reliability/1"
@@ -34,34 +45,71 @@ class ConfigError(Exception):
     """A configuration document failed validation."""
 
 
-def _check_keys(mapping, allowed, context: str) -> None:
-    if not isinstance(mapping, dict):
+# Resolved field annotations per class: get_type_hints evaluates the
+# annotation strings on every call, and a class's hints never change.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    for key in mapping:
+    return value
+
+
+def _check_keys(mapping, allowed, context: str) -> None:
+    for key in _object(mapping, context):
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {context}")
 
 
-def _number(mapping, key, context, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in {context}")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"'{key}' in {context} must be a finite number, got {v!r}")
-    return float(v)
+def _number(value, key: str, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"'{key}' in section '{path}' must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _integer(mapping, key, context, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in {context}")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"'{key}' in {context} must be an integer, got {v!r}")
-    return v
+def _integer(value, key: str, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' in section '{path}' must be an integer, got {value!r}")
+    return value
+
+
+def _build(cls, d, path: str):
+    """Build the dataclass ``cls`` from the JSON object ``d`` found at
+    ``path`` (e.g. ``"curves.hardware"``), one key per field.
+
+    Unknown keys are rejected by name; omitted fields take their dataclass
+    default or are reported missing.  Each value is read by its field's
+    annotated type: a nested dataclass is built the same way, a
+    ``dict[str, float]`` is an object of numbers, ``int`` must be an integer
+    and ``float`` a finite number; any other value is passed on as it is.
+    ``cls`` checks the values itself, and the ``ValueError`` it raises is
+    re-raised as a ConfigError naming ``path``.
+    """
+    context = f"section '{path}'"
+    _check_keys(d, {f.name for f in fields(cls)}, context)
+    hints = _field_types(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required key '{f.name}' in {context}")
+            continue
+        kind, value = hints[f.name], d[f.name]
+        if is_dataclass(kind):
+            value = _build(kind, value, f"{path}.{f.name}")
+        elif typing.get_origin(kind) is dict:
+            inner = f"{path}.{f.name}"
+            value = {k: _number(v, k, inner) for k, v in _object(value, f"section '{inner}'").items()}
+        elif kind is int:
+            value = _integer(value, f.name, path)
+        elif kind is float:
+            value = _number(value, f.name, path)
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -79,17 +127,11 @@ class TimeGrid:
             raise ConfigError(f"time grid count must be >= 2, got {self.count}")
 
     def values(self) -> list[float]:
+        """``count`` evenly spaced points from ``start`` to exactly ``stop``."""
         step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
-
-    @classmethod
-    def from_dict(cls, d, context) -> "TimeGrid":
-        _check_keys(d, {"start", "stop", "count"}, context)
-        return cls(
-            start=_number(d, "start", context),
-            stop=_number(d, "stop", context),
-            count=_integer(d, "count", context),
-        )
+        # start + (count - 1) * step can miss stop by an ulp, so stop is
+        # appended as given.
+        return [self.start + i * step for i in range(self.count - 1)] + [self.stop]
 
 
 @dataclass(frozen=True)
@@ -136,227 +178,61 @@ class FuzzySection:
 
     @classmethod
     def from_dict(cls, d) -> "FuzzySection":
-        context = "section 'fuzzy'"
-        _check_keys(
-            d,
-            {
-                "failure_rate_center",
-                "repair_rate_center",
-                "repair_rate_unit",
-                "halfwidth_fraction",
-                "alpha_levels",
-            },
-            context,
-        )
-        if "repair_rate_unit" not in d:
+        if "repair_rate_unit" not in _object(d, "section 'fuzzy'"):
             raise ConfigError(
                 "missing required key 'repair_rate_unit' in section 'fuzzy'; "
                 "set it to 'events_per_year' (default interpretation) or "
                 "'hours_per_repair'"
             )
-        unit = d["repair_rate_unit"]
-        if not isinstance(unit, str):
-            raise ConfigError("'repair_rate_unit' must be a string")
-        return cls(
-            failure_rate_center=_number(d, "failure_rate_center", context),
-            repair_rate_center=_number(d, "repair_rate_center", context),
-            repair_rate_unit=unit,
-            halfwidth_fraction=_number(d, "halfwidth_fraction", context, default=0.1),
-            alpha_levels=_integer(d, "alpha_levels", context, default=11),
-        )
+        return _build(cls, d, "fuzzy")
 
 
 @dataclass(frozen=True)
 class CurvesSection:
-    hardware_rate: float
-    hardware_shape: float
-    software_total_faults: float
-    software_detection_rate: float
-    software_startup_time: float
-    interaction_lambda1: float
-    interaction_lambda2: float
+    """Component curve parameters and the grid they are evaluated on."""
+
+    hardware: HardwareParams
+    software: SoftwareParams
+    interaction: InteractionParams
     time_grid: TimeGrid
-
-    def __post_init__(self) -> None:
-        # eager validation so --dry-run catches bad curve parameters
-        try:
-            self.hardware_params()
-            self.software_params()
-            self.interaction_params()
-        except ValueError as exc:
-            raise ConfigError(f"section 'curves': {exc}") from exc
-
-    def hardware_params(self):
-        from .curves import HardwareParams
-
-        return HardwareParams(rate=self.hardware_rate, shape=self.hardware_shape)
-
-    def software_params(self):
-        from .curves import SoftwareParams
-
-        return SoftwareParams(
-            total_faults=self.software_total_faults,
-            detection_rate=self.software_detection_rate,
-            startup_time=self.software_startup_time,
-        )
-
-    def interaction_params(self):
-        from .curves import InteractionParams
-
-        return InteractionParams(
-            lambda1=self.interaction_lambda1, lambda2=self.interaction_lambda2
-        )
-
-    @classmethod
-    def from_dict(cls, d) -> "CurvesSection":
-        context = "section 'curves'"
-        _check_keys(d, {"hardware", "software", "interaction", "time_grid"}, context)
-        for part in ("hardware", "software", "interaction", "time_grid"):
-            if part not in d:
-                raise ConfigError(f"missing required key '{part}' in {context}")
-        hw, sw, inter = d["hardware"], d["software"], d["interaction"]
-        _check_keys(hw, {"rate", "shape"}, "curves.hardware")
-        _check_keys(
-            sw, {"total_faults", "detection_rate", "startup_time"}, "curves.software"
-        )
-        _check_keys(inter, {"lambda1", "lambda2"}, "curves.interaction")
-        return cls(
-            hardware_rate=_number(hw, "rate", "curves.hardware"),
-            hardware_shape=_number(hw, "shape", "curves.hardware"),
-            software_total_faults=_number(sw, "total_faults", "curves.software"),
-            software_detection_rate=_number(sw, "detection_rate", "curves.software"),
-            software_startup_time=_number(sw, "startup_time", "curves.software", default=0.0),
-            interaction_lambda1=_number(inter, "lambda1", "curves.interaction"),
-            interaction_lambda2=_number(inter, "lambda2", "curves.interaction"),
-            time_grid=TimeGrid.from_dict(d["time_grid"], "curves.time_grid"),
-        )
 
 
 @dataclass(frozen=True)
 class MarkovSection:
+    """Named transition rates of the unified model and the solve grid."""
+
     transitions: dict[str, float]
     time_grid: TimeGrid
 
     def __post_init__(self) -> None:
-        for name, rate in self.transitions.items():
-            if name not in ALLOWED_TRANSITIONS:
-                raise ConfigError(
-                    f"transition '{name}' in section 'markov' is not part of the "
-                    f"model; allowed: {', '.join(ALLOWED_TRANSITIONS)}"
-                )
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-                    or not math.isfinite(rate) or rate < 0.0:
-                raise ConfigError(
-                    f"rate for '{name}' must be a finite number >= 0, got {rate!r}"
-                )
-
-    @classmethod
-    def from_dict(cls, d) -> "MarkovSection":
-        context = "section 'markov'"
-        _check_keys(d, {"transitions", "time_grid"}, context)
-        for part in ("transitions", "time_grid"):
-            if part not in d:
-                raise ConfigError(f"missing required key '{part}' in {context}")
-        raw = d["transitions"]
-        if not isinstance(raw, dict):
-            raise ConfigError("'transitions' in section 'markov' must be an object")
-        transitions = {}
-        for name, rate in raw.items():
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise ConfigError(f"rate for '{name}' must be a number, got {rate!r}")
-            transitions[name] = float(rate)
-        return cls(
-            transitions=transitions,
-            time_grid=TimeGrid.from_dict(d["time_grid"], "markov.time_grid"),
-        )
-
-
-@dataclass(frozen=True)
-class SimulationSection:
-    failure_rate: float
-    repair_rate: float
-    mission_time: float
-    n_replications: int
-    master_seed: int
-    n_intervals: int = 8
-
-    def __post_init__(self) -> None:
-        # eager validation so --dry-run catches bad simulation parameters
-        self.to_simulation_config()
-
-    def to_simulation_config(self, failure_rate=None, repair_rate=None) -> SimulationConfig:
-        """Build the engine config, optionally with rates supplied by an
-        upstream stage."""
-        try:
-            return SimulationConfig(
-                failure_rate=self.failure_rate if failure_rate is None else failure_rate,
-                repair_rate=self.repair_rate if repair_rate is None else repair_rate,
-                mission_time=self.mission_time,
-                n_replications=self.n_replications,
-                master_seed=self.master_seed,
-                n_intervals=self.n_intervals,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"section 'simulation': {exc}") from exc
-
-    @classmethod
-    def from_dict(cls, d) -> "SimulationSection":
-        context = "section 'simulation'"
-        _check_keys(
-            d,
-            {
-                "failure_rate",
-                "repair_rate",
-                "mission_time",
-                "n_replications",
-                "master_seed",
-                "n_intervals",
-            },
-            context,
-        )
-        return cls(
-            failure_rate=_number(d, "failure_rate", context),
-            repair_rate=_number(d, "repair_rate", context),
-            mission_time=_number(d, "mission_time", context),
-            n_replications=_integer(d, "n_replications", context, default=10000),
-            master_seed=_integer(d, "master_seed", context, default=42),
-            n_intervals=_integer(d, "n_intervals", context, default=8),
-        )
+        build_unified_model(self.transitions)
 
 
 @dataclass(frozen=True)
 class FitSection:
-    g: float | None = 2.0
-    g_grid: tuple[float, ...] | None = None
+    """The rate ratios G to fit at, in the order given."""
+
+    grid: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
-        if (self.g is None) == (self.g_grid is None):
-            raise ConfigError("section 'fit' needs exactly one of 'g' or 'g_grid'")
+        for g in self.grid:
+            if not g > 0.0:
+                raise ConfigError(f"'g' and 'g_grid' in section 'fit' must be > 0, got {g}")
 
     def ratios(self) -> list[float]:
-        return [self.g] if self.g is not None else list(self.g_grid)
+        return list(self.grid)
 
     @classmethod
     def from_dict(cls, d) -> "FitSection":
-        context = "section 'fit'"
-        _check_keys(d, {"g", "g_grid"}, context)
+        _check_keys(d, {"g", "g_grid"}, "section 'fit'")
         if "g" in d and "g_grid" in d:
             raise ConfigError("section 'fit' must not set both 'g' and 'g_grid'")
-        if "g_grid" in d:
-            grid = d["g_grid"]
-            if not isinstance(grid, list) or not grid:
-                raise ConfigError("'g_grid' must be a nonempty list of numbers")
-            values = []
-            for v in grid:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                        or not math.isfinite(v) or v <= 0.0:
-                    raise ConfigError(f"'g_grid' entries must be > 0, got {v!r}")
-                values.append(float(v))
-            return cls(g=None, g_grid=tuple(values))
-        g = _number(d, "g", context, default=2.0)
-        if g <= 0.0:
-            raise ConfigError(f"'g' must be > 0, got {g}")
-        return cls(g=g, g_grid=None)
+        if "g_grid" not in d:
+            return cls((_number(d.get("g", 2.0), "g", "fit"),))
+        grid = d["g_grid"]
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError(f"'g_grid' must be a nonempty list of numbers, got {grid!r}")
+        return cls(tuple(_number(g, "g_grid", "fit") for g in grid))
 
 
 @dataclass(frozen=True)
@@ -366,50 +242,37 @@ class RunConfig:
     fuzzy: FuzzySection
     curves: CurvesSection
     markov: MarkovSection
-    simulation: SimulationSection
+    simulation: SimulationConfig
     fit: FitSection
     time_unit: str = "years"
     output_dir: str = "out"
 
 
-_TOP_LEVEL_KEYS = {
-    "schema",
-    "time_unit",
-    "output_dir",
-    "fuzzy",
-    "curves",
-    "markov",
-    "simulation",
-    "fit",
-}
-
-
 def config_from_dict(doc) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    _check_keys(doc, _TOP_LEVEL_KEYS, "configuration")
+    _check_keys(doc, {"schema", *(f.name for f in fields(RunConfig))}, "configuration")
     schema = doc.get("schema")
     if schema != SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
     defaults = default_config()
-    time_unit = doc.get("time_unit", "years")
+    time_unit = doc.get("time_unit", defaults.time_unit)
     if not isinstance(time_unit, str) or not time_unit:
         raise ConfigError("'time_unit' must be a nonempty string")
     output_dir = doc.get("output_dir", defaults.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("'output_dir' must be a nonempty string")
-
-    def section(name, parser, fallback):
-        return parser(doc[name]) if name in doc else fallback
-
-    return RunConfig(
-        fuzzy=section("fuzzy", FuzzySection.from_dict, defaults.fuzzy),
-        curves=section("curves", CurvesSection.from_dict, defaults.curves),
-        markov=section("markov", MarkovSection.from_dict, defaults.markov),
-        simulation=section("simulation", SimulationSection.from_dict, defaults.simulation),
-        fit=section("fit", FitSection.from_dict, defaults.fit),
-        time_unit=time_unit,
-        output_dir=output_dir,
-    )
+    parsers = {
+        "fuzzy": FuzzySection.from_dict,
+        "curves": lambda d: _build(CurvesSection, d, "curves"),
+        "markov": lambda d: _build(MarkovSection, d, "markov"),
+        "simulation": lambda d: _build(SimulationConfig, d, "simulation"),
+        "fit": FitSection.from_dict,
+    }
+    sections = {
+        name: parse(doc[name]) if name in doc else getattr(defaults, name)
+        for name, parse in parsers.items()
+    }
+    return RunConfig(**sections, time_unit=time_unit, output_dir=output_dir)
 
 
 def load_config(path) -> RunConfig:
@@ -433,20 +296,16 @@ def default_config() -> RunConfig:
             alpha_levels=11,
         ),
         curves=CurvesSection(
-            hardware_rate=0.6566,
-            hardware_shape=1.0,
-            software_total_faults=10.0,
-            software_detection_rate=0.1,
-            software_startup_time=5.0,
-            interaction_lambda1=8.92e-4,
-            interaction_lambda2=3.92e-3,
+            hardware=HardwareParams(rate=0.6566, shape=1.0),
+            software=SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
+            interaction=InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
             time_grid=TimeGrid(start=0.0, stop=10.0, count=101),
         ),
         markov=MarkovSection(
             transitions={"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
             time_grid=TimeGrid(start=0.0, stop=5000.0, count=51),
         ),
-        simulation=SimulationSection(
+        simulation=SimulationConfig(
             failure_rate=0.6566,
             repair_rate=22.2898,
             mission_time=10.0,
@@ -454,5 +313,5 @@ def default_config() -> RunConfig:
             master_seed=42,
             n_intervals=8,
         ),
-        fit=FitSection(g=2.0, g_grid=None),
+        fit=FitSection(),
     )

@@ -68,12 +68,13 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not math.isfinite(self.mission_time) or self.mission_time <= 0.0:
             raise ValueError(f"mission_time must be > 0, got {self.mission_time}")
-        if int(self.n_replications) != self.n_replications or self.n_replications < 1:
-            raise ValueError(f"n_replications must be an integer >= 1, got {self.n_replications}")
-        if int(self.n_intervals) != self.n_intervals or self.n_intervals < 1:
-            raise ValueError(f"n_intervals must be an integer >= 1, got {self.n_intervals}")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
+        # operator.index rejects floats (TypeError), even integral ones such
+        # as 3.0, which the replication loop and the substreams cannot use.
+        for name in ("n_replications", "n_intervals"):
+            v = getattr(self, name)
+            if operator.index(v) < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v}")
+        _nonnegative_int(self.master_seed, "master_seed")
 
 
 # SeedSequence's hash constants and pool size (numpy's bit_generator.pyx).

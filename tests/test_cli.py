@@ -248,6 +248,21 @@ class TestPipelineCommand:
         for name in ("summary.csv", "exposure.csv", "fit.csv", "curve.csv", "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_report_gives_the_curve_grid_start(self, tmp_path):
+        curves = {
+            "hardware": {"rate": 0.6566, "shape": 1.0},
+            "software": {"total_faults": 10.0, "detection_rate": 0.1},
+            "interaction": {"lambda1": 8.92e-4, "lambda2": 3.92e-3},
+            "time_grid": {"start": 0.3, "stop": 7.7, "count": 5},
+        }
+        cfg = write_config(tmp_path, curves=curves, simulation=small_sim_section(n=100))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "[4] component reliability curves over [0.3, 7.7]" in report
+        _, rows = read_csv(out / "curve.csv")
+        assert float(rows[-1][0]) == 7.7
+
 
 class TestConfigHandling:
     def test_dry_run_writes_nothing(self, tmp_path):

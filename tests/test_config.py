@@ -1,6 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmurel.config import (
     SCHEMA,
@@ -71,6 +75,12 @@ class TestSchemaAndKeys:
         cfg = config_from_dict(minimal_doc())
         assert cfg == default_config()
 
+    def test_readme_configuration_block_is_the_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
+        assert config_from_dict(json.loads(block)) == default_config()
+
 
 class TestFuzzySection:
     def base(self, **overrides):
@@ -139,6 +149,19 @@ class TestTimeGrid:
         values = grid.values()
         assert values[0] == 0.0 and values[-1] == 10.0
         assert len(values) == 11
+
+    @given(
+        start=st.floats(0.0, 1e6),
+        width=st.floats(1e-6, 1e6),
+        count=st.integers(2, 500),
+    )
+    @example(start=0.0, width=0.9, count=4)
+    def test_values_end_at_stop_and_never_decrease(self, start, width, count):
+        stop = start + width
+        values = TimeGrid(start, stop, count).values()
+        assert len(values) == count
+        assert values[0] == start and values[-1] == stop
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):

@@ -65,6 +65,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             base_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("master_seed", 42.0), ("master_seed", 1.5), ("n_replications", 3.0), ("n_intervals", 8.0)],
+    )
+    def test_rejects_non_integers_when_built(self, field, value):
+        # an integral float such as 3.0 would otherwise fail only inside run_simulation
+        with pytest.raises(TypeError):
+            base_config(**{field: value})
+
 
 class TestSampleExponential:
     def test_inverse_transform_identity(self):
