@@ -29,7 +29,7 @@ from .curves import (
 )
 from .fitting import FitResult, effective_rate, fit_scan
 from .fuzzy import FuzzyIndex, alpha_cut, defuzzify, fuzzy_availability, fuzzy_unavailability
-from .markov import StateDistribution, build_unified_model, operational_mass, transient_grid
+from .markov import StateDistribution, operational_mass, transient_grid
 from .simulate import ExposureTable, SimulationConfig, SimulationSummary, run_simulation
 
 EXIT_OK = 0
@@ -151,7 +151,7 @@ def cmd_curve(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_markov(cfg: RunConfig, out: Path, args) -> int:
-    gen = build_unified_model(cfg.markov.transitions)
+    gen = cfg.markov.generator
     initial = StateDistribution.point_mass(gen.states, "UP")
     solution = transient_grid(gen, initial, cfg.markov.time_grid.values())
     rows = [

@@ -9,9 +9,10 @@ Sections hold the engine's own types: the keys of ``curves.hardware``,
 ``curves.software``, ``curves.interaction`` and ``simulation`` are the fields
 of ``HardwareParams``, ``SoftwareParams``, ``InteractionParams`` and
 ``SimulationConfig``, and those types check their values; ``markov``
-transitions are checked by ``build_unified_model``.  This module checks
-only the JSON shape (objects, numbers, integers, required keys) and the
-sections it defines itself.
+transitions are checked by building their generator, which the section
+keeps.  Defaults are built only for the sections a document omits.  This
+module checks only the JSON shape (objects, numbers, integers, required
+keys) and the sections it defines itself.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
@@ -27,12 +28,12 @@ import functools
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .curves import HardwareParams, InteractionParams, SoftwareParams
 from .fuzzy import TriangularFuzzyNumber
-from .markov import build_unified_model
+from .markov import GeneratorMatrix, build_unified_model
 from .simulate import SimulationConfig
 
 SCHEMA = "pmu-reliability/1"
@@ -76,7 +77,7 @@ def _integer(value, key: str, path: str) -> int:
 
 def _build(cls, d, path: str):
     """Build the dataclass ``cls`` from the JSON object ``d`` found at
-    ``path`` (e.g. ``"curves.hardware"``), one key per field.
+    ``path`` (e.g. ``"curves.hardware"``), one key per ``__init__`` field.
 
     Unknown keys are rejected by name; omitted fields take their dataclass
     default or are reported missing.  Each value is read by its field's
@@ -87,10 +88,11 @@ def _build(cls, d, path: str):
     re-raised as a ConfigError naming ``path``.
     """
     context = f"section '{path}'"
-    _check_keys(d, {f.name for f in fields(cls)}, context)
+    keys = [f for f in fields(cls) if f.init]
+    _check_keys(d, {f.name for f in keys}, context)
     hints = _field_types(cls)
     values = {}
-    for f in fields(cls):
+    for f in keys:
         if f.name not in d:
             if f.default is MISSING:
                 raise ConfigError(f"missing required key '{f.name}' in {context}")
@@ -199,13 +201,15 @@ class CurvesSection:
 
 @dataclass(frozen=True)
 class MarkovSection:
-    """Named transition rates of the unified model and the solve grid."""
+    """Named transition rates of the unified model and the solve grid;
+    ``generator`` is built from the rates once, which checks them."""
 
     transitions: dict[str, float]
     time_grid: TimeGrid
+    generator: GeneratorMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        build_unified_model(self.transitions)
+        object.__setattr__(self, "generator", build_unified_model(self.transitions))
 
 
 @dataclass(frozen=True)
@@ -254,11 +258,10 @@ def config_from_dict(doc) -> RunConfig:
     schema = doc.get("schema")
     if schema != SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
-    defaults = default_config()
-    time_unit = doc.get("time_unit", defaults.time_unit)
+    time_unit = doc.get("time_unit", RunConfig.time_unit)
     if not isinstance(time_unit, str) or not time_unit:
         raise ConfigError("'time_unit' must be a nonempty string")
-    output_dir = doc.get("output_dir", defaults.output_dir)
+    output_dir = doc.get("output_dir", RunConfig.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("'output_dir' must be a nonempty string")
     parsers = {
@@ -269,7 +272,7 @@ def config_from_dict(doc) -> RunConfig:
         "fit": FitSection.from_dict,
     }
     sections = {
-        name: parse(doc[name]) if name in doc else getattr(defaults, name)
+        name: parse(doc[name]) if name in doc else _DEFAULT_SECTIONS[name]()
         for name, parse in parsers.items()
     }
     return RunConfig(**sections, time_unit=time_unit, output_dir=output_dir)
@@ -285,33 +288,38 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
+# Built-in defaults, one factory per section: the crisp study rates with a
+# 10% uncertainty band.  A load builds only the sections its document omits.
+_DEFAULT_SECTIONS = {
+    "fuzzy": lambda: FuzzySection(
+        failure_rate_center=0.6566,
+        repair_rate_center=22.2898,
+        repair_rate_unit="events_per_year",
+        halfwidth_fraction=0.1,
+        alpha_levels=11,
+    ),
+    "curves": lambda: CurvesSection(
+        hardware=HardwareParams(rate=0.6566, shape=1.0),
+        software=SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
+        interaction=InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
+        time_grid=TimeGrid(start=0.0, stop=10.0, count=101),
+    ),
+    "markov": lambda: MarkovSection(
+        transitions={"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
+        time_grid=TimeGrid(start=0.0, stop=5000.0, count=51),
+    ),
+    "simulation": lambda: SimulationConfig(
+        failure_rate=0.6566,
+        repair_rate=22.2898,
+        mission_time=10.0,
+        n_replications=10000,
+        master_seed=42,
+        n_intervals=8,
+    ),
+    "fit": FitSection,
+}
+
+
 def default_config() -> RunConfig:
     """Built-in defaults: the crisp study rates with a 10% uncertainty band."""
-    return RunConfig(
-        fuzzy=FuzzySection(
-            failure_rate_center=0.6566,
-            repair_rate_center=22.2898,
-            repair_rate_unit="events_per_year",
-            halfwidth_fraction=0.1,
-            alpha_levels=11,
-        ),
-        curves=CurvesSection(
-            hardware=HardwareParams(rate=0.6566, shape=1.0),
-            software=SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
-            interaction=InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
-            time_grid=TimeGrid(start=0.0, stop=10.0, count=101),
-        ),
-        markov=MarkovSection(
-            transitions={"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
-            time_grid=TimeGrid(start=0.0, stop=5000.0, count=51),
-        ),
-        simulation=SimulationConfig(
-            failure_rate=0.6566,
-            repair_rate=22.2898,
-            mission_time=10.0,
-            n_replications=10000,
-            master_seed=42,
-            n_intervals=8,
-        ),
-        fit=FitSection(),
-    )
+    return RunConfig(**{name: make() for name, make in _DEFAULT_SECTIONS.items()})

@@ -24,14 +24,16 @@ is the only solve path; ``transient_distribution`` is its one-point case.
 
 * Grid stepping.  The solve steps from each grid point to the next, never
   from t = 0.  Each interval dt is split into ceil(rate*dt / 64) equal
-  sub-steps so the Poisson weights never underflow.  For every distinct
-  sub-step length h the step matrix M_h = sum_{k<=K} w_k P^k is built once;
-  each sub-step is then one vector-matrix product.
+  sub-steps (none if dt = 0 or the generator is zero) so the Poisson weights
+  never underflow.  P does not depend on the sub-step length, so one table
+  of powers P^0..P^K serves the grid: for each distinct sub-step length h,
+  M_h = sum_{k<=K_h} w_k P^k is summed from it once, and each sub-step is
+  one vector-matrix product.
 * Budget split.  The truncation budget of 1e-10 is split evenly over all
-  sub-steps of the grid: K is the first index at which the Poisson weights
-  reach 1 - 1e-10 / (number of sub-steps).
-* Tail-mass accounting.  The truncated weight 1 - sum_{k<=K} w_k is added
-  onto the last power P^K, row by row so that the rounding of the powers
+  sub-steps of the grid: K_h is the first index at which the tail
+  1 - sum_{k<=K_h} w_k is at most 1e-10 / (number of sub-steps).
+* Tail-mass accounting.  The truncated weight 1 - sum_{k<=K_h} w_k is added
+  onto the last power P^K_h, row by row so that the rounding of the powers
   goes with it.  Every row of M_h then sums to 1, and chained solves
   conserve probability.  Each sub-step still moves any entry by at most its
   tail mass away from the exact solution, and since both sum to 1 the error
@@ -39,11 +41,7 @@ is the only solve path; ``transient_distribution`` is its one-point case.
   total is reported as the achieved bound.
 * Nothing is clipped or cut short silently.  Uniformization adds only
   nonnegative terms.  A Poisson sum that stalls short of its target raises
-  ArithmeticError.
-
-Intervals with rate*dt <= 1e-6 (including every interval of a zero
-generator) use a truncated power series of exp(Q dt) instead, and
-StateDistribution validates its result.
+  ArithmeticError; the whole grid is checked by the StateDistribution rule.
 """
 
 from __future__ import annotations
@@ -78,9 +76,6 @@ _ROW_SUM_TOL = 1e-12
 _POISSON_TRUNCATION_EPS = 1e-10
 # Cap on the Poisson mean per uniformization step; larger horizons are split.
 _MAX_STEP_MEAN = 64.0
-# Below this jump count the Poisson machinery is pointless; use the plain
-# power series of exp(Q t).
-_SERIES_THRESHOLD = 1e-6
 
 
 def parse_transition(name: str) -> tuple[str, str]:
@@ -158,6 +153,19 @@ class GeneratorMatrix:
         return float(self.matrix[self.index(src), self.index(dst)])
 
 
+def _check_probabilities(rows: np.ndarray, times=None) -> None:
+    # The StateDistribution rule for each row of ``rows``: entries in [0, 1]
+    # and a sum of 1, up to rounding (a NaN fails the sum).  The first bad row
+    # raises ValueError, named by its entry of ``times`` if given.
+    sums = rows.sum(axis=1)
+    out_of_range = np.any((rows < -1e-12) | (rows > 1.0 + 1e-12), axis=1)
+    for i in np.flatnonzero(out_of_range | ~(np.abs(sums - 1.0) <= 1e-9))[:1]:
+        where = "" if times is None else f"at t = {times[i]!r}: "
+        if out_of_range[i]:
+            raise ValueError(f"{where}probabilities must lie in [0, 1], got {rows[i]}")
+        raise ValueError(f"{where}probabilities must sum to 1, got {sums[i]!r}")
+
+
 @dataclass(frozen=True)
 class StateDistribution:
     """Probability per state at one instant."""
@@ -170,13 +178,20 @@ class StateDistribution:
         p = np.array(self.probs, dtype=float)
         if p.shape != (len(states),):
             raise ValueError("probability vector length does not match states")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ValueError(f"probabilities must lie in [0, 1], got {p}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+        _check_probabilities(p[np.newaxis])
         p.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", p)
+
+    @classmethod
+    def _of_rows(cls, states: tuple[str, ...], rows: np.ndarray, times) -> tuple:
+        # One distribution per row, a view of ``rows``, checked in one pass.
+        _check_probabilities(rows, times)
+        rows.setflags(write=False)
+        distributions = tuple(object.__new__(cls) for _ in rows)
+        for d, row in zip(distributions, rows):
+            vars(d).update(states=states, probs=row)
+        return distributions
 
     @classmethod
     def point_mass(cls, states, state: str) -> "StateDistribution":
@@ -208,48 +223,37 @@ def build_unified_model(rates: Mapping[str, float]) -> GeneratorMatrix:
     return GeneratorMatrix.from_rates(STATES, rates)
 
 
-def _series_step(q: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    # Power series of x @ exp(Q t); only used when ||Q t|| is tiny, where a
-    # handful of terms reach machine precision.
-    result = x.copy()
-    term = x.copy()
-    for k in range(1, 60):
-        term = (term @ q) * (t / k)
-        result += term
-        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
-            break
-    return result
-
-
-def _step_matrix(p: np.ndarray, mean: float, eps: float) -> tuple[np.ndarray, float, int]:
-    # Uniformization step matrix sum_{k<=K} Poisson(mean, k) P^k, K the first
-    # index at which the Poisson weights reach 1 - eps.  Each row's shortfall
-    # from 1 (the tail mass 1 - sum(weights), plus the rounding of the powers)
-    # is added onto the same row of P^K, so every row sums to 1 and repeated
-    # steps do not drift.  Returns the matrix, the tail mass and the number
-    # of terms K + 1.  mean must be small enough that exp(-mean) does not
+def _poisson_weights(mean: float, eps: float) -> tuple[list[float], float]:
+    # Poisson(mean, k) for k = 0..K, K the first index at which the tail mass
+    # 1 - sum(weights), exact once the sum passes 1/2, is at most eps; and
+    # that tail.  mean must be small enough that exp(-mean) does not
     # underflow (guaranteed by the sub-step splitting in transient_grid).
-    weight = math.exp(-mean)
-    cumulative = weight
-    power = np.eye(p.shape[0])
-    m = weight * power
+    weight = cumulative = math.exp(-mean)
+    weights = [weight]
     # Past mean + 12*sqrt(mean) the Poisson tail is far below any eps we
     # use; a sum still short of 1 - eps there has stalled in rounding.
     k_max = int(mean + 12.0 * math.sqrt(mean) + 60.0)
-    k = 0
-    while cumulative < 1.0 - eps:
-        if k == k_max:
+    while 1.0 - cumulative > eps:
+        k = len(weights)
+        if k > k_max:
             raise ArithmeticError(
                 f"Poisson weights of mean {mean!r} stalled at {cumulative!r} after "
-                f"{k + 1} terms, short of the truncation target 1 - {eps!r}"
+                f"{k} terms, short of the truncation target 1 - {eps!r}"
             )
-        k += 1
-        power = power @ p
         weight *= mean / k
         cumulative += weight
-        m += weight * power
-    m += (1.0 - m.sum(axis=1))[:, np.newaxis] * power
-    return m, 1.0 - cumulative, k + 1
+        weights.append(weight)
+    return weights, 1.0 - cumulative
+
+
+def _step_matrix(powers: np.ndarray, weights: list[float]) -> np.ndarray:
+    # sum_{k<=K} w_k P^k from the power table P^0, P^1, ..., summed in order
+    # of k, plus each row's shortfall from 1 (tail mass and rounding of the
+    # powers) onto the same row of P^K, so every row sums to 1.
+    k = len(weights)
+    m = np.add.reduce(np.array(weights)[:, np.newaxis, np.newaxis] * powers[:k], axis=0)
+    m += (1.0 - m.sum(axis=1))[:, np.newaxis] * powers[k - 1]
+    return m
 
 
 @dataclass(frozen=True)
@@ -279,46 +283,42 @@ def transient_grid(g: GeneratorMatrix, initial: StateDistribution, times) -> Tra
     times = tuple(float(t) for t in times)
     if initial.states != g.states:
         raise ValueError("initial distribution is labeled for different states")
-    previous = 0.0
-    for t in times:
-        if not math.isfinite(t) or t < previous:
-            raise ValueError(
-                f"times must be finite, >= 0 and nondecreasing, got {t} after {previous}"
-            )
-        previous = t
+    for a, b in zip((0.0,) + times, times):
+        if not math.isfinite(b) or b < a:
+            raise ValueError(f"times must be finite, >= 0 and nondecreasing, got {b} after {a}")
 
     q = g.matrix
     rate = float(np.max(-np.diag(q)))
     intervals = [b - a for a, b in zip((0.0,) + times, times)]
-    # Sub-steps per interval; 0 marks an interval solved by the power series.
-    splits = [
-        math.ceil(rate * dt / _MAX_STEP_MEAN) if rate * dt > _SERIES_THRESHOLD else 0
-        for dt in intervals
-    ]
+    # Sub-steps per interval: 0 for an empty interval or a zero generator.
+    splits = [math.ceil(rate * dt / _MAX_STEP_MEAN) for dt in intervals]
     steps = sum(splits)
     step_eps = _POISSON_TRUNCATION_EPS / max(1, steps)
-    p = np.eye(q.shape[0]) + q / rate if steps else None
-    step_matrices: dict[float, tuple[np.ndarray, float]] = {}
-    error_bound = 0.0
-    poisson_terms = 0
+    # Poisson weights and tail mass per distinct sub-step length (exact key).
+    lengths = dict.fromkeys(dt / n for dt, n in zip(intervals, splits) if n)
+    poisson = {h: _poisson_weights(rate * h, step_eps) for h in lengths}
+    step_matrices = {}
+    if poisson:
+        p = np.eye(len(q)) + q / rate
+        powers = np.empty((max(len(w) for w, _ in poisson.values()), *p.shape))
+        powers[0] = np.eye(len(q))
+        for k in range(1, len(powers)):
+            powers[k] = powers[k - 1] @ p
+        step_matrices = {h: (_step_matrix(powers, w), tail) for h, (w, tail) in poisson.items()}
 
     x = initial.probs
-    distributions = []
-    for dt, n in zip(intervals, splits):
+    rows = np.empty((len(times), len(q)))
+    error_bound = 0.0
+    for i, (dt, n) in enumerate(zip(intervals, splits)):
         if n:
-            h = dt / n
-            if h not in step_matrices:
-                m, tail, terms = _step_matrix(p, rate * h, step_eps)
-                step_matrices[h] = m, tail
-                poisson_terms += terms
-            m, tail = step_matrices[h]
+            m, tail = step_matrices[dt / n]
             for _ in range(n):
                 x = x @ m
             error_bound += n * tail
-        elif dt > 0.0:
-            x = _series_step(q, x, dt)
-        distributions.append(StateDistribution(g.states, x))
-    return TransientSolution(times, tuple(distributions), error_bound, steps, poisson_terms)
+        rows[i] = x
+    poisson_terms = sum(len(w) for w, _ in poisson.values())
+    distributions = StateDistribution._of_rows(g.states, rows, times)
+    return TransientSolution(times, distributions, error_bound, steps, poisson_terms)
 
 
 def transient_distribution(
@@ -334,7 +334,7 @@ def transient_distribution(
 
 def operational_mass(dist: StateDistribution) -> float:
     """Probability of the operational states {UP, HD1, HD2, HD3} present in ``dist``."""
-    return min(1.0, sum(dist[s] for s in OPERATIONAL_STATES if s in dist.states))
+    return sum(dist[s] for s in OPERATIONAL_STATES if s in dist.states)
 
 
 def interaction_reliability_markov(g: GeneratorMatrix, t: float) -> float:

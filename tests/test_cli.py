@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -96,6 +97,30 @@ class TestCurveCommand:
 
 
 class TestMarkovCommand:
+    def test_builds_the_generator_once(self, tmp_path, monkeypatch):
+        # loading builds the configured generator and no default one, and the
+        # command reuses it
+        build, calls = markov.build_unified_model, []
+
+        def spy(rates):
+            calls.append(dict(rates))
+            return build(rates)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.split(".")[0] == "pmurel" and getattr(module, "build_unified_model", None) is build:
+                monkeypatch.setattr(module, "build_unified_model", spy)
+        stiff = {
+            "UP->HD1": 1e-3, "UP->HD2": 2e-3, "UP->HD3": 8.92e-4, "UP->SD": 5e-2,
+            "HD1->F_HW": 1e-2, "HD2->F_HW": 5e-3, "HD2->UP": 50.0, "HD3->F_INT": 3.92e-3,
+            "SD->F_SW": 1e-2, "SD->UP": 500.0,
+        }
+        grid = {"start": 0.0, "stop": 20.0, "count": 51}
+        path = write_config(tmp_path, markov={"transitions": stiff, "time_grid": grid})
+        assert main(["markov", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [stiff]
+        assert len(read_csv(tmp_path / "out" / "markov.csv")[1]) == 51
+
     def test_short_poisson_sum_exits_3(self, tmp_path, monkeypatch, capsys):
         # no truncation budget: the default grid's Poisson sum stalls short of 1
         monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)

@@ -1,7 +1,9 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from pmurel.config import (
     default_config,
     load_config,
 )
+from pmurel.markov import build_unified_model
 
 
 def minimal_doc(**extra):
@@ -208,6 +211,17 @@ class TestLoadConfig:
             }
         )
         with pytest.raises(ConfigError, match="UP->NOWHERE"):
+            config_from_dict(doc)
+
+    def test_markov_section_holds_its_generator(self):
+        transitions = {"UP->SD": 0.5, "SD->UP": 50.0}
+        grid = {"start": 0.0, "stop": 10.0, "count": 3}
+        doc = minimal_doc(markov={"transitions": transitions, "time_grid": grid})
+        section = config_from_dict(doc).markov
+        assert np.array_equal(section.generator.matrix, build_unified_model(transitions).matrix)
+        assert replace(section, transitions={"UP->HD1": 1.0}).generator.rate("UP", "HD1") == 1.0
+        doc["markov"]["generator"] = {}
+        with pytest.raises(ConfigError, match="unknown key 'generator'"):
             config_from_dict(doc)
 
     def test_simulation_section_requires_rates(self):

@@ -16,6 +16,7 @@ from pmurel.markov import (
     StateDistribution,
     build_unified_model,
     interaction_reliability_markov,
+    operational_mass,
     parse_transition,
     transient_distribution,
     transient_grid,
@@ -137,6 +138,10 @@ class TestStateDistribution:
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError):
             StateDistribution(("A", "B"), np.array([1.2, -0.2]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            StateDistribution(("A", "B"), np.array([math.nan, 0.5]))
 
 
 class TestTransientDistribution:
@@ -263,6 +268,15 @@ class TestInteractionReliability:
                 interaction_reliability_closed_form(p, t), abs=1e-8
             )
 
+    def test_operational_mass_is_not_clamped(self):
+        # inside the StateDistribution tolerances the operational sum may
+        # exceed 1 by rounding; it is reported as it is
+        probs = np.zeros(len(STATES))
+        probs[[0, 1, 5]] = 0.5, 0.5 + 5e-13, -5e-13
+        dist = StateDistribution(STATES, probs)
+        assert operational_mass(dist) == 0.5 + (0.5 + 5e-13)
+        assert operational_mass(dist) > 1.0
+
     def test_nonincreasing_when_exits_are_absorbing(self):
         g = build_unified_model(REDUCED_RATES)
         values = [interaction_reliability_markov(g, t) for t in ORACLE_TIMES]
@@ -277,7 +291,7 @@ stiff_rates = st.dictionaries(
     min_size=1,
 )
 # Grids start anywhere in [0, 10] and advance by uneven steps: repeated
-# points, steps short enough for the power-series fallback, and long ones.
+# points, steps with a Poisson mean far below 1, and long ones.
 grid_steps = st.one_of(st.just(0.0), st.floats(1e-10, 1e-7), st.floats(1e-3, 5.0))
 grids = st.tuples(st.floats(0.0, 10.0), st.lists(grid_steps, max_size=8)).map(
     lambda sg: [float(v) for v in sg[0] + np.cumsum([0.0] + sg[1])]
@@ -338,6 +352,20 @@ class TestTransientGrid:
         assert np.array_equal(again.probs, init.probs)
         assert all(np.array_equal(d.probs, later.probs) for d in repeats)
         assert transient_grid(g, init, []).distributions == ()
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-12])
+    def test_tiny_poisson_means_take_the_poisson_path(self, t):
+        g = build_unified_model(STIFF_RATES)
+        init = StateDistribution.point_mass(STATES, "UP")
+        solution = transient_grid(g, init, [t])
+        assert solution.steps == 1
+        assert solution.poisson_terms >= 2
+        assert solution.error_bound <= 1e-10
+        oracle = init.probs @ expm(g.matrix * t)
+        assert np.abs(solution.distributions[0].probs - oracle).max() <= 1e-12
+        zero = transient_grid(build_unified_model({}), init, [t, 2 * t])
+        assert all(np.array_equal(d.probs, init.probs) for d in zero.distributions)
+        assert zero.steps == 0
 
     @pytest.mark.parametrize(
         "times", [[1.0, 0.5], [-1.0], [0.0, math.nan], [math.inf], [2.0, 3.0, 2.5]]
