@@ -9,16 +9,20 @@ exposure table consumed by the rate-fitting module.
 Reproducibility contract: replication i draws from its own substream, the
 PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
 every reduction (the summary statistics and each exposure-table bin) adds in
-replication order.  Replications run one after another in the calling
-thread; there are no workers.  The same configuration therefore produces
-bit-identical results, whatever the block size of the draws or the chunk
-size of the bucketing.
+replication order.  Everything runs in the calling thread; there are no
+workers.  The same configuration therefore produces bit-identical results,
+whatever the tile size of the block engine or the chunk size of the
+bucketing.
 
-The engine is array-native: uniforms are drawn in blocks, each replication's
-history is one small float array, and exposure bucketing is a handful of
-numpy calls per chunk of traces.  Draws go through ``math.log``, not
-``np.log``, which differs from it in the last bit on some platforms, and every
-clock and bin adds in event order, so the results equal those of a scalar
+The engine simulates a block at a time: the first ``run_replication`` call
+for an aligned block of ``_SUBSTREAM_BLOCK`` indices walks all of that
+block's replications at once, as arrays, and the two most recent blocks are
+kept, so the calls ``run_simulation`` makes for the rest of the block return
+kept traces whose events are views of one array per tile of rows.  Exposure
+bucketing is a handful of numpy calls per chunk of traces.  Each replication
+draws from numpy's own PCG64, times go through ``math.log``, not ``np.log``,
+which differs from it in the last bit on some platforms, and every clock and
+bin adds in event order, so the results equal those of a scalar
 one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py`` keeps
 such a loop as its reference).
 
@@ -45,8 +49,13 @@ import numpy as np
 # result.
 EXPOSURE_CHUNK = 16384
 
-# Cap on the uniforms drawn at once by one replication.
-MAX_DRAW_BLOCK = 4096
+# Cap on the uniforms one replication draws per round of the block engine.
+MAX_ROUND_DRAWS = 4096
+
+# Elements (replications x draws) of each working array of one round; the
+# block engine walks a block in tiles of rows under this budget, which bounds
+# its temporaries without changing any result.
+TILE_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -238,23 +247,6 @@ def sample_exponential(rate: float, rng: np.random.Generator) -> float:
     return -math.log(u) / rate
 
 
-def _draw_block(cfg: SimulationConfig) -> int:
-    """Uniforms one replication draws at a time: its expected number of draws
-    (two per renewal cycle) plus slack, so that most replications draw once."""
-    cycles = cfg.mission_time / (1.0 / cfg.failure_rate + 1.0 / cfg.repair_rate)
-    return int(min(2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0, MAX_DRAW_BLOCK))
-
-
-def _uniforms(rng: np.random.Generator, block: int):
-    """The nonzero uniforms of ``rng`` in stream order, drawn ``block`` at a
-    time.  A block draw yields the same values as that many scalar draws, and
-    exact zeros are skipped as ``sample_exponential`` rejects them."""
-    while True:
-        for u in rng.random(block).tolist():
-            if u > 0.0:
-                yield u
-
-
 class ReplicationTrace:
     """Failure/repair history of one replication, truncated at the mission end.
 
@@ -267,8 +259,9 @@ class ReplicationTrace:
     mission clock appears in ``up_time`` only.
 
     The constructor takes the (time_to_failure, repair_time) pairs;
-    ``run_replication`` builds traces directly from its recorded rows.
-    Instances are immutable.
+    ``run_replication`` returns traces whose ``events`` are read-only views
+    of one event array per tile of its block.  Up and down times must be
+    finite and >= 0.  Instances are immutable.
     """
 
     __slots__ = ("events", "up_time", "down_time")
@@ -276,6 +269,9 @@ class ReplicationTrace:
     def __init__(self, cycles, n_failures: int, up_time: float, down_time: float) -> None:
         if n_failures != len(cycles):
             raise ValueError(f"n_failures {n_failures} != {len(cycles)} cycles")
+        for name, total in (("up_time", up_time), ("down_time", down_time)):
+            if not (math.isfinite(total) and total >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {total}")
         rows = []
         clock = start = 0.0
         for ttf, ttr in cycles:
@@ -286,7 +282,9 @@ class ReplicationTrace:
             clock += ttr
             start += ttf + ttr
             rows += (ttf, ttr, fail_at, start)
-        _set_trace(self, rows, up_time, down_time)
+        events = np.array(rows, dtype=float).reshape(-1, 4)
+        events.flags.writeable = False
+        _set_trace(self, events, up_time, down_time)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -313,44 +311,187 @@ class ReplicationTrace:
         return periods
 
 
-def _set_trace(trace: ReplicationTrace, rows: list[float], up_time: float, down_time: float) -> None:
-    events = np.array(rows, dtype=float).reshape(-1, 4)
-    events.flags.writeable = False
-    object.__setattr__(trace, "events", events)
-    object.__setattr__(trace, "up_time", up_time)
-    object.__setattr__(trace, "down_time", down_time)
+# The slots' own setters, which ReplicationTrace.__setattr__ does not reach.
+_SET_EVENTS, _SET_UP_TIME, _SET_DOWN_TIME = (
+    ReplicationTrace.__dict__[name].__set__ for name in ReplicationTrace.__slots__
+)
+
+
+def _set_trace(trace: ReplicationTrace, events: np.ndarray, up_time: float, down_time: float) -> None:
+    """Fill a trace with a read-only (n_failures x 4) event array."""
+    _SET_EVENTS(trace, events)
+    _SET_UP_TIME(trace, up_time)
+    _SET_DOWN_TIME(trace, down_time)
+
+
+def _round_draws(failure_rate: float, repair_rate: float, mission_time: float) -> int:
+    """Uniforms each replication draws per round: its expected number of draws
+    (two per renewal cycle) plus slack, so that most replications finish in
+    one round; even, so that a round holds whole cycles, and capped."""
+    cycles = mission_time / (1.0 / failure_rate + 1.0 / repair_rate)
+    draws = min(2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0, MAX_ROUND_DRAWS)
+    return 2 * int(draws / 2.0)
+
+
+def _streams(words: np.ndarray) -> list:
+    """numpy's own PCG64 for each row of substream seed words."""
+    from numpy.random import PCG64
+
+    seed_words = _seed_words_class()
+    return [PCG64(seed_words(w)) for w in words]
+
+
+def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float, width: int):
+    """Simulate one replication per stream to the horizon.
+
+    Each round draws ``width`` raw outputs from every stream still walking
+    and steps all of them at once.  Returns the events of every replication,
+    in stream order and cycle order within a stream, the number of events of
+    each, and each one's up and down time.
+
+    A raw draw becomes ``(raw >> 11) * 2**-53``, the value ``Generator.random``
+    returns, and exact zeros are skipped.  Times are ``-math.log(u) / rate``:
+    ``np.log`` only locates each walk's end, to choose the draws whose exact
+    logs are taken.  Every clock and total is an ``np.add.accumulate`` over
+    durations in event order led by the running value, so it rounds as
+    ``clock += ttf; clock += ttr`` does.  A replication that runs out of
+    draws, or whose repair was clipped at the horizon without its clock
+    reaching it, carries its totals into the next round and moves its stream
+    back to its first unused draw.
+    """
+    n = len(streams)
+    # running clock, start of the next up period, up time and down time
+    clock0, start0, up0, down0 = np.zeros((4, n))
+    counts = np.zeros(n, dtype=np.intp)
+    active = np.arange(n)
+    rounds = []
+    while len(active):
+        rows = np.arange(len(active))
+        neg_rates = np.resize([-failure_rate, -repair_rate], width)
+        cols = np.arange(width)
+        u = (np.array([streams[r].random_raw(width) for r in active.tolist()]) >> np.uint64(11)) * 2.0**-53
+        avail = np.full(len(active), width)
+        skips = None
+        zero = u == 0.0
+        if zero.any():
+            # the nonzero draws first, in stream order; the rest log to 0
+            skips = np.argsort(zero, axis=1, kind="stable")
+            u = np.take_along_axis(u, skips, axis=1)
+            avail -= zero.sum(axis=1)
+            u[cols >= avail[:, None]] = 1.0
+        dur = np.log(u)
+        clock = dur / neg_rates
+        clock[:, 0] += clock0[active]
+        np.add.accumulate(clock, axis=1, out=clock)
+        crossed = clock >= horizon
+        first = crossed.argmax(axis=1)
+        # at least one whole cycle, so that a row np.log ends too early still
+        # moves on
+        usable = np.minimum(np.where(crossed[rows, first], np.maximum(first, 1) + 1, width), avail)
+        exact = cols < usable[:, None]
+        dur[exact] = list(map(math.log, u[exact].tolist()))
+        dur /= neg_rates
+        np.copyto(clock, dur)
+        clock[:, 0] += clock0[active]
+        np.add.accumulate(clock, axis=1, out=clock)
+
+        ttf, ttr = dur[:, 0::2], dur[:, 1::2]
+        fail_at, repaired = clock[:, 0::2], clock[:, 1::2]
+        gap = horizon - fail_at
+        clipped = gap < ttr
+        stop = np.empty_like(exact)
+        np.greater_equal(fail_at, horizon, out=stop[:, 0::2])
+        np.logical_or(clipped, repaired >= horizon, out=stop[:, 1::2])
+        stop &= exact
+        end = stop.argmax(axis=1)
+        ended = stop[rows, end]
+        n_cycles = np.where(ended, (end + 1) // 2, usable // 2)
+        by_failure = ended & (end % 2 == 0)
+        clip = np.flatnonzero(ended & (end % 2 == 1) & clipped[rows, end // 2])
+        credited = ttr.copy()
+        credited[clip, end[clip] // 2] = gap[clip, end[clip] // 2]
+
+        started = ttf + credited
+        started[:, 0] += start0[active]
+        np.add.accumulate(started, axis=1, out=started)
+        up = ttf.copy()
+        up[:, 0] += up0[active]
+        np.add.accumulate(up, axis=1, out=up)
+        down = credited.copy()
+        down[:, 0] += down0[active]
+        np.add.accumulate(down, axis=1, out=down)
+
+        last, walked = np.maximum(n_cycles - 1, 0), n_cycles > 0
+        clock_k = np.where(walked, fail_at[rows, last] + credited[rows, last], clock0[active])
+        up_k = np.where(walked, up[rows, last], up0[active])
+        up0[active] = np.where(by_failure, up_k + (horizon - clock_k), up_k)
+        down0[active] = np.where(walked, down[rows, last], down0[active])
+        start0[active] = np.where(walked, started[rows, last], start0[active])
+        clock0[active] = clock_k
+        counts[active] += n_cycles
+        walk = cols[: width // 2] < n_cycles[:, None]
+        rounds.append((active, n_cycles, np.column_stack((ttf[walk], credited[walk], fail_at[walk], started[walk]))))
+
+        going = ~(by_failure | (clock_k >= horizon))
+        consumed = np.where(ended, end + 1, 2 * n_cycles)
+        for r in np.flatnonzero(going & (consumed < avail)).tolist():
+            next_draw = consumed[r] if skips is None else skips[r, consumed[r]]
+            streams[active[r]].advance(int(next_draw) - width)
+        if (consumed[going] == 0).any():
+            # a row's window held fewer than two nonzero draws: widen the next
+            # one, or the row would draw the same window again
+            width *= 2
+        active = active[going]
+
+    events = np.concatenate([e for _, _, e in rounds])
+    if len(rounds) > 1:
+        owner = np.concatenate([np.repeat(a, k) for a, k, _ in rounds])
+        events = events[np.argsort(owner, kind="stable")]
+    return events, counts, up0, down0
+
+
+# A pure function of its arguments returning immutable traces, so sharing the
+# two most recent blocks between callers changes no result.
+@functools.lru_cache(maxsize=2)
+def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int, block: int, n_rows: int):
+    """Traces of the first ``n_rows`` replications of a substream block.
+
+    The block is walked in tiles of rows under ``TILE_ELEMENTS``; each
+    trace's events are a view of its tile's read-only event array.
+    """
+    width = _round_draws(failure_rate, repair_rate, mission_time)
+    words = _substream_block(master_seed, block)[:n_rows]
+    tile = max(1, TILE_ELEMENTS // width)
+    traces = []
+    for lo in range(0, n_rows, tile):
+        events, counts, up, down = _walk(_streams(words[lo:lo + tile]), failure_rate, repair_rate, mission_time, width)
+        events.flags.writeable = False
+        ends = np.cumsum(counts).tolist()
+        for start, end, up_time, down_time in zip([0, *ends], ends, up.tolist(), down.tolist()):
+            trace = object.__new__(ReplicationTrace)
+            _set_trace(trace, events[start:end], up_time, down_time)
+            traces.append(trace)
+    return traces
 
 
 def run_replication(cfg: SimulationConfig, replication_index: int) -> ReplicationTrace:
     """Simulate one mission: alternate failure and repair draws until the
     clock passes the horizon, crediting the final partial period only up to
-    the horizon."""
-    draws = _uniforms(replication_rng(cfg.master_seed, replication_index), _draw_block(cfg))
-    failure_rate, repair_rate, horizon = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
-    log = math.log
-    clock = start = 0.0
-    up_time = down_time = 0.0
-    rows: list[float] = []
-    for u in draws:
-        ttf = -log(u) / failure_rate
-        if clock + ttf >= horizon:
-            up_time += horizon - clock
-            break
-        up_time += ttf
-        clock += ttf
-        fail_at = clock
-        ttr = -log(next(draws)) / repair_rate
-        gap = horizon - clock
-        credited = gap if gap < ttr else ttr
-        down_time += credited
-        clock += credited
-        start += ttf + credited
-        rows += (ttf, credited, fail_at, start)
-        if clock >= horizon:
-            break
-    trace = object.__new__(ReplicationTrace)
-    _set_trace(trace, rows, up_time, down_time)
-    return trace
+    the horizon.
+
+    The first call for an aligned block of ``_SUBSTREAM_BLOCK`` indices
+    simulates the block's replications up to ``cfg.n_replications`` (the
+    whole block for an index past it), and the two most recent blocks are
+    kept: a later call for the same block returns its kept trace.  Indices
+    are checked as ``replication_rng`` checks them.
+    """
+    block, row = divmod(_nonnegative_int(replication_index, "replication_index"), _SUBSTREAM_BLOCK)
+    n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
+    if not row < n_rows < _SUBSTREAM_BLOCK:
+        n_rows = _SUBSTREAM_BLOCK
+    return _replication_block(
+        cfg.failure_rate, cfg.repair_rate, cfg.mission_time, operator.index(cfg.master_seed), block, n_rows
+    )[row]
 
 
 @dataclass(frozen=True)

@@ -235,65 +235,124 @@ class TestRunReplication:
             assert covered == pytest.approx(trace.up_time, abs=1e-9)
 
 
-class _BlockRng:
-    """Serves scripted uniforms to block draws, recording each block size."""
+class _ScriptedStream:
+    """Stands in for one replication's PCG64: serves scripted uniforms as the
+    raw outputs they come from, recording where each draw starts and its size.
+    """
 
     def __init__(self, *values):
-        self.values = list(values)
-        self.blocks = []
+        self.raw = []
+        for u in values:
+            raw = int(u * 2**53) << 11
+            assert (raw >> 11) * 2.0**-53 == u, f"{u} is not a multiple of 2**-53"
+            self.raw.append(raw)
+        self.position = 0
+        self.draws = []
 
-    def random(self, size):
-        if not self.values:
+    def random_raw(self, size):
+        if self.position + size > len(self.raw):
             raise AssertionError("the replication drew past its scripted uniforms")
-        self.blocks.append(size)
-        block, self.values = self.values[:size], self.values[size:]
-        return np.array(block, dtype=float)
+        if len(self.draws) == 20:
+            raise AssertionError("the replication keeps drawing without moving on")
+        self.draws.append((self.position, size))
+        self.position += size
+        return np.array(self.raw[self.position - size:self.position], dtype=np.uint64)
+
+    def advance(self, delta):
+        self.position += delta
+
+
+# the smallest nonzero uniform; its failure time (about 56) outlives any
+# mission used below
+TINY = 2.0**-53
 
 
 class TestDrawPath:
-    def scripted(self, monkeypatch, block, *values):
-        rng = _BlockRng(*values)
-        monkeypatch.setattr(simulate, "replication_rng", lambda seed, index: rng)
-        monkeypatch.setattr(simulate, "_draw_block", lambda cfg: block)
-        return rng
+    @pytest.fixture(autouse=True)
+    def fresh_blocks(self):
+        # scripted draws must neither use nor leave a kept block
+        simulate._replication_block.cache_clear()
+        yield
+        simulate._replication_block.cache_clear()
+
+    def scripted(self, monkeypatch, width, *values):
+        stream = _ScriptedStream(*values)
+        monkeypatch.setattr(simulate, "_streams", lambda words: [stream])
+        monkeypatch.setattr(simulate, "_round_draws", lambda *rates_and_mission: width)
+        return stream
 
     def test_block_size_is_capped(self):
-        assert simulate._draw_block(base_config()) == 30
-        huge = base_config(failure_rate=1e300, repair_rate=1e300, mission_time=1e10)
-        assert simulate._draw_block(huge) == simulate.MAX_DRAW_BLOCK
+        # draws per replication and round: two per expected cycle plus slack,
+        # even, and capped for huge expected counts
+        assert simulate._round_draws(FAILURE_RATE, REPAIR_RATE, MISSION) == 30
+        assert simulate._round_draws(1e300, 1e300, 1e10) == simulate.MAX_ROUND_DRAWS
 
     def test_zero_inside_a_block_is_skipped(self, monkeypatch):
-        # 0.5 fails, 0.0 is skipped, 0.9 repairs, 1e-10 outlives the mission
-        self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, 1e-10)
+        # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
+        self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, TINY, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(n_replications=1), 0)
         assert trace.cycles == ((-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),)
 
     def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch):
-        cfg = base_config(mission_time=100.0, n_replications=1)
+        cfg = base_config(mission_time=100.0, n_replications=5)
         expected = [run_replication(cfg, i) for i in range(5)]
-        rngs = []
+        simulate._replication_block.cache_clear()
+        seeded = []
 
-        def recording_rng(seed, index):
-            rngs.append((seed, index))
-            return replication_rng(seed, index)
+        def recording_streams(words):
+            seeded.append(words.copy())
+            return streams(words)
 
-        monkeypatch.setattr(simulate, "replication_rng", recording_rng)
-        monkeypatch.setattr(simulate, "_draw_block", lambda cfg: 3)
+        streams = simulate._streams
+        monkeypatch.setattr(simulate, "_streams", recording_streams)
+        monkeypatch.setattr(simulate, "_round_draws", lambda *rates_and_mission: 4)
         for i, want in enumerate(expected):
             got = run_replication(cfg, i)
-            assert got.n_failures > 1  # needs more draws than one block holds
+            assert got.n_failures > 2  # needs more draws than one round holds
             assert np.array_equal(got.events, want.events)
             assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
-        assert rngs == [(cfg.master_seed, i) for i in range(5)]
+        assert np.array_equal(np.concatenate(seeded), simulate._substream_block(cfg.master_seed, 0)[:5])
 
     def test_top_up_continues_the_block_stream(self, monkeypatch):
-        rng = self.scripted(monkeypatch, 2, 0.5, 0.9, 0.25, 0.0, 0.8, 1e-10)
+        # the first round's last failure time has no repair draw, so the next
+        # round starts at it; its zero is skipped both times
+        stream = self.scripted(monkeypatch, 4, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
         trace = run_replication(base_config(n_replications=1), 0)
-        assert rng.blocks == [2, 2, 2]
+        assert stream.draws == [(0, 4), (2, 4)]
         assert trace.cycles == (
             (-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),
             (-math.log(0.25) / FAILURE_RATE, -math.log(0.8) / REPAIR_RATE),
         )
+
+    def test_window_without_two_nonzero_draws_widens(self, monkeypatch):
+        # two draws per round: the second round holds 0.25 and a zero, too few
+        # for a cycle, so the third starts at 0.25 again with twice the draws
+        stream = self.scripted(monkeypatch, 2, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
+        trace = run_replication(base_config(n_replications=1), 0)
+        assert stream.draws == [(0, 2), (2, 2), (2, 4)]
+        assert trace.cycles == (
+            (-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),
+            (-math.log(0.25) / FAILURE_RATE, -math.log(0.8) / REPAIR_RATE),
+        )
+
+    def test_walk_that_np_log_ends_too_early_moves_on(self, monkeypatch):
+        # np.log puts the first failure exactly at the horizon and math.log
+        # just before it, so the walk must take the repair draw as well
+        script = [None, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5]
+        uniforms = replication_rng(2023, 1).random(100000)
+        exact = np.array([-math.log(u) for u in uniforms.tolist()]) / FAILURE_RATE
+        for u in uniforms[np.log(uniforms) / -FAILURE_RATE > exact].tolist():
+            script[0] = u
+            horizon = float(np.log(np.array([script]))[0, 0] / -FAILURE_RATE)
+            if horizon > -math.log(u) / FAILURE_RATE:
+                break
+        else:
+            pytest.skip("np.log never exceeds math.log on the sampled uniforms here")
+        stream = self.scripted(monkeypatch, 8, *script)
+        trace = run_replication(base_config(mission_time=horizon, n_replications=1), 0)
+        ttf = -math.log(u) / FAILURE_RATE
+        assert trace.cycles == ((ttf, horizon - ttf),)
+        assert stream.draws == [(0, 8)]
 
     def test_times_use_math_log(self, monkeypatch):
         uniforms = replication_rng(2023, 0).random(100000)
@@ -304,9 +363,9 @@ class TestDrawPath:
         if not differing:
             pytest.skip("np.log and math.log agree on every sampled uniform here")
         u = differing[0]
-        # any uniform's failure time is below 60, 1e-300's above 1000
-        self.scripted(monkeypatch, 8, u, 0.5, 1e-300)
-        trace = run_replication(base_config(mission_time=100.0, n_replications=1), 0)
+        # u's failure time is below 50 unless u < 6e-15; TINY's is above 50
+        self.scripted(monkeypatch, 8, u, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5)
+        trace = run_replication(base_config(mission_time=50.0, n_replications=1), 0)
         assert trace.cycles[0][0] == -math.log(u) / FAILURE_RATE
         assert trace.failure_times()[0] == -math.log(u) / FAILURE_RATE
 
@@ -327,6 +386,23 @@ class TestReplicationTrace:
         with pytest.raises(ValueError):
             trace.events[0, 0] = 2.0
         assert trace.cycles == ((1.0, 0.5),)
+
+    @pytest.mark.parametrize(
+        "up_time,down_time",
+        [(math.nan, -3.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan), (0.0, math.inf), (9.0, -1e-9)],
+    )
+    def test_rejects_impossible_totals(self, up_time, down_time):
+        with pytest.raises(ValueError):
+            ReplicationTrace(cycles=(), n_failures=0, up_time=up_time, down_time=down_time)
+
+    def test_simulated_traces_are_read_only_views_of_their_tile(self):
+        cfg = base_config(n_replications=20)
+        first, second = run_replication(cfg, 3), run_replication(cfg, 4)
+        assert first.events.base is second.events.base
+        with pytest.raises(ValueError):
+            first.events[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            first.up_time = 1.0
 
 
 class TestRunSimulation:
@@ -354,6 +430,19 @@ class TestRunSimulation:
         monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
         assert output_bytes(run_simulation(cfg), f"chunk{chunk}") == default
 
+    @pytest.mark.parametrize("tile", [1, 75, 4 * simulate.TILE_ELEMENTS])
+    def test_identical_for_any_tile_size(self, tile, monkeypatch):
+        cfg = base_config(n_replications=300)
+        simulate._replication_block.cache_clear()
+        default = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+        simulate._replication_block.cache_clear()
+        monkeypatch.setattr(simulate, "TILE_ELEMENTS", tile)
+        for i, want in enumerate(default):
+            got = run_replication(cfg, i)
+            assert np.array_equal(got.events, want.events)
+            assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
+        simulate._replication_block.cache_clear()
+
     def test_single_replication_equals_trace(self):
         cfg = base_config(n_replications=1)
         summary = run_simulation(cfg)
@@ -378,6 +467,48 @@ class TestRunSimulation:
         slow = run_simulation(base_config(n_replications=2000))
         fast = run_simulation(base_config(n_replications=2000, repair_rate=2 * REPAIR_RATE))
         assert fast.availability > slow.availability
+
+
+def expected_interval_up_time(failure_rate, repair_rate, start, end):
+    """Integral of P_up over [start, end] for the alternating renewal process
+    that starts up: P_up(t) = mu/(l+mu) + l/(l+mu) * exp(-(l+mu) t)."""
+    total = failure_rate + repair_rate
+    decay = -math.exp(-total * start) * math.expm1(-total * (end - start))
+    return repair_rate / total * (end - start) + failure_rate / total**2 * decay
+
+
+class TestExactExposureExpectation:
+    """E[T_i] is n times the integral of P_up over interval i and
+    E[X_i] = lambda * E[T_i]; every bin must lie within 5 standard errors,
+    taken from the per-replication tables."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        failure_rate=st.floats(0.2, 5.0),
+        repair_rate=st.floats(0.5, 50.0),
+        mission_time=st.floats(1.0, 20.0),
+        n_intervals=st.integers(1, 10),
+    )
+    def test_every_bin_within_five_standard_errors(self, failure_rate, repair_rate, mission_time, n_intervals):
+        n = 2000
+        cfg = base_config(failure_rate=failure_rate, repair_rate=repair_rate, mission_time=mission_time,
+                          n_intervals=n_intervals, n_replications=n, master_seed=11)
+        tables = [build_exposure_table([run_replication(cfg, i)], cfg) for i in range(n)]
+        edges = np.linspace(0.0, mission_time, n_intervals + 1)
+        up = np.array([expected_interval_up_time(failure_rate, repair_rate, a, b)
+                       for a, b in zip(edges[:-1], edges[1:])])
+        for per_replication, expected in (
+            (np.array([t.times for t in tables]), up),
+            (np.array([t.counts for t in tables]), failure_rate * up),
+        ):
+            se = per_replication.std(axis=0, ddof=1)
+            assert np.all(se > 0.0)
+            z = (per_replication.sum(axis=0) - n * expected) / (math.sqrt(n) * se)
+            assert np.all(np.abs(z) <= 5.0), z
+        # the campaign's table is the sum of the per-replication ones
+        summary = run_simulation(cfg).exposure
+        assert summary.counts == tuple(np.sum([t.counts for t in tables], axis=0).tolist())
+        assert summary.times == pytest.approx(np.sum([t.times for t in tables], axis=0), rel=1e-12)
 
 
 class TestExposureTable:

@@ -16,12 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmurel import simulate
 from pmurel.simulate import (
     ReplicationTrace,
     SimulationConfig,
     build_exposure_table,
+    replication_rng,
     run_replication,
+    run_simulation,
 )
+
+BLOCK = simulate._SUBSTREAM_BLOCK
 
 
 def reference_sample_exponential(rate, rng):
@@ -105,6 +110,14 @@ def reference_build_exposure_table(traces, cfg):
     return tuple(float(c) for c in counts), tuple(float(t) for t in times)
 
 
+def assert_same_trace(trace, ref, mission_time):
+    assert trace.cycles == ref.cycles
+    assert trace.n_failures == ref.n_failures
+    assert (trace.up_time, trace.down_time) == (ref.up_time, ref.down_time)
+    assert trace.failure_times() == ref.failure_times()
+    assert trace.up_periods(mission_time) == ref.up_periods(mission_time)
+
+
 def assert_same_table(traces, reference_traces, cfg):
     table = build_exposure_table(traces, cfg)
     assert (table.counts, table.times) == reference_build_exposure_table(reference_traces, cfg)
@@ -139,12 +152,60 @@ def test_engine_matches_scalar_reference(
     traces = [run_replication(cfg, i) for i in range(n_replications)]
     references = [reference_run_replication(cfg, i) for i in range(n_replications)]
     for trace, ref in zip(traces, references):
-        assert trace.cycles == ref.cycles
-        assert trace.n_failures == ref.n_failures
-        assert (trace.up_time, trace.down_time) == (ref.up_time, ref.down_time)
-        assert trace.failure_times() == ref.failure_times()
-        assert trace.up_periods(mission_time) == ref.up_periods(mission_time)
+        assert_same_trace(trace, ref, mission_time)
     assert_same_table(traces, references, cfg)
+
+
+@pytest.mark.parametrize("n_replications", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_block_edges_match_scalar_reference(n_replications):
+    # the block is cut at n_replications, and BLOCK + 1 starts a second one
+    simulate._replication_block.cache_clear()
+    cfg = config(n_replications=n_replications, master_seed=n_replications)
+    traces = [run_replication(cfg, i) for i in range(n_replications)]
+    references = [reference_run_replication(cfg, i) for i in range(n_replications)]
+    for trace, ref in zip(traces, references):
+        assert_same_trace(trace, ref, cfg.mission_time)
+    assert_same_table(traces, references, cfg)
+    summary = run_simulation(cfg)
+    assert (summary.exposure.counts, summary.exposure.times) == reference_build_exposure_table(references, cfg)
+
+
+@pytest.mark.parametrize(
+    "n_replications,index",
+    [(10, 3 * BLOCK + 17), (5, 4000), (5, 5), (BLOCK + 1, BLOCK), (BLOCK + 1, BLOCK + 3), (1, 2**40)],
+)
+def test_single_call_matches_scalar_reference(n_replications, index):
+    # an index in a later block, or at or past n_replications, called on its own
+    simulate._replication_block.cache_clear()
+    cfg = config(n_replications=n_replications, master_seed=7)
+    assert_same_trace(run_replication(cfg, index), reference_run_replication(cfg, index), cfg.mission_time)
+
+
+@settings(max_examples=20, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4 * BLOCK)), min_size=2, max_size=10))
+def test_out_of_order_calls_match_scalar_reference(calls):
+    # three configurations and five blocks against a cache of two blocks;
+    # short missions keep each block cheap
+    configs = [
+        config(mission_time=0.5, n_replications=3 * BLOCK + 5, master_seed=1),
+        config(mission_time=0.5, n_replications=2, master_seed=1),
+        config(failure_rate=2.0, mission_time=0.5, n_replications=BLOCK + 1, master_seed=3),
+    ]
+    for which, index in calls:
+        cfg = configs[which]
+        assert_same_trace(run_replication(cfg, index), reference_run_replication(cfg, index), cfg.mission_time)
+
+
+@pytest.mark.parametrize(
+    "index,error",
+    [(-1, ValueError), (-(2**64), ValueError), (1.5, TypeError), (2.0, TypeError), (np.float64(3.0), TypeError)],
+)
+def test_bad_indices_raise_as_replication_rng_does(index, error):
+    cfg = config(n_replications=4)
+    with pytest.raises(error):
+        replication_rng(cfg.master_seed, index)
+    with pytest.raises(error):
+        run_replication(cfg, index)
 
 
 # mission 10 in 8 intervals: interior edges at 1.25, 2.5, ..., 8.75
