@@ -430,7 +430,8 @@ def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float
         clock0[active] = clock_k
         counts[active] += n_cycles
         walk = cols[: width // 2] < n_cycles[:, None]
-        rounds.append((active, n_cycles, np.column_stack((ttf[walk], credited[walk], fail_at[walk], started[walk]))))
+        events = np.column_stack((ttf[walk], credited[walk], fail_at[walk], started[walk]))
+        rounds.append((active, n_cycles, events))
 
         going = ~(by_failure | (clock_k >= horizon))
         consumed = np.where(ended, end + 1, 2 * n_cycles)
@@ -464,7 +465,8 @@ def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int
     tile = max(1, TILE_ELEMENTS // width)
     traces = []
     for lo in range(0, n_rows, tile):
-        events, counts, up, down = _walk(_streams(words[lo:lo + tile]), failure_rate, repair_rate, mission_time, width)
+        streams = _streams(words[lo:lo + tile])
+        events, counts, up, down = _walk(streams, failure_rate, repair_rate, mission_time, width)
         events.flags.writeable = False
         ends = np.cumsum(counts).tolist()
         for start, end, up_time, down_time in zip([0, *ends], ends, up.tolist(), down.tolist()):

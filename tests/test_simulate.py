@@ -489,7 +489,9 @@ class TestExactExposureExpectation:
         mission_time=st.floats(1.0, 20.0),
         n_intervals=st.integers(1, 10),
     )
-    def test_every_bin_within_five_standard_errors(self, failure_rate, repair_rate, mission_time, n_intervals):
+    def test_every_bin_within_five_standard_errors(
+        self, failure_rate, repair_rate, mission_time, n_intervals
+    ):
         n = 2000
         cfg = base_config(failure_rate=failure_rate, repair_rate=repair_rate, mission_time=mission_time,
                           n_intervals=n_intervals, n_replications=n, master_seed=11)

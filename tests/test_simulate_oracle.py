@@ -4,8 +4,9 @@ The reference functions below are a scalar engine: one scalar draw per
 event, traces as tuples of (ttf, ttr) pairs, and exposure bucketing by scalar
 ``searchsorted`` calls and a loop over the intervals each up period covers.
 Its random streams come from numpy's own ``SeedSequence``, not from
-``replication_rng``, so the substream derivation is checked too.  The array-native engine must reproduce them bit for bit, so every comparison
-here is ``==``, never approximate.
+``replication_rng``, so the substream derivation is checked too.  The block
+engine must reproduce them bit for bit, so every comparison here is ``==``,
+never approximate.
 """
 
 import math
@@ -166,8 +167,8 @@ def test_block_edges_match_scalar_reference(n_replications):
     for trace, ref in zip(traces, references):
         assert_same_trace(trace, ref, cfg.mission_time)
     assert_same_table(traces, references, cfg)
-    summary = run_simulation(cfg)
-    assert (summary.exposure.counts, summary.exposure.times) == reference_build_exposure_table(references, cfg)
+    exposure = run_simulation(cfg).exposure
+    assert (exposure.counts, exposure.times) == reference_build_exposure_table(references, cfg)
 
 
 @pytest.mark.parametrize(
@@ -193,12 +194,14 @@ def test_out_of_order_calls_match_scalar_reference(calls):
     ]
     for which, index in calls:
         cfg = configs[which]
-        assert_same_trace(run_replication(cfg, index), reference_run_replication(cfg, index), cfg.mission_time)
+        trace = run_replication(cfg, index)
+        assert_same_trace(trace, reference_run_replication(cfg, index), cfg.mission_time)
 
 
 @pytest.mark.parametrize(
     "index,error",
-    [(-1, ValueError), (-(2**64), ValueError), (1.5, TypeError), (2.0, TypeError), (np.float64(3.0), TypeError)],
+    [(-1, ValueError), (-(2**64), ValueError), (1.5, TypeError), (2.0, TypeError),
+     (np.float64(3.0), TypeError)],
 )
 def test_bad_indices_raise_as_replication_rng_does(index, error):
     cfg = config(n_replications=4)
