@@ -20,11 +20,25 @@ block's replications at once, as arrays, and the two most recent blocks are
 kept, so the calls ``run_simulation`` makes for the rest of the block return
 kept traces whose events are views of one array per tile of rows.  Exposure
 bucketing is a handful of numpy calls per chunk of traces.  Each replication
-draws from numpy's own PCG64, times go through ``math.log``, not ``np.log``,
-which differs from it in the last bit on some platforms, and every clock and
-bin adds in event order, so the results equal those of a scalar
-one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py`` keeps
-such a loop as its reference).
+draws the raw outputs of numpy's PCG64 for its substream, times go through
+``math.log``, not ``np.log``, which differs from it in the last bit on some
+platforms, and every clock and bin adds in event order, so the results equal
+those of a scalar one-draw-at-a-time loop bit for bit
+(``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
+
+The engine draws in rounds, a window of uniforms for every row still walking,
+from one of two kinds of substream, chosen per campaign from its expected
+number of renewal cycles (``_draw_plan``).  Native streams are numpy's own
+PCG64 objects: about 2 µs to build per replication and a call per row and
+round, but little per draw, so their rounds hold the expected draws plus
+slack.  Array streams compute the same outputs for all rows of a tile at once
+in numpy ``uint64`` arithmetic, the 128-bit LCG state in two limbs and a
+window's states jumped to from per-column constants: no object and no call
+per row, but 30 to 40 ns per draw, so their rounds hold just the expected
+draws.  Campaigns of short replications, whose native round would hold at
+most ``ARRAY_STREAM_DRAWS`` draws, take array streams, and never import
+``numpy.random``; longer ones take native streams.  Both give the same draws,
+so the choice changes no result.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
@@ -324,29 +338,166 @@ def _set_trace(trace: ReplicationTrace, events: np.ndarray, up_time: float, down
     _SET_DOWN_TIME(trace, down_time)
 
 
-def _round_draws(failure_rate: float, repair_rate: float, mission_time: float) -> int:
-    """Uniforms each replication draws per round: its expected number of draws
-    (two per renewal cycle) plus slack, so that most replications finish in
-    one round; even, so that a round holds whole cycles, and capped."""
+class _NativeStreams:
+    """numpy's own PCG64 for each row of substream seed words.
+
+    ``draw(rows, width)`` returns the next ``width`` raw outputs of each of
+    the given rows, one row each; ``resume(which, draws)`` moves the rows at
+    positions ``which`` of the last draw back to draw index ``draws`` of
+    their window, the first draw they did not use.  The other rows go on
+    after their window.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        from numpy.random import PCG64
+
+        seed_words = _seed_words_class()
+        self._streams = [PCG64(seed_words(w)) for w in words]
+
+    def __len__(self) -> int:
+        return len(self._streams)
+
+    def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
+        self._window = rows, width
+        return np.array([self._streams[r].random_raw(width) for r in rows.tolist()])
+
+    def resume(self, which: np.ndarray, draws: np.ndarray) -> None:
+        rows, width = self._window
+        for r, d in zip(rows[which].tolist(), draws.tolist()):
+            self._streams[r].advance(d - width)
+
+
+# numpy's PCG64 (O'Neill's PCG XSL-RR 128/64): a 128-bit LCG, state = state *
+# _PCG_MULT + inc, whose output is the xor of the state's halves rotated
+# right by the state's top six bits.  Array streams hold each 128-bit value
+# as two uint64 limbs, every constant below is an np.uint64 (a signed
+# integer operand would promote a limb to float64), and array operations
+# wrap modulo 2**64 as the limb arithmetic needs.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as uint64 arrays: the high limb, the low limb and
+    the low limb's low and high 32 bits."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)
+    return hi, lo, lo & _LOW32, lo >> _U32
+
+
+def _times(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of a * b mod 2**128, for constants ``a`` in ``_limbs`` form
+    and values ``b`` = (hi, lo); the shapes broadcast.  The low limbs'
+    128-bit product is summed from its four 32-bit partial products."""
+    a_hi, a_lo, a0, a1 = a
+    b_hi, b_lo = b
+    b0, b1 = b_lo & _LOW32, b_lo >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _jump(a, c, state, inc) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of a * state + c * inc mod 2**128: the PCG64 state reached by
+    the LCG steps whose jump constants are ``a`` and ``c``."""
+    hi, lo = _times(a, state)
+    c_hi, c_lo = _times(c, inc)
+    lo += c_lo
+    hi += c_hi
+    hi += lo < c_lo
+    return hi, lo
+
+
+# pcg_setseq_128_srandom_r: state 0, one step, add the seed state, one step,
+# so state = M * seed_state + (M + 1) * inc.
+_SEED_JUMP = _limbs([_PCG_MULT]), _limbs([_PCG_MULT + 1])
+
+
+@functools.lru_cache(maxsize=8)
+def _window_jumps(width: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Jump constants from a state to the states after 0, 1, ..., width LCG
+    steps: A_k = M**k and C_k = M**(k-1) + ... + M + 1, modulo 2**128."""
+    a, c = [1], [0]
+    for _ in range(width):
+        a.append(a[-1] * _PCG_MULT & _MASK128)
+        c.append((c[-1] * _PCG_MULT + 1) & _MASK128)
+    return _limbs(a), _limbs(c)
+
+
+class _ArrayStreams:
+    """numpy's PCG64 for each row of substream seed words, stepped for all
+    rows at once in numpy uint64 arithmetic; the same operations as
+    ``_NativeStreams``.
+
+    A row is seeded as ``PCG64`` seeds itself from its four words (seed state,
+    then stream), inc = 2 * stream + 1.  A draw computes the states after 0
+    to ``width`` steps of every drawing row from per-column jump constants,
+    state_k = A_k * state + C_k * inc, and returns their outputs; a row
+    resumes by taking its state at its first unused draw, as
+    ``PCG64.advance`` would leave it.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        seq_hi, seq_lo = words[:, 2], words[:, 3]
+        self._inc = (seq_hi << _U1) | (seq_lo >> _U63), (seq_lo << _U1) | _U1
+        self._state = _jump(*_SEED_JUMP, (words[:, 0], words[:, 1]), self._inc)
+
+    def __len__(self) -> int:
+        return len(self._inc[0])
+
+    def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
+        state_hi, state_lo = self._state
+        inc_hi, inc_lo = self._inc
+        state = state_hi[rows, None], state_lo[rows, None]
+        hi, lo = _jump(*_window_jumps(width), state, (inc_hi[rows, None], inc_lo[rows, None]))
+        self._window = rows, hi, lo
+        state_hi[rows], state_lo[rows] = hi[:, -1], lo[:, -1]
+        hi, lo = hi[:, 1:], lo[:, 1:]
+        x = hi ^ lo
+        rot = hi >> _U58
+        return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+    def resume(self, which: np.ndarray, draws: np.ndarray) -> None:
+        rows, hi, lo = self._window
+        state_hi, state_lo = self._state
+        state_hi[rows[which]], state_lo[rows[which]] = hi[which, draws], lo[which, draws]
+
+
+# The widest native round (see _draw_plan) still drawn from array streams:
+# where whole campaigns cost the same on either kind (array streams were
+# faster at native rounds of 54 draws and slower at 60; run_simulation with
+# 400000 / mission_time replications, 2-core Xeon).
+ARRAY_STREAM_DRAWS = 56
+
+
+def _draw_plan(failure_rate: float, repair_rate: float, mission_time: float) -> tuple[type, int]:
+    """The substream kind of a campaign and the uniforms each replication
+    draws per round, even, so that a round holds whole cycles.
+
+    A native round costs a call per row, so it holds the expected number of
+    draws (two per renewal cycle) plus slack, so that most replications
+    finish in one round, capped at ``MAX_ROUND_DRAWS``.  Array streams step
+    every row at a cost per draw, so up to a native round of
+    ``ARRAY_STREAM_DRAWS`` they serve instead, with rounds of just the
+    expected draws.
+    """
     cycles = mission_time / (1.0 / failure_rate + 1.0 / repair_rate)
     draws = min(2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0, MAX_ROUND_DRAWS)
-    return 2 * int(draws / 2.0)
+    width = 2 * int(draws / 2.0)
+    if width > ARRAY_STREAM_DRAWS:
+        return _NativeStreams, width
+    return _ArrayStreams, max(2, 2 * math.ceil(cycles))
 
 
-def _streams(words: np.ndarray) -> list:
-    """numpy's own PCG64 for each row of substream seed words."""
-    from numpy.random import PCG64
+def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, width: int):
+    """Simulate one replication per row of ``streams`` to the horizon.
 
-    seed_words = _seed_words_class()
-    return [PCG64(seed_words(w)) for w in words]
-
-
-def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float, width: int):
-    """Simulate one replication per stream to the horizon.
-
-    Each round draws ``width`` raw outputs from every stream still walking
-    and steps all of them at once.  Returns the events of every replication,
-    in stream order and cycle order within a stream, the number of events of
+    Each round draws ``width`` raw outputs for every row still walking and
+    steps all of them at once.  Returns the events of every replication,
+    in row order and cycle order within a row, the number of events of
     each, and each one's up and down time.
 
     A raw draw becomes ``(raw >> 11) * 2**-53``, the value ``Generator.random``
@@ -356,8 +507,8 @@ def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float
     durations in event order led by the running value, so it rounds as
     ``clock += ttf; clock += ttr`` does.  A replication that runs out of
     draws, or whose repair was clipped at the horizon without its clock
-    reaching it, carries its totals into the next round and moves its stream
-    back to its first unused draw.
+    reaching it, carries its totals into the next round and resumes its
+    stream at its first unused draw.
     """
     n = len(streams)
     # running clock, start of the next up period, up time and down time
@@ -365,11 +516,11 @@ def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float
     counts = np.zeros(n, dtype=np.intp)
     active = np.arange(n)
     rounds = []
+    neg_rates = np.tile([-failure_rate, -repair_rate], width // 2)
+    cols = np.arange(width)
     while len(active):
         rows = np.arange(len(active))
-        neg_rates = np.resize([-failure_rate, -repair_rate], width)
-        cols = np.arange(width)
-        u = (np.array([streams[r].random_raw(width) for r in active.tolist()]) >> np.uint64(11)) * 2.0**-53
+        u = (streams.draw(active, width) >> _U11) * 2.0**-53
         avail = np.full(len(active), width)
         skips = None
         zero = u == 0.0
@@ -389,7 +540,7 @@ def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float
         # moves on
         usable = np.minimum(np.where(crossed[rows, first], np.maximum(first, 1) + 1, width), avail)
         exact = cols < usable[:, None]
-        dur[exact] = list(map(math.log, u[exact].tolist()))
+        dur[exact] = np.fromiter(map(math.log, memoryview(u[exact])), float, int(usable.sum()))
         dur /= neg_rates
         np.copyto(clock, dur)
         clock[:, 0] += clock0[active]
@@ -435,13 +586,14 @@ def _walk(streams: list, failure_rate: float, repair_rate: float, horizon: float
 
         going = ~(by_failure | (clock_k >= horizon))
         consumed = np.where(ended, end + 1, 2 * n_cycles)
-        for r in np.flatnonzero(going & (consumed < avail)).tolist():
-            next_draw = consumed[r] if skips is None else skips[r, consumed[r]]
-            streams[active[r]].advance(int(next_draw) - width)
+        back = np.flatnonzero(going & (consumed < avail))
+        streams.resume(back, consumed[back] if skips is None else skips[back, consumed[back]])
         if (consumed[going] == 0).any():
             # a row's window held fewer than two nonzero draws: widen the next
             # one, or the row would draw the same window again
             width *= 2
+            neg_rates = np.tile(neg_rates, 2)
+            cols = np.arange(width)
         active = active[going]
 
     events = np.concatenate([e for _, _, e in rounds])
@@ -460,12 +612,12 @@ def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int
     The block is walked in tiles of rows under ``TILE_ELEMENTS``; each
     trace's events are a view of its tile's read-only event array.
     """
-    width = _round_draws(failure_rate, repair_rate, mission_time)
+    kind, width = _draw_plan(failure_rate, repair_rate, mission_time)
     words = _substream_block(master_seed, block)[:n_rows]
     tile = max(1, TILE_ELEMENTS // width)
     traces = []
     for lo in range(0, n_rows, tile):
-        streams = _streams(words[lo:lo + tile])
+        streams = kind(words[lo:lo + tile])
         events, counts, up, down = _walk(streams, failure_rate, repair_rate, mission_time, width)
         events.flags.writeable = False
         ends = np.cumsum(counts).tolist()

@@ -1,12 +1,16 @@
-"""Golden digests of `pmurel pipeline --seed 42` on the default config.
+"""Golden digests of `pmurel pipeline --seed 42` on the default config, and
+of `pmurel simulate --seed 42` on long missions.
 
-Every file the pipeline writes must keep these sha256 digests, so a change
-that means to keep the outputs byte-identical is checked here.  ``markov.csv``
+Every file these runs write must keep these sha256 digests, so a change that
+means to keep the outputs byte-identical is checked here.  The default config
+draws its Monte Carlo uniforms in narrow rounds and the long missions in wide
+ones, so each kind of substream has pinned outputs.  ``markov.csv``
 is not pinned (the pipeline does not write it, and its last bits come from
 BLAS matrix products, which may differ between CPUs).
 """
 
 import hashlib
+import json
 
 from pmurel.cli import main
 
@@ -28,3 +32,25 @@ def test_default_pipeline_outputs_match_golden_digests(tmp_path):
     assert main(["pipeline", "--out", str(tmp_path), "--seed", "42"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == GOLDEN
+
+
+# 20 missions of 2000 years: about 2700 draws per replication and round
+WIDE_ROUNDS = {
+    "schema": "pmu-reliability/1",
+    "simulation": {"failure_rate": 0.6566, "repair_rate": 22.2898, "mission_time": 2000.0,
+                   "n_replications": 20, "n_intervals": 8},
+}
+
+GOLDEN_WIDE_ROUNDS = {
+    "exposure.csv": "a6af38a1a3322e630ac7b0b40e009b975b103c72c18d19c7607199573218adc5",
+    "summary.csv": "de3be54591058b53b57719b6508d72232407117d878ffcd3604b0bc8879c9b66",
+}
+
+
+def test_long_mission_simulation_matches_golden_digests(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WIDE_ROUNDS))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--seed", "42"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == GOLDEN_WIDE_ROUNDS

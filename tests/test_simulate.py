@@ -1,5 +1,8 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,38 @@ class TestReplicationRng:
             replication_rng(7, 3).spawn(1)
 
 
+class TestStreams:
+    @pytest.mark.parametrize("kind", ["_ArrayStreams", "_NativeStreams"])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS[:4]), st.integers(0, 2**63)),
+        indices=st.lists(st.one_of(block_edges, st.integers(0, 3 * BLOCK)), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_windows_match_pcg64_after_advance(self, kind, seed, indices, data):
+        # rounds over subsets of the rows, each followed by resuming some of
+        # them at a draw index of their window; numpy's PCG64 does the same
+        # with random_raw and advance
+        words = np.array([simulate._substream_block(seed, i // BLOCK)[i % BLOCK] for i in indices])
+        streams = getattr(simulate, kind)(words)
+        assert len(streams) == len(indices)
+        references = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))) for i in indices]
+        for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+            width = data.draw(st.integers(2, 2 * simulate.ARRAY_STREAM_DRAWS), label="width")
+            rows = sorted(data.draw(st.sets(st.integers(0, len(indices) - 1), min_size=1), label="rows"))
+            raw = streams.draw(np.array(rows), width)
+            assert raw.dtype == np.uint64
+            for got, r in zip(raw.tolist(), rows):
+                assert got == references[r].random_raw(width).tolist()
+            which = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1)), label="resumed"))
+            draws = [data.draw(st.integers(0, width), label="resume at") for _ in which]
+            streams.resume(np.array(which, dtype=np.intp), np.array(draws, dtype=np.intp))
+            for w, d in zip(which, draws):
+                references[rows[w]].advance(d - width)
+        for r, reference in enumerate(references):
+            assert streams.draw(np.array([r]), 2)[0].tolist() == reference.random_raw(2).tolist()
+
+
 class TestRunReplication:
     def test_survives_whole_mission(self):
         cfg = base_config(failure_rate=1e-12, n_replications=1)
@@ -236,8 +271,9 @@ class TestRunReplication:
 
 
 class _ScriptedStream:
-    """Stands in for one replication's PCG64: serves scripted uniforms as the
-    raw outputs they come from, recording where each draw starts and its size.
+    """Stands in for the substreams of a tile of one replication: serves
+    scripted uniforms as the raw outputs they come from, recording where each
+    draw starts and its size.
     """
 
     def __init__(self, *values):
@@ -249,17 +285,23 @@ class _ScriptedStream:
         self.position = 0
         self.draws = []
 
-    def random_raw(self, size):
+    def __len__(self):
+        return 1
+
+    def draw(self, rows, size):
+        assert rows.tolist() == [0]
         if self.position + size > len(self.raw):
             raise AssertionError("the replication drew past its scripted uniforms")
         if len(self.draws) == 20:
             raise AssertionError("the replication keeps drawing without moving on")
         self.draws.append((self.position, size))
         self.position += size
-        return np.array(self.raw[self.position - size:self.position], dtype=np.uint64)
+        return np.array([self.raw[self.position - size:self.position]], dtype=np.uint64)
 
-    def advance(self, delta):
-        self.position += delta
+    def resume(self, which, draws):
+        assert which.tolist() in ([], [0])
+        if len(which):
+            self.position = self.draws[-1][0] + int(draws[0])
 
 
 # the smallest nonzero uniform; its failure time (about 56) outlives any
@@ -277,15 +319,15 @@ class TestDrawPath:
 
     def scripted(self, monkeypatch, width, *values):
         stream = _ScriptedStream(*values)
-        monkeypatch.setattr(simulate, "_streams", lambda words: [stream])
-        monkeypatch.setattr(simulate, "_round_draws", lambda *rates_and_mission: width)
+        monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (lambda words: stream, width))
         return stream
 
     def test_block_size_is_capped(self):
-        # draws per replication and round: two per expected cycle plus slack,
-        # even, and capped for huge expected counts
-        assert simulate._round_draws(FAILURE_RATE, REPAIR_RATE, MISSION) == 30
-        assert simulate._round_draws(1e300, 1e300, 1e10) == simulate.MAX_ROUND_DRAWS
+        # draws per replication and round: array streams take two per
+        # expected cycle (6.4 here); native ones, past ARRAY_STREAM_DRAWS,
+        # add slack, and are capped for huge expected counts
+        assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, MISSION) == (simulate._ArrayStreams, 14)
+        assert simulate._draw_plan(1e300, 1e300, 1e10) == (simulate._NativeStreams, simulate.MAX_ROUND_DRAWS)
 
     def test_zero_inside_a_block_is_skipped(self, monkeypatch):
         # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
@@ -296,22 +338,21 @@ class TestDrawPath:
     def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch):
         cfg = base_config(mission_time=100.0, n_replications=5)
         expected = [run_replication(cfg, i) for i in range(5)]
-        simulate._replication_block.cache_clear()
-        seeded = []
+        for streams in (simulate._ArrayStreams, simulate._NativeStreams):
+            simulate._replication_block.cache_clear()
+            seeded = []
 
-        def recording_streams(words):
-            seeded.append(words.copy())
-            return streams(words)
+            def recording_streams(words, streams=streams):
+                seeded.append(words.copy())
+                return streams(words)
 
-        streams = simulate._streams
-        monkeypatch.setattr(simulate, "_streams", recording_streams)
-        monkeypatch.setattr(simulate, "_round_draws", lambda *rates_and_mission: 4)
-        for i, want in enumerate(expected):
-            got = run_replication(cfg, i)
-            assert got.n_failures > 2  # needs more draws than one round holds
-            assert np.array_equal(got.events, want.events)
-            assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
-        assert np.array_equal(np.concatenate(seeded), simulate._substream_block(cfg.master_seed, 0)[:5])
+            monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (recording_streams, 4))
+            for i, want in enumerate(expected):
+                got = run_replication(cfg, i)
+                assert got.n_failures > 2  # needs more draws than one round holds
+                assert np.array_equal(got.events, want.events)
+                assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
+            assert np.array_equal(np.concatenate(seeded), simulate._substream_block(cfg.master_seed, 0)[:5])
 
     def test_top_up_continues_the_block_stream(self, monkeypatch):
         # the first round's last failure time has no repair draw, so the next
@@ -442,6 +483,20 @@ class TestRunSimulation:
             assert np.array_equal(got.events, want.events)
             assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
         simulate._replication_block.cache_clear()
+
+    def test_narrow_rounds_never_import_numpy_random(self, tmp_path):
+        # the default campaign draws from array streams; a fresh interpreter
+        # shows whether anything imported numpy.random
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        code = (
+            "import sys; from pmurel.cli import main; "
+            "assert main(['pipeline', '--out', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_single_replication_equals_trace(self):
         cfg = base_config(n_replications=1)

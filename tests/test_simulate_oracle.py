@@ -171,6 +171,45 @@ def test_block_edges_match_scalar_reference(n_replications):
     assert (exposure.counts, exposure.times) == reference_build_exposure_table(references, cfg)
 
 
+def mission_with_native_round(draws, failure_rate=0.6566, repair_rate=22.2898):
+    """A mission whose native round (two draws per expected cycle plus 4σ+8
+    slack) holds ``draws`` uniforms: 2c + 4√c + 8 = draws + 1."""
+    root = (-4.0 + math.sqrt(16.0 + 8.0 * (draws - 7.0))) / 4.0
+    return root * root * (1.0 / failure_rate + 1.0 / repair_rate)
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_stream_kinds_at_the_threshold_match_scalar_reference(offset):
+    # just below, at and above the widest native round drawn from array streams
+    simulate._replication_block.cache_clear()
+    draws = simulate.ARRAY_STREAM_DRAWS + offset
+    cfg = config(mission_time=mission_with_native_round(draws), n_replications=60, master_seed=draws)
+    kind, width = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)
+    if offset <= 0:
+        assert kind is simulate._ArrayStreams and width < draws
+    else:
+        assert (kind, width) == (simulate._NativeStreams, draws)
+    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+    references = [reference_run_replication(cfg, i) for i in range(cfg.n_replications)]
+    for trace, ref in zip(traces, references):
+        assert_same_trace(trace, ref, cfg.mission_time)
+    assert_same_table(traces, references, cfg)
+
+
+@pytest.mark.parametrize("kind", ["_ArrayStreams", "_NativeStreams"])
+@pytest.mark.parametrize("mission_time", [0.3, 10.0, 40.0])
+def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch):
+    # one cycle per round: every row resumes its real stream many times
+    simulate._replication_block.cache_clear()
+    monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (getattr(simulate, kind), 2))
+    cfg = config(mission_time=mission_time, n_replications=25, master_seed=2**63 - 25)
+    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+    references = [reference_run_replication(cfg, i) for i in range(cfg.n_replications)]
+    for trace, ref in zip(traces, references):
+        assert_same_trace(trace, ref, cfg.mission_time)
+    assert_same_table(traces, references, cfg)
+
+
 @pytest.mark.parametrize(
     "n_replications,index",
     [(10, 3 * BLOCK + 17), (5, 4000), (5, 5), (BLOCK + 1, BLOCK), (BLOCK + 1, BLOCK + 3), (1, 2**40)],
