@@ -13,9 +13,9 @@ from .curves import (
     HardwareParams,
     InteractionParams,
     SoftwareParams,
-    composite_pmu_reliability,
     interaction_reliability_closed_form,
     nhpp_mean_value,
+    pmu_reliability_curve,
     software_reliability,
     weibull_reliability,
 )
@@ -47,10 +47,8 @@ from .simulate import (
     SimulationConfig,
     SimulationSummary,
     build_exposure_table,
-    replication_rng,
     run_replication,
     run_simulation,
-    sample_exponential,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,6 @@ __all__ = [
     "alpha_cut",
     "build_exposure_table",
     "build_unified_model",
-    "composite_pmu_reliability",
     "defuzzify",
     "effective_rate",
     "fit_lambda1",
@@ -86,10 +83,9 @@ __all__ = [
     "interaction_reliability_closed_form",
     "interaction_reliability_markov",
     "nhpp_mean_value",
-    "replication_rng",
+    "pmu_reliability_curve",
     "run_replication",
     "run_simulation",
-    "sample_exponential",
     "software_reliability",
     "sse",
     "transient_distribution",

@@ -21,13 +21,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, CurvesSection, FuzzySection, RunConfig, default_config, load_config
-from .csvout import write_csv
-from .curves import (
-    interaction_reliability_closed_form,
-    software_reliability,
-    weibull_reliability,
+from .config import (
+    ConfigError,
+    CurvesSection,
+    FitSection,
+    FuzzySection,
+    RunConfig,
+    checked,
+    default_config,
+    load_config,
 )
+from .csvout import write_csv
+from .curves import pmu_reliability_curve
 from .fitting import FitResult, effective_rate, fit_scan
 from .fuzzy import FuzzyIndex, alpha_cut, defuzzify, fuzzy_availability, fuzzy_unavailability
 from .markov import StateDistribution, operational_mass, transient_grid
@@ -73,13 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The configuration with the flags applied; the section types check a
+    flag's value as they check a document's."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg = replace(cfg, simulation=replace(cfg.simulation, master_seed=args.seed))
+        simulation = checked("--seed", replace, cfg.simulation, master_seed=args.seed)
+        cfg = replace(cfg, simulation=simulation)
+    flags = vars(args)
+    ratios = {key: flags[key] for key in ("g", "g_grid") if flags.get(key) is not None}
+    if ratios:
+        cfg = replace(cfg, fit=FitSection.from_dict(ratios))
     return cfg
 
 
@@ -128,14 +138,8 @@ def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
 
 
 def _curve(cv: CurvesSection, out: Path) -> list[tuple]:
-    """Evaluate the component curves on the grid; write curve.csv and return
-    its rows (t, R_hw, R_sw, R_int, R_pmu)."""
-    rows = []
-    for t in cv.time_grid.values():
-        r_hw = weibull_reliability(cv.hardware, t)
-        r_sw = software_reliability(cv.software, t)
-        r_int = interaction_reliability_closed_form(cv.interaction, t)
-        rows.append((t, r_hw, r_sw, r_int, r_hw * r_sw * r_int))
+    """Write curve.csv and return its rows (t, R_hw, R_sw, R_int, R_pmu)."""
+    rows = pmu_reliability_curve(cv.hardware, cv.software, cv.interaction, cv.time_grid.values())
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
     return rows
@@ -190,14 +194,8 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
 
 
 def cmd_fit(cfg: RunConfig, out: Path, args) -> int:
-    if args.g is not None and args.g_grid is not None:
-        raise ConfigError("give either --g or --g-grid, not both")
-    if args.g is not None:
-        ratios = [args.g]
-    else:
-        ratios = args.g_grid or cfg.fit.ratios()
     table = _read_exposure_csv(Path(args.exposure) if args.exposure else out / "exposure.csv")
-    _fit(table, ratios, out)
+    _fit(table, cfg.fit.ratios(), out)
     return EXIT_OK
 
 

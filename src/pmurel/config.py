@@ -12,7 +12,9 @@ of ``HardwareParams``, ``SoftwareParams``, ``InteractionParams`` and
 transitions are checked by building their generator, which the section
 keeps.  Defaults are built only for the sections a document omits.  This
 module checks only the JSON shape (objects, numbers, integers, required
-keys) and the sections it defines itself.
+keys) and the sections it defines itself.  The engine types and the section
+types reject a value with a ValueError, which ``checked`` turns into a
+ConfigError naming where the value came from: a section path or a flag.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
@@ -75,6 +77,15 @@ def _integer(value, key: str, path: str) -> int:
     return value
 
 
+def checked(context: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError it raises re-raised as a
+    ConfigError naming ``context``, e.g. ``"section 'fit'"`` or ``"--seed"``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _build(cls, d, path: str):
     """Build the dataclass ``cls`` from the JSON object ``d`` found at
     ``path`` (e.g. ``"curves.hardware"``), one key per ``__init__`` field.
@@ -108,10 +119,7 @@ def _build(cls, d, path: str):
         elif kind is float:
             value = _number(value, f.name, path)
         values[f.name] = value
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return checked(context, cls, **values)
 
 
 @dataclass(frozen=True)
@@ -122,11 +130,11 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.start) or self.start < 0.0:
-            raise ConfigError(f"time grid start must be >= 0, got {self.start}")
+            raise ValueError(f"time grid start must be >= 0, got {self.start}")
         if not math.isfinite(self.stop) or self.stop <= self.start:
-            raise ConfigError("time grid stop must exceed start")
+            raise ValueError("time grid stop must exceed start")
         if self.count < 2:
-            raise ConfigError(f"time grid count must be >= 2, got {self.count}")
+            raise ValueError(f"time grid count must be >= 2, got {self.count}")
 
     def values(self) -> list[float]:
         """``count`` evenly spaced points from ``start`` to exactly ``stop``."""
@@ -148,20 +156,20 @@ class FuzzySection:
 
     def __post_init__(self) -> None:
         if self.repair_rate_unit not in REPAIR_RATE_UNITS:
-            raise ConfigError(
+            raise ValueError(
                 f"repair_rate_unit must be one of {REPAIR_RATE_UNITS}, "
                 f"got {self.repair_rate_unit!r}"
             )
         for name in ("failure_rate_center", "repair_rate_center"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
-                raise ConfigError(f"{name} must be > 0, got {v}")
+                raise ValueError(f"{name} must be > 0, got {v}")
         if not 0.0 <= self.halfwidth_fraction < 1.0:
-            raise ConfigError(
+            raise ValueError(
                 f"halfwidth_fraction must lie in [0, 1), got {self.halfwidth_fraction}"
             )
         if self.alpha_levels < 1:
-            raise ConfigError(f"alpha_levels must be >= 1, got {self.alpha_levels}")
+            raise ValueError(f"alpha_levels must be >= 1, got {self.alpha_levels}")
 
     def failure_number(self) -> TriangularFuzzyNumber:
         c = self.failure_rate_center
@@ -214,29 +222,32 @@ class MarkovSection:
 
 @dataclass(frozen=True)
 class FitSection:
-    """The rate ratios G to fit at, in the order given."""
+    """The rate ratios G to fit at, each finite and > 0 (the rule of
+    ``fit_lambda1``); ``fit.csv`` lists them in ascending order."""
 
     grid: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
         for g in self.grid:
-            if not g > 0.0:
-                raise ConfigError(f"'g' and 'g_grid' in section 'fit' must be > 0, got {g}")
+            if not math.isfinite(g) or g <= 0.0:
+                raise ValueError(f"ratio G must be finite and > 0, got {g}")
 
     def ratios(self) -> list[float]:
         return list(self.grid)
 
     @classmethod
     def from_dict(cls, d) -> "FitSection":
+        """The section from its JSON object, or from the ``--g``/``--g-grid``
+        flags given as the same keys."""
         _check_keys(d, {"g", "g_grid"}, "section 'fit'")
         if "g" in d and "g_grid" in d:
             raise ConfigError("section 'fit' must not set both 'g' and 'g_grid'")
         if "g_grid" not in d:
-            return cls((_number(d.get("g", 2.0), "g", "fit"),))
+            return checked("section 'fit'", cls, (_number(d.get("g", 2.0), "g", "fit"),))
         grid = d["g_grid"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError(f"'g_grid' must be a nonempty list of numbers, got {grid!r}")
-        return cls(tuple(_number(g, "g_grid", "fit") for g in grid))
+        return checked("section 'fit'", cls, tuple(_number(g, "g_grid", "fit") for g in grid))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .markov import GeneratorMatrix, interaction_reliability_markov
-
 
 def _check_time(t: float) -> float:
     t = float(t)
@@ -126,25 +124,19 @@ def interaction_reliability_closed_form(p: InteractionParams, t: float) -> float
     return math.exp(-l1 * t) * (1.0 - l1 * math.expm1(-gap * t) / gap)
 
 
-def composite_pmu_reliability(
+def pmu_reliability_curve(
     hw: HardwareParams,
     sw: SoftwareParams,
-    inter,
-    t: float,
-) -> float:
-    """Product of the hardware, software and interaction survival curves.
-
-    ``inter`` is either InteractionParams (closed form) or a GeneratorMatrix
-    (transient solve of the full state model).
-    """
-    t = _check_time(t)
-    if isinstance(inter, InteractionParams):
+    inter: InteractionParams,
+    times,
+) -> list[tuple[float, float, float, float, float]]:
+    """The rows (t, R_hw, R_sw, R_int, R_pmu) of ``curve.csv``, one per time
+    of ``times`` in order: the three closed-form curves and their product
+    R_pmu = R_hw * R_sw * R_int."""
+    rows = []
+    for t in times:
+        r_hw = weibull_reliability(hw, t)
+        r_sw = software_reliability(sw, t)
         r_int = interaction_reliability_closed_form(inter, t)
-    elif isinstance(inter, GeneratorMatrix):
-        r_int = interaction_reliability_markov(inter, t)
-    else:
-        raise TypeError(
-            "interaction source must be InteractionParams or GeneratorMatrix, "
-            f"got {type(inter).__name__}"
-        )
-    return weibull_reliability(hw, t) * software_reliability(sw, t) * r_int
+        rows.append((t, r_hw, r_sw, r_int, r_hw * r_sw * r_int))
+    return rows

@@ -148,9 +148,6 @@ def alpha_cut(f: TriangularFuzzyNumber, alpha: float) -> AlphaCutInterval:
     Returns ``[center - (1 - alpha) * halfwidth, center + (1 - alpha) * halfwidth]``;
     at alpha = 1 this collapses to the core.
     """
-    alpha = _require_finite("alpha", alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     spread = (1.0 - alpha) * f.halfwidth
     return AlphaCutInterval(alpha, f.center - spread, f.center + spread)
 

@@ -42,11 +42,9 @@ so the choice changes no result.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
-whole aligned block of replication indices at once, and each substream's
-PCG64 is seeded from its row of that block.  Tests check the substreams'
-states against numpy's own SeedSequence for equality.  A substream's
-``bit_generator.seed_seq`` is a private holder of its seed words, so
-``Generator.spawn()`` on a substream is not supported.
+whole aligned block of replication indices at once (``_substream_block``),
+and each substream's PCG64 is seeded from its row of that block.  Tests
+check the rows against numpy's own SeedSequence for equality.
 """
 
 from __future__ import annotations
@@ -214,51 +212,7 @@ def _seed_words_class() -> type:
                 raise ValueError("a substream's seed holds exactly PCG64's four uint64 words")
             return self._words
 
-        def __reduce__(self):
-            return _seed_words, (self._words,)
-
     return SeedWords
-
-
-def _seed_words(words: np.ndarray):
-    """A seed-word holder for ``words``; unpickling a substream calls it too."""
-    return _seed_words_class()(words)
-
-
-def replication_rng(master_seed: int, replication_index: int) -> np.random.Generator:
-    """Independent random substream for one replication.
-
-    A fresh Generator whose PCG64 state equals that of
-    ``np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
-    spawn_key=(replication_index,)))``, so any replication's stream can be
-    constructed directly without generating the preceding ones.  Arguments
-    are checked as SeedSequence checks them (negative: ValueError,
-    non-integer: TypeError; booleans count as 0 and 1).
-
-    The SeedSequence hash is evaluated in numpy for the whole aligned block
-    of indices holding ``replication_index`` and kept for the next calls.
-    The Generator's ``bit_generator.seed_seq`` is a private word holder, not
-    a SeedSequence, so ``Generator.spawn()`` is not supported.
-    """
-    seed = _nonnegative_int(master_seed, "master_seed")
-    block, row = divmod(_nonnegative_int(replication_index, "replication_index"), _SUBSTREAM_BLOCK)
-    # A copy, so a Generator that is kept does not keep its whole block alive.
-    words = _substream_block(seed, block)[row].copy()
-    return np.random.Generator(np.random.PCG64(_seed_words(words)))
-
-
-def sample_exponential(rate: float, rng: np.random.Generator) -> float:
-    """One exponential draw via inverse transform, -ln(u)/rate.
-
-    u is uniform on (0, 1): an exact-zero draw is rejected so the sample is
-    always strictly positive and finite.
-    """
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    return -math.log(u) / rate
 
 
 class ReplicationTrace:
@@ -280,9 +234,7 @@ class ReplicationTrace:
 
     __slots__ = ("events", "up_time", "down_time")
 
-    def __init__(self, cycles, n_failures: int, up_time: float, down_time: float) -> None:
-        if n_failures != len(cycles):
-            raise ValueError(f"n_failures {n_failures} != {len(cycles)} cycles")
+    def __init__(self, cycles, up_time: float, down_time: float) -> None:
         for name, total in (("up_time", up_time), ("down_time", down_time)):
             if not (math.isfinite(total) and total >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {total}")
@@ -637,7 +589,7 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     simulates the block's replications up to ``cfg.n_replications`` (the
     whole block for an index past it), and the two most recent blocks are
     kept: a later call for the same block returns its kept trace.  Indices
-    are checked as ``replication_rng`` checks them.
+    are checked as SeedSequence checks a spawn key.
     """
     block, row = divmod(_nonnegative_int(replication_index, "replication_index"), _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK

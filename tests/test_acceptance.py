@@ -12,10 +12,9 @@ from pmurel.curves import (
     HardwareParams,
     InteractionParams,
     SoftwareParams,
-    composite_pmu_reliability,
     interaction_reliability_closed_form,
+    pmu_reliability_curve,
     software_reliability,
-    weibull_reliability,
 )
 from pmurel.fitting import effective_rate, fit_lambda1, fit_scan, sse
 from pmurel.fuzzy import TriangularFuzzyNumber, alpha_cut
@@ -184,13 +183,8 @@ def test_c5_invariant_suites(tmp_path):
         )
         l1 = float(rng.uniform(1e-4, 1e-2))
         inter = InteractionParams(l1, l1 * float(rng.uniform(1.0, 10.0)))
-        for curve in (
-            lambda t: weibull_reliability(hw, t),
-            lambda t: software_reliability(sw, t),
-            lambda t: interaction_reliability_closed_form(inter, t),
-            lambda t: composite_pmu_reliability(hw, sw, inter, t),
-        ):
-            values = [curve(t) for t in t_grid]
+        # the columns R_hw, R_sw, R_int and R_pmu
+        for values in list(zip(*pmu_reliability_curve(hw, sw, inter, t_grid)))[1:]:
             if values[0] != 1.0 or any(
                 b > a + 1e-15 for a, b in zip(values, values[1:])
             ):

@@ -226,6 +226,11 @@ class TestFitCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--g", "0"], ["--g", "nan"], ["--g", "inf"], ["--g-grid", "1", "-1"]])
+    def test_bad_ratio_flag_is_config_error(self, tmp_path, flags):
+        # checked before the exposure file, which does not exist here, is read
+        assert main(["fit", "--out", str(tmp_path), *flags]) == 2
+
     def test_missing_exposure_is_io_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 4
 
@@ -313,6 +318,13 @@ class TestConfigHandling:
 
     def test_negative_seed_rejected(self):
         assert main(["simulate", "--seed", "-1", "--dry-run"]) == 2
+
+    def test_bad_time_grid_named_in_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        grid = {"start": 0.0, "stop": 0.0, "count": 3}
+        path.write_text(json.dumps({"schema": SCHEMA, "markov": {"transitions": {}, "time_grid": grid}}))
+        assert main(["markov", "--config", str(path)]) == 2
+        assert "section 'markov.time_grid'" in capsys.readouterr().err
 
     def test_config_output_dir_respected(self, tmp_path):
         out = tmp_path / "configured"

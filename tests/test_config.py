@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -140,10 +141,14 @@ class TestFitSection:
             FitSection.from_dict({"g_grid": []})
 
     def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="section 'fit'"):
             FitSection.from_dict({"g_grid": [1.0, 0.0]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="section 'fit'"):
             FitSection.from_dict({"g": -1.0})
+        # the rule of fit_lambda1: finite and > 0
+        for g in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FitSection((1.0, g))
 
 
 class TestTimeGrid:
@@ -167,11 +172,13 @@ class TestTimeGrid:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ConfigError):
+        # a ValueError, as the engine types raise, so that a load names the
+        # section holding the grid
+        with pytest.raises(ValueError):
             TimeGrid(-1.0, 10.0, 11)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             TimeGrid(5.0, 5.0, 11)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             TimeGrid(0.0, 10.0, 1)
 
 
@@ -254,6 +261,39 @@ class TestLoadConfig:
             }
         )
         with pytest.raises(ConfigError, match="curves"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                minimal_doc(curves={
+                    "hardware": {"rate": 1.0, "shape": 1.0},
+                    "software": {"total_faults": 1.0, "detection_rate": 0.1},
+                    "interaction": {"lambda1": 1e-3, "lambda2": 2e-3},
+                    "time_grid": {"start": 5.0, "stop": 5.0, "count": 3},
+                }),
+                "section 'curves.time_grid': time grid stop must exceed start",
+            ),
+            (
+                minimal_doc(markov={
+                    "transitions": {"UP->HD3": 1.0},
+                    "time_grid": {"start": 0.0, "stop": 10.0, "count": 1},
+                }),
+                "section 'markov.time_grid': time grid count must be >= 2, got 1",
+            ),
+            (
+                minimal_doc(fuzzy={
+                    "failure_rate_center": 0.0,
+                    "repair_rate_center": 2.0,
+                    "repair_rate_unit": "events_per_year",
+                }),
+                "section 'fuzzy': failure_rate_center must be > 0, got 0.0",
+            ),
+        ],
+    )
+    def test_section_errors_name_their_path(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc)
 
     def test_bad_simulation_values_fail_at_load(self):

@@ -9,13 +9,12 @@ from pmurel.curves import (
     HardwareParams,
     InteractionParams,
     SoftwareParams,
-    composite_pmu_reliability,
     interaction_reliability_closed_form,
     nhpp_mean_value,
+    pmu_reliability_curve,
     software_reliability,
     weibull_reliability,
 )
-from pmurel.markov import build_unified_model
 
 HW = HardwareParams(rate=0.6566, shape=1.0)
 SW = SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0)
@@ -189,14 +188,8 @@ class TestCurveInvariants:
             )
             l1 = rng.uniform(1e-4, 1e-2)
             inter = InteractionParams(lambda1=l1, lambda2=l1 * rng.uniform(1.0, 10.0))
-            curves = [
-                lambda t: weibull_reliability(hw, t),
-                lambda t: software_reliability(sw, t),
-                lambda t: interaction_reliability_closed_form(inter, t),
-                lambda t: composite_pmu_reliability(hw, sw, inter, t),
-            ]
-            for curve in curves:
-                values = [curve(t) for t in t_grid]
+            # the columns R_hw, R_sw, R_int and R_pmu
+            for values in list(zip(*pmu_reliability_curve(hw, sw, inter, t_grid)))[1:]:
                 assert values[0] == 1.0
                 assert all(0.0 < v <= 1.0 for v in values)
                 assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -204,33 +197,21 @@ class TestCurveInvariants:
 
 class TestComposite:
     def test_one_at_zero(self):
-        assert composite_pmu_reliability(HW, SW, INTER, 0.0) == 1.0
+        assert pmu_reliability_curve(HW, SW, INTER, [0.0])[0] == (0.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_product_identity(self):
-        for t in T_GRID:
-            expected = (
-                weibull_reliability(HW, t)
-                * software_reliability(SW, t)
-                * interaction_reliability_closed_form(INTER, t)
-            )
-            assert composite_pmu_reliability(HW, SW, INTER, t) == expected
+        rows = pmu_reliability_curve(HW, SW, INTER, T_GRID)
+        assert [row[0] for row in rows] == T_GRID
+        for t, r_hw, r_sw, r_int, r_pmu in rows:
+            assert r_hw == weibull_reliability(HW, t)
+            assert r_sw == software_reliability(SW, t)
+            assert r_int == interaction_reliability_closed_form(INTER, t)
+            assert r_pmu == r_hw * r_sw * r_int
 
     def test_degenerate_factors_collapse_to_weibull(self):
-        # no software faults and a zero-rate state model leave hardware only
+        # no software faults and interaction rates too small to register
+        # leave hardware only
         no_faults = SoftwareParams(total_faults=0.0, detection_rate=0.1)
-        idle_model = build_unified_model({})
-        for t in T_GRID:
-            assert composite_pmu_reliability(HW, no_faults, idle_model, t) == (
-                weibull_reliability(HW, t)
-            )
-
-    def test_markov_source_matches_closed_form(self):
-        model = build_unified_model({"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3})
-        for t in [0.0, 1.0, 5.0, 10.0]:
-            via_markov = composite_pmu_reliability(HW, SW, model, t)
-            via_formula = composite_pmu_reliability(HW, SW, INTER, t)
-            assert via_markov == pytest.approx(via_formula, abs=1e-8)
-
-    def test_rejects_unknown_interaction_source(self):
-        with pytest.raises(TypeError):
-            composite_pmu_reliability(HW, SW, 0.5, 1.0)
+        idle = InteractionParams(lambda1=1e-300, lambda2=1e-300)
+        for t, r_hw, _, _, r_pmu in pmu_reliability_curve(HW, no_faults, idle, T_GRID):
+            assert r_pmu == r_hw == weibull_reliability(HW, t)

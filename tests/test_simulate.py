@@ -1,6 +1,5 @@
 import math
 import os
-import pickle
 import subprocess
 import sys
 
@@ -16,10 +15,8 @@ from pmurel.simulate import (
     ReplicationTrace,
     SimulationConfig,
     build_exposure_table,
-    replication_rng,
     run_replication,
     run_simulation,
-    sample_exponential,
 )
 
 FAILURE_RATE = 0.6566
@@ -40,16 +37,6 @@ def base_config(**overrides):
     )
     kwargs.update(overrides)
     return SimulationConfig(**kwargs)
-
-
-class _StubRng:
-    """Feeds scripted uniform values into the inverse transform."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
 
 
 class TestConfig:
@@ -79,52 +66,54 @@ class TestConfig:
 
 
 class TestSampleExponential:
+    """Exponential durations as the engine takes them: ``_walk``, the one
+    place that turns a draw into a time, takes -ln(u)/rate of the substream's
+    uniforms u and skips exact zeros."""
+
     def test_inverse_transform_identity(self):
-        # u = e^-1 maps to exactly one mean waiting time
+        # u = e^-1 (to 2**-53) maps to one mean waiting time; TINY's failure
+        # time lies past the horizon of ten
+        u = round(math.exp(-1.0) * 2**53) * 2.0**-53
         for rate in (0.6566, 2.0, 22.2898):
-            stub = _StubRng(math.exp(-1.0))
-            assert sample_exponential(rate, stub) == pytest.approx(1.0 / rate, rel=1e-12)
+            events, *_ = simulate._walk(_ScriptedStream(u, u, TINY, 0.5), rate, rate, 10.0 / rate, 4)
+            assert events[0, 0] == -math.log(u) / rate == pytest.approx(1.0 / rate, rel=1e-12)
 
     def test_zero_uniform_draw_is_rejected(self):
-        assert sample_exponential(1.0, _StubRng(0.0, 0.5)) == -math.log(0.5)
+        events, *_ = simulate._walk(_ScriptedStream(0.0, 0.5, 0.5, TINY), 1.0, 1.0, 10.0, 4)
+        assert events[0, 0] == -math.log(0.5)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            sample_exponential(0.0, _StubRng(0.5))
-        with pytest.raises(ValueError):
-            sample_exponential(-1.0, _StubRng(0.5))
+        # the rates a draw is divided by are checked where a campaign is built
+        for name in ("failure_rate", "repair_rate"):
+            for rate in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    base_config(**{name: rate})
 
     def test_sample_mean_matches_analytic(self):
-        rng = replication_rng(123, 0)
-        n = 10**6
-        total = 0.0
-        for _ in range(n):
-            total += sample_exponential(FAILURE_RATE, rng)
-        mean = total / n
-        assert abs(mean - 1.0 / FAILURE_RATE) / (1.0 / FAILURE_RATE) < 0.01
+        # 64 missions of about 2000 failures each, with all but instant repairs
+        cfg = base_config(repair_rate=1e9, mission_time=2000.0 / FAILURE_RATE, n_replications=64)
+        ttf = np.concatenate([run_replication(cfg, i).events[:, 0] for i in range(64)])
+        assert len(ttf) > 100000
+        assert abs(ttf.mean() * FAILURE_RATE - 1.0) < 0.01
 
     def test_fixed_seed_reproduces_sequence(self):
-        rng1, rng2 = replication_rng(7, 3), replication_rng(7, 3)
-        seq1 = [sample_exponential(1.0, rng1) for _ in range(100)]
-        seq2 = [sample_exponential(1.0, rng2) for _ in range(100)]
-        assert seq1 == seq2
+        cfg = base_config(n_replications=50)
+        first = [run_replication(cfg, i) for i in range(50)]
+        simulate._replication_block.cache_clear()
+        for i, trace in enumerate(first):
+            again = run_replication(cfg, i)
+            assert again is not trace
+            assert np.array_equal(again.events, trace.events)
+            assert (again.up_time, again.down_time) == (trace.up_time, trace.down_time)
 
     def test_different_replications_differ(self):
-        rng1, rng2 = replication_rng(7, 0), replication_rng(7, 1)
-        seq1 = [sample_exponential(1.0, rng1) for _ in range(10)]
-        seq2 = [sample_exponential(1.0, rng2) for _ in range(10)]
-        assert seq1 != seq2
+        cfg = base_config(n_replications=2)
+        assert run_replication(cfg, 0).cycles != run_replication(cfg, 1).cycles
 
 
 def seed_sequence_rng(seed, index):
     """A replication's substream as numpy's own SeedSequence builds it."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def assert_same_stream(rng, seed, index):
-    want = seed_sequence_rng(seed, index)
-    assert rng.bit_generator.state == want.bit_generator.state
-    assert np.array_equal(rng.random(64), want.random(64))
 
 
 BLOCK = simulate._SUBSTREAM_BLOCK
@@ -141,11 +130,31 @@ block_edges = st.builds(
 )
 
 
+def substream_words(seed, index):
+    """The PCG64 seed words of replication ``index``'s substream."""
+    block, row = divmod(index, BLOCK)
+    return simulate._substream_block(seed, block)[row]
+
+
+def assert_seed_sequence_words(seed, index):
+    want = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(4, np.uint64)
+    assert np.array_equal(substream_words(seed, index), want)
+
+
+def replication_trace(seed, index):
+    """Replication ``index`` of a one-replication campaign under ``seed``."""
+    return run_replication(base_config(master_seed=seed, n_replications=1), index)
+
+
 class TestReplicationRng:
+    """Each replication's random substream: its seed words, the rows of
+    ``_substream_block``, against numpy's own SeedSequence, and the checks on
+    the seed and the index."""
+
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_block_edges_match_seed_sequence(self, seed):
         for index in EDGE_INDICES:
-            assert_same_stream(replication_rng(seed, index), seed, index)
+            assert_seed_sequence_words(seed, index)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -153,31 +162,24 @@ class TestReplicationRng:
         index=st.one_of(st.sampled_from(EDGE_INDICES), block_edges, st.integers(0, 2**80)),
     )
     def test_matches_seed_sequence(self, seed, index):
-        assert_same_stream(replication_rng(seed, index), seed, index)
+        assert_seed_sequence_words(seed, index)
 
     @settings(max_examples=50, deadline=None)
     @given(calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3 * BLOCK)), min_size=2, max_size=12))
     def test_call_order_does_not_matter(self, calls):
         # out of order, and interleaving more seeds and blocks than are kept
         for seed, index in calls:
-            assert_same_stream(replication_rng(seed, index), seed, index)
-
-    def test_each_call_returns_an_independent_generator(self):
-        first, second = replication_rng(7, BLOCK + 3), replication_rng(7, BLOCK + 3)
-        assert first.bit_generator is not second.bit_generator
-        first.random(1000)
-        assert_same_stream(second, 7, BLOCK + 3)
-        assert first.bit_generator.state != second.bit_generator.state
+            assert_seed_sequence_words(seed, index)
 
     @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2**64), 5), (3, -(2**40))])
     def test_negative_arguments_raise_value_error(self, seed, index):
-        for build in (replication_rng, seed_sequence_rng):
+        for build in (replication_trace, seed_sequence_rng):
             with pytest.raises(ValueError):
                 build(seed, index)
 
     @pytest.mark.parametrize("seed,index", [(1.5, 0), (0, 1.5), (2.0, 0), (0, np.float64(3.0))])
     def test_non_integer_arguments_raise_type_error(self, seed, index):
-        for build in (replication_rng, seed_sequence_rng):
+        for build in (replication_trace, seed_sequence_rng):
             with pytest.raises(TypeError):
                 build(seed, index)
 
@@ -186,19 +188,11 @@ class TestReplicationRng:
         [(True, False, (1, 0)), (False, True, (0, 1)), (np.int64(9), np.uint64(BLOCK), (9, BLOCK))],
     )
     def test_booleans_and_numpy_integers_are_accepted(self, seed, index, same_as):
-        rng = replication_rng(seed, index)
-        assert rng.bit_generator.state == replication_rng(*same_as).bit_generator.state
-        assert_same_stream(rng, seed, index)
-
-    def test_pickled_substream_resumes(self):
-        rng = replication_rng(7, 3)
-        rng.random(5)
-        copy = pickle.loads(pickle.dumps(rng))
-        assert np.array_equal(copy.random(64), rng.random(64))
-
-    def test_spawn_is_not_supported(self):
-        with pytest.raises(TypeError):
-            replication_rng(7, 3).spawn(1)
+        trace = replication_trace(seed, index)
+        simulate._replication_block.cache_clear()
+        want = replication_trace(*same_as)
+        assert np.array_equal(trace.events, want.events)
+        assert (trace.up_time, trace.down_time) == (want.up_time, want.down_time)
 
 
 class TestStreams:
@@ -213,7 +207,7 @@ class TestStreams:
         # rounds over subsets of the rows, each followed by resuming some of
         # them at a draw index of their window; numpy's PCG64 does the same
         # with random_raw and advance
-        words = np.array([simulate._substream_block(seed, i // BLOCK)[i % BLOCK] for i in indices])
+        words = np.array([substream_words(seed, i) for i in indices])
         streams = getattr(simulate, kind)(words)
         assert len(streams) == len(indices)
         references = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))) for i in indices]
@@ -380,7 +374,7 @@ class TestDrawPath:
         # np.log puts the first failure exactly at the horizon and math.log
         # just before it, so the walk must take the repair draw as well
         script = [None, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5]
-        uniforms = replication_rng(2023, 1).random(100000)
+        uniforms = seed_sequence_rng(2023, 1).random(100000)
         exact = np.array([-math.log(u) for u in uniforms.tolist()]) / FAILURE_RATE
         for u in uniforms[np.log(uniforms) / -FAILURE_RATE > exact].tolist():
             script[0] = u
@@ -396,7 +390,7 @@ class TestDrawPath:
         assert stream.draws == [(0, 8)]
 
     def test_times_use_math_log(self, monkeypatch):
-        uniforms = replication_rng(2023, 0).random(100000)
+        uniforms = seed_sequence_rng(2023, 0).random(100000)
         differing = [
             u for u in uniforms.tolist()
             if -math.log(u) / FAILURE_RATE != float(-np.log(u) / FAILURE_RATE)
@@ -414,14 +408,12 @@ class TestDrawPath:
 class TestReplicationTrace:
     def test_rejects_inconsistent_cycles(self):
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((1.0, 0.5),), n_failures=2, up_time=9.5, down_time=0.5)
+            ReplicationTrace(cycles=((0.0, 0.5),), up_time=9.5, down_time=0.5)
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((0.0, 0.5),), n_failures=1, up_time=9.5, down_time=0.5)
-        with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((1.0, -0.5),), n_failures=1, up_time=9.5, down_time=0.5)
+            ReplicationTrace(cycles=((1.0, -0.5),), up_time=9.5, down_time=0.5)
 
     def test_is_immutable(self):
-        trace = ReplicationTrace(cycles=((1.0, 0.5),), n_failures=1, up_time=9.5, down_time=0.5)
+        trace = ReplicationTrace(cycles=((1.0, 0.5),), up_time=9.5, down_time=0.5)
         with pytest.raises(AttributeError):
             trace.up_time = 1.0
         with pytest.raises(ValueError):
@@ -434,7 +426,7 @@ class TestReplicationTrace:
     )
     def test_rejects_impossible_totals(self, up_time, down_time):
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=(), n_failures=0, up_time=up_time, down_time=down_time)
+            ReplicationTrace(cycles=(), up_time=up_time, down_time=down_time)
 
     def test_simulated_traces_are_read_only_views_of_their_tile(self):
         cfg = base_config(n_replications=20)
@@ -595,7 +587,7 @@ class TestBuildExposureTable:
         # right-closed interval)
         cfg = base_config(n_replications=1)
         trace = ReplicationTrace(
-            cycles=((2.5, 0.5),), n_failures=1, up_time=9.5, down_time=0.5
+            cycles=((2.5, 0.5),), up_time=9.5, down_time=0.5
         )
         table = build_exposure_table([trace], cfg)
         assert table.counts == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -605,7 +597,7 @@ class TestBuildExposureTable:
     def test_interior_failure_bucketing(self):
         cfg = base_config(n_replications=1)
         trace = ReplicationTrace(
-            cycles=((9.99, 0.01),), n_failures=1, up_time=9.99, down_time=0.01
+            cycles=((9.99, 0.01),), up_time=9.99, down_time=0.01
         )
         table = build_exposure_table([trace], cfg)
         assert table.counts[7] == 1.0

@@ -3,8 +3,8 @@
 The reference functions below are a scalar engine: one scalar draw per
 event, traces as tuples of (ttf, ttr) pairs, and exposure bucketing by scalar
 ``searchsorted`` calls and a loop over the intervals each up period covers.
-Its random streams come from numpy's own ``SeedSequence``, not from
-``replication_rng``, so the substream derivation is checked too.  The block
+Its random streams come from numpy's own ``SeedSequence``, not from the
+engine's ``_substream_block``, so the substream derivation is checked too.  The block
 engine must reproduce them bit for bit, so every comparison here is ``==``,
 never approximate.
 """
@@ -22,7 +22,6 @@ from pmurel.simulate import (
     ReplicationTrace,
     SimulationConfig,
     build_exposure_table,
-    replication_rng,
     run_replication,
     run_simulation,
 )
@@ -245,8 +244,6 @@ def test_out_of_order_calls_match_scalar_reference(calls):
 def test_bad_indices_raise_as_replication_rng_does(index, error):
     cfg = config(n_replications=4)
     with pytest.raises(error):
-        replication_rng(cfg.master_seed, index)
-    with pytest.raises(error):
         run_replication(cfg, index)
 
 
@@ -267,7 +264,7 @@ def test_hand_built_trace_matches_reference(name):
     cfg = config(n_replications=1)
     cycles = HAND_BUILT[name]
     up = cfg.mission_time - sum(ttr for _, ttr in cycles)
-    trace = ReplicationTrace(cycles=cycles, n_failures=len(cycles), up_time=up, down_time=0.0)
+    trace = ReplicationTrace(cycles=cycles, up_time=up, down_time=0.0)
     ref = ReferenceTrace(cycles, len(cycles), up, 0.0)
     assert trace.cycles == cycles
     assert trace.failure_times() == ref.failure_times()
@@ -278,7 +275,7 @@ def test_hand_built_trace_matches_reference(name):
 def test_hand_built_traces_together_match_reference():
     cfg = config(n_replications=len(HAND_BUILT))
     names = sorted(HAND_BUILT)
-    traces = [ReplicationTrace(HAND_BUILT[k], len(HAND_BUILT[k]), 0.0, 0.0) for k in names]
+    traces = [ReplicationTrace(HAND_BUILT[k], 0.0, 0.0) for k in names]
     references = [ReferenceTrace(HAND_BUILT[k], len(HAND_BUILT[k]), 0.0, 0.0) for k in names]
     assert_same_table(traces, references, cfg)
 
@@ -299,7 +296,7 @@ def test_edge_aligned_traces_match_reference(quarters, n_intervals, mission_time
     cfg = config(mission_time=mission_time, n_intervals=n_intervals, n_replications=len(quarters))
     width = mission_time / n_intervals
     cycle_lists = [tuple((a * width / 4, b * width / 4) for a, b in q) for q in quarters]
-    traces = [ReplicationTrace(c, len(c), 0.0, 0.0) for c in cycle_lists]
+    traces = [ReplicationTrace(c, 0.0, 0.0) for c in cycle_lists]
     references = [ReferenceTrace(c, len(c), 0.0, 0.0) for c in cycle_lists]
     for trace, ref in zip(traces, references):
         assert trace.failure_times() == ref.failure_times()
