@@ -34,7 +34,14 @@ from .config import (
 from .csvout import write_csv
 from .curves import pmu_reliability_curve
 from .fitting import FitResult, effective_rate, fit_scan
-from .fuzzy import FuzzyIndex, alpha_cut, defuzzify, fuzzy_availability, fuzzy_unavailability
+from .fuzzy import (
+    FuzzyIndex,
+    alpha_cut,
+    defuzzify,
+    fuzzy_availability,
+    fuzzy_unavailability,
+    uniform_alpha_grid,
+)
 from .markov import StateDistribution, operational_mass, transient_grid
 from .simulate import ExposureTable, SimulationConfig, SimulationSummary, run_simulation
 
@@ -101,7 +108,7 @@ def _fuzzy(fz: FuzzySection, out: Path) -> tuple[float, float]:
     """Write the rate and availability bands and crisp.csv; return the crisp
     (defuzzified) failure and repair rates."""
     failure, repair = fz.failure_number(), fz.repair_number()
-    grid = fz.alpha_grid()
+    grid = uniform_alpha_grid(fz.alpha_levels)
     failure_band = FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid))
     repair_band = FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid))
     lam, mu = defuzzify(failure), defuzzify(repair)
@@ -188,6 +195,8 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
         fields = line.split(",")
         if len(fields) != 3:
             raise ValueError(f"malformed exposure row: {line!r}")
+        if fields[0].strip() != str(len(counts) + 1):
+            raise ValueError(f"exposure row {line!r} must be interval {len(counts) + 1}")
         counts.append(float(fields[1]))
         times.append(float(fields[2]))
     return ExposureTable(tuple(counts), tuple(times))
@@ -245,6 +254,8 @@ def cmd_pipeline(cfg: RunConfig, out: Path, args) -> int:
         ),
         "    (the effective rate is the only identified quantity;"
         " it is the same for every G)",
+        f"    it estimates the simulated failure rate lambda = {sim.failure_rate:.6g} per {unit},"
+        " not the interaction rates of curves.interaction",
         "    file: fit.csv",
         "",
         f"[4] component reliability curves over [{grid.start:g}, {grid.stop:g}]",

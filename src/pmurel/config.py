@@ -33,6 +33,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from ._checks import finite, integer, nonnegative, positive
 from .curves import HardwareParams, InteractionParams, SoftwareParams
 from .fuzzy import TriangularFuzzyNumber
 from .markov import GeneratorMatrix, build_unified_model
@@ -129,12 +130,10 @@ class TimeGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.start) or self.start < 0.0:
-            raise ValueError(f"time grid start must be >= 0, got {self.start}")
-        if not math.isfinite(self.stop) or self.stop <= self.start:
+        nonnegative("time grid start", self.start)
+        if finite("time grid stop", self.stop) <= self.start:
             raise ValueError("time grid stop must exceed start")
-        if self.count < 2:
-            raise ValueError(f"time grid count must be >= 2, got {self.count}")
+        integer("time grid count", self.count, 2)
 
     def values(self) -> list[float]:
         """``count`` evenly spaced points from ``start`` to exactly ``stop``."""
@@ -161,15 +160,12 @@ class FuzzySection:
                 f"got {self.repair_rate_unit!r}"
             )
         for name in ("failure_rate_center", "repair_rate_center"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {v}")
+            positive(name, getattr(self, name))
         if not 0.0 <= self.halfwidth_fraction < 1.0:
             raise ValueError(
                 f"halfwidth_fraction must lie in [0, 1), got {self.halfwidth_fraction}"
             )
-        if self.alpha_levels < 1:
-            raise ValueError(f"alpha_levels must be >= 1, got {self.alpha_levels}")
+        integer("alpha_levels", self.alpha_levels, 1)
 
     def failure_number(self) -> TriangularFuzzyNumber:
         c = self.failure_rate_center
@@ -180,11 +176,6 @@ class FuzzySection:
         if self.repair_rate_unit == "hours_per_repair":
             c = HOURS_PER_YEAR / c
         return TriangularFuzzyNumber(c, self.halfwidth_fraction * c)
-
-    def alpha_grid(self) -> tuple[float, ...]:
-        if self.alpha_levels == 1:
-            return (1.0,)
-        return tuple(i / (self.alpha_levels - 1) for i in range(self.alpha_levels))
 
     @classmethod
     def from_dict(cls, d) -> "FuzzySection":
@@ -222,15 +213,16 @@ class MarkovSection:
 
 @dataclass(frozen=True)
 class FitSection:
-    """The rate ratios G to fit at, each finite and > 0 (the rule of
-    ``fit_lambda1``); ``fit.csv`` lists them in ascending order."""
+    """The rate ratios G to fit at, at least one, each finite and > 0 (the
+    rule of ``fit_lambda1``); ``fit.csv`` lists them in ascending order."""
 
     grid: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
+        if not self.grid:
+            raise ValueError("ratio grid must not be empty")
         for g in self.grid:
-            if not math.isfinite(g) or g <= 0.0:
-                raise ValueError(f"ratio G must be finite and > 0, got {g}")
+            positive("ratio G", g)
 
     def ratios(self) -> list[float]:
         return list(self.grid)
@@ -245,8 +237,8 @@ class FitSection:
         if "g_grid" not in d:
             return checked("section 'fit'", cls, (_number(d.get("g", 2.0), "g", "fit"),))
         grid = d["g_grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError(f"'g_grid' must be a nonempty list of numbers, got {grid!r}")
+        if not isinstance(grid, list):
+            raise ConfigError(f"'g_grid' must be a list of numbers, got {grid!r}")
         return checked("section 'fit'", cls, tuple(_number(g, "g_grid", "fit") for g in grid))
 
 

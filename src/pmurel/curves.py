@@ -19,14 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if math.isnan(t):
-        raise ValueError("time must not be NaN")
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return t
+from ._checks import nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -37,10 +30,8 @@ class HardwareParams:
     shape: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        if not math.isfinite(self.shape) or self.shape <= 0.0:
-            raise ValueError(f"shape must be finite and > 0, got {self.shape}")
+        nonnegative("rate", self.rate)
+        positive("shape", self.shape)
 
 
 @dataclass(frozen=True)
@@ -58,9 +49,7 @@ class SoftwareParams:
 
     def __post_init__(self) -> None:
         for name in ("total_faults", "detection_rate", "startup_time"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -77,20 +66,18 @@ class InteractionParams:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            positive(name, getattr(self, name))
 
 
 def weibull_reliability(p: HardwareParams, t: float) -> float:
     """Hardware survival probability exp(-rate * t**shape)."""
-    t = _check_time(t)
+    t = nonnegative("time", t)
     return math.exp(-p.rate * t**p.shape)
 
 
 def nhpp_mean_value(p: SoftwareParams, t: float) -> float:
     """Expected faults detected by time t: m(t) = a * (1 - exp(-b t))."""
-    t = _check_time(t)
+    t = nonnegative("time", t)
     return p.total_faults * -math.expm1(-p.detection_rate * t)
 
 
@@ -101,7 +88,7 @@ def software_reliability(p: SoftwareParams, t: float) -> float:
     exp(-[m(t + T) - m(T)]).  Equals 1 at t = 0 and increases with T (more
     prior testing leaves fewer faults to find).
     """
-    t = _check_time(t)
+    t = nonnegative("time", t)
     expected = nhpp_mean_value(p, t + p.startup_time) - nhpp_mean_value(p, p.startup_time)
     return math.exp(-expected)
 
@@ -116,7 +103,7 @@ def interaction_reliability_closed_form(p: InteractionParams, t: float) -> float
     rates keeps expm1 in [-1, 0], so nothing overflows.  Equal rates give
     the limit (1 + l t) e^{-l t}.
     """
-    t = _check_time(t)
+    t = nonnegative("time", t)
     l1, l2 = sorted((p.lambda1, p.lambda2))
     if l1 == l2:
         return (1.0 + l1 * t) * math.exp(-l1 * t)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import nonnegative, positive
 from .simulate import ExposureTable
 
 
@@ -34,15 +35,13 @@ class FitResult:
     sse: float
 
     def __post_init__(self) -> None:
-        # lambda1 == 0 happens on an all-zero failure table; negative never.
-        if not math.isfinite(self.lambda1) or self.lambda1 < 0.0:
-            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
-        if not math.isfinite(self.g) or self.g <= 0.0:
-            raise ValueError(f"g must be finite and > 0, got {self.g}")
+        # Both rates are 0 on an all-zero failure table; negative never.
+        nonnegative("lambda1", self.lambda1)
+        nonnegative("lambda2", self.lambda2)
+        positive("g", self.g)
         if abs(self.lambda2 - self.g * self.lambda1) > 1e-12 * max(self.lambda2, 1e-300):
             raise ValueError("lambda2 must equal g * lambda1")
-        if not math.isfinite(self.sse) or self.sse < 0.0:
-            raise ValueError(f"sse must be finite and >= 0, got {self.sse}")
+        nonnegative("sse", self.sse)
 
 
 def effective_rate(lambda1: float, lambda2: float) -> float:
@@ -52,17 +51,15 @@ def effective_rate(lambda1: float, lambda2: float) -> float:
 
 def sse(table: ExposureTable, lambda1: float, lambda2: float) -> float:
     """Squared-residual sum of the exposure table against the model mean."""
-    for name, v in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    positive("lambda1", lambda1)
+    positive("lambda2", lambda2)
     rate = effective_rate(lambda1, lambda2)
     return math.fsum((x - t * rate) ** 2 for x, t in zip(table.counts, table.times))
 
 
 def fit_lambda1(table: ExposureTable, g: float) -> FitResult:
     """Closed-form least-squares estimate of lambda1 at a fixed ratio g."""
-    if not math.isfinite(g) or g <= 0.0:
-        raise ValueError(f"g must be finite and > 0, got {g}")
+    positive("g", g)
     sum_xt = math.fsum(x * t for x, t in zip(table.counts, table.times))
     sum_tt = math.fsum(t * t for t in table.times)
     if sum_tt == 0.0:

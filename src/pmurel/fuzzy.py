@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(i / 10.0 for i in range(11))
+from ._checks import finite, nonnegative
 
 # Quantities a FuzzyIndex may carry.  Availability-like quantities are
 # additionally constrained to [0, 1].
@@ -31,13 +31,6 @@ _UNIT_INTERVAL_QUANTITIES = frozenset({"availability", "unavailability"})
 # Slack for the nesting check; endpoint formulas are monotone in alpha but
 # may wobble by a few ulps.
 _NESTING_TOL = 1e-12
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -53,10 +46,8 @@ class TriangularFuzzyNumber:
     halfwidth: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _require_finite("center", self.center))
-        object.__setattr__(self, "halfwidth", _require_finite("halfwidth", self.halfwidth))
-        if self.halfwidth < 0.0:
-            raise ValueError(f"halfwidth must be >= 0, got {self.halfwidth}")
+        object.__setattr__(self, "center", finite("center", self.center))
+        object.__setattr__(self, "halfwidth", nonnegative("halfwidth", self.halfwidth))
         if self.center - self.halfwidth < 0.0:
             raise ValueError(
                 "support extends below zero: "
@@ -69,7 +60,7 @@ class TriangularFuzzyNumber:
 
     def membership(self, x: float) -> float:
         """Degree of membership of ``x``, in [0, 1]."""
-        x = _require_finite("x", x)
+        x = finite("x", x)
         if self.halfwidth == 0.0:
             return 1.0 if x == self.center else 0.0
         return max(0.0, 1.0 - abs(x - self.center) / self.halfwidth)
@@ -85,7 +76,7 @@ class AlphaCutInterval:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "lo", "hi"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, finite(name, getattr(self, name)))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.lo > self.hi:
@@ -142,6 +133,17 @@ class FuzzyIndex:
         return [(cut.alpha, cut.lo, cut.hi) for cut in self.cuts]
 
 
+def uniform_alpha_grid(levels: int) -> tuple[float, ...]:
+    """``levels`` evenly spaced membership levels from 0 to 1; a single level
+    is the core, 1.0, alone."""
+    if levels == 1:
+        return (1.0,)
+    return tuple(i / (levels - 1) for i in range(levels))
+
+
+DEFAULT_ALPHA_GRID = uniform_alpha_grid(11)
+
+
 def alpha_cut(f: TriangularFuzzyNumber, alpha: float) -> AlphaCutInterval:
     """Alpha-cut of a symmetric triangular number.
 
@@ -150,21 +152,6 @@ def alpha_cut(f: TriangularFuzzyNumber, alpha: float) -> AlphaCutInterval:
     """
     spread = (1.0 - alpha) * f.halfwidth
     return AlphaCutInterval(alpha, f.center - spread, f.center + spread)
-
-
-def _check_alpha_grid(alpha_grid) -> tuple[float, ...]:
-    grid = tuple(float(a) for a in alpha_grid)
-    if not grid:
-        raise ValueError("alpha grid must not be empty")
-    prev = None
-    for a in grid:
-        _require_finite("alpha", a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha grid values must lie in [0, 1], got {a}")
-        if prev is not None and a <= prev:
-            raise ValueError("alpha grid must be strictly increasing")
-        prev = a
-    return grid
 
 
 def _availability_endpoints(lam: AlphaCutInterval, mu: AlphaCutInterval) -> tuple[float, float]:
@@ -189,11 +176,11 @@ def fuzzy_availability(
 
     For each alpha the failure/repair alpha-cuts are mapped to the exact
     interval image of A = mu / (lambda + mu) via the monotone-endpoint
-    formula (see module docstring).
+    formula (see module docstring).  ``AlphaCutInterval`` and ``FuzzyIndex``
+    check the grid.
     """
-    grid = _check_alpha_grid(alpha_grid)
     cuts = []
-    for a in grid:
+    for a in alpha_grid:
         lo, hi = _availability_endpoints(alpha_cut(failure, a), alpha_cut(repair, a))
         cuts.append(AlphaCutInterval(a, lo, hi))
     return FuzzyIndex("availability", tuple(cuts))

@@ -52,6 +52,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._checks import nonnegative
+
 STATES: tuple[str, ...] = ("UP", "HD1", "HD2", "HD3", "SD", "F_HW", "F_INT", "F_SW")
 OPERATIONAL_STATES: tuple[str, ...] = ("UP", "HD1", "HD2", "HD3")
 FAILURE_STATES: tuple[str, ...] = ("F_HW", "F_INT", "F_SW")
@@ -135,10 +137,7 @@ class GeneratorMatrix:
                     raise ValueError(f"unknown state {s!r} in transition {name!r}")
             if src == dst:
                 raise ValueError(f"self-transition {name!r} is not allowed")
-            rate = float(rate)
-            if not math.isfinite(rate) or rate < 0.0:
-                raise ValueError(f"rate for {name} must be finite and >= 0, got {rate}")
-            m[index[src], index[dst]] += rate
+            m[index[src], index[dst]] += nonnegative(f"rate for {name}", rate)
         np.fill_diagonal(m, 0.0)
         np.fill_diagonal(m, -m.sum(axis=1))
         return cls(states, m)

@@ -51,10 +51,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import integer, nonnegative, positive
 
 # Up periods bucketed per numpy pass in build_exposure_table (whole traces,
 # at least this many periods); bounds its temporaries without changing any
@@ -83,19 +84,12 @@ class SimulationConfig:
     n_intervals: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("failure_rate", "repair_rate"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if not math.isfinite(self.mission_time) or self.mission_time <= 0.0:
-            raise ValueError(f"mission_time must be > 0, got {self.mission_time}")
-        # operator.index rejects floats (TypeError), even integral ones such
-        # as 3.0, which the replication loop and the substreams cannot use.
-        for name in ("n_replications", "n_intervals"):
-            v = getattr(self, name)
-            if operator.index(v) < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v}")
-        _nonnegative_int(self.master_seed, "master_seed")
+        for name in ("failure_rate", "repair_rate", "mission_time"):
+            positive(name, getattr(self, name))
+        # An integral float such as 3.0 raises here, not inside the
+        # replication loop or the substreams, which cannot use it.
+        for name, minimum in (("n_replications", 1), ("n_intervals", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), minimum))
 
 
 # SeedSequence's hash constants and pool size (numpy's bit_generator.pyx).
@@ -110,15 +104,6 @@ _POOL_SIZE = 4
 # two below 2**32, so no block straddles a change in the number of 32-bit
 # words of its indices.
 _SUBSTREAM_BLOCK = 4096
-
-
-def _nonnegative_int(value, name: str) -> int:
-    """``value`` as an int, rejected as SeedSequence rejects it: a
-    non-integer (e.g. 1.5) raises TypeError, a negative one ValueError."""
-    n = operator.index(value)
-    if n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
-    return n
 
 
 def _words32(n: int) -> list[int]:
@@ -235,14 +220,13 @@ class ReplicationTrace:
     __slots__ = ("events", "up_time", "down_time")
 
     def __init__(self, cycles, up_time: float, down_time: float) -> None:
-        for name, total in (("up_time", up_time), ("down_time", down_time)):
-            if not (math.isfinite(total) and total >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {total}")
+        nonnegative("up_time", up_time)
+        nonnegative("down_time", down_time)
         rows = []
         clock = start = 0.0
-        for ttf, ttr in cycles:
-            if not (math.isfinite(ttf) and math.isfinite(ttr) and ttf > 0.0 and ttr >= 0.0):
-                raise ValueError(f"cycle ({ttf}, {ttr}) needs ttf > 0 and ttr >= 0")
+        for i, (ttf, ttr) in enumerate(cycles):
+            positive(f"time_to_failure of cycle {i}", ttf)
+            nonnegative(f"repair_time of cycle {i}", ttr)
             clock += ttf
             fail_at = clock
             clock += ttr
@@ -591,12 +575,12 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     kept: a later call for the same block returns its kept trace.  Indices
     are checked as SeedSequence checks a spawn key.
     """
-    block, row = divmod(_nonnegative_int(replication_index, "replication_index"), _SUBSTREAM_BLOCK)
+    block, row = divmod(integer("replication_index", replication_index, 0), _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
         n_rows = _SUBSTREAM_BLOCK
     return _replication_block(
-        cfg.failure_rate, cfg.repair_rate, cfg.mission_time, operator.index(cfg.master_seed), block, n_rows
+        cfg.failure_rate, cfg.repair_rate, cfg.mission_time, cfg.master_seed, block, n_rows
     )[row]
 
 
@@ -615,14 +599,10 @@ class ExposureTable:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(float(c) for c in self.counts)
-        times = tuple(float(t) for t in self.times)
+        counts = tuple(nonnegative(f"counts[{i}]", c) for i, c in enumerate(self.counts))
+        times = tuple(nonnegative(f"times[{i}]", t) for i, t in enumerate(self.times))
         if len(counts) != len(times) or not counts:
             raise ValueError("counts and times must be equally sized and nonempty")
-        if not all(math.isfinite(c) and c >= 0.0 for c in counts):
-            raise ValueError("exposure counts must be finite and >= 0")
-        if not all(math.isfinite(t) and t >= 0.0 for t in times):
-            raise ValueError("exposure times must be finite and >= 0")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "times", times)
 

@@ -1,0 +1,185 @@
+"""One sweep of the value rules over every public value type and numeric field.
+
+Each row names a field as its error names it, a value the field accepts, the
+values it rejects, and how to build the field's owner with one value put in.
+Every rejection must name the field, and the accepted value must build.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from pmurel import (
+    STATES,
+    AlphaCutInterval,
+    ExposureTable,
+    FitResult,
+    GeneratorMatrix,
+    HardwareParams,
+    InteractionParams,
+    ReplicationTrace,
+    SimulationConfig,
+    SoftwareParams,
+    TriangularFuzzyNumber,
+    fit_lambda1,
+    interaction_reliability_closed_form,
+    nhpp_mean_value,
+    run_replication,
+    software_reliability,
+    sse,
+    weibull_reliability,
+)
+from pmurel._checks import finite, integer, nonnegative, positive
+from pmurel.config import FitSection, FuzzySection, TimeGrid
+
+NAN, INF = math.nan, math.inf
+FINITE = (NAN, INF, -INF)
+NONNEGATIVE = FINITE + (-1.0,)
+POSITIVE = NONNEGATIVE + (0.0,)
+
+TABLE = ExposureTable((1.0, 2.0), (1.0, 2.0))
+HW = HardwareParams(rate=0.5, shape=1.0)
+SW = SoftwareParams(total_faults=1.0, detection_rate=0.1)
+INTER = InteractionParams(lambda1=1e-3, lambda2=2e-3)
+SIM = SimulationConfig(failure_rate=0.5, repair_rate=5.0, mission_time=1.0, n_replications=4)
+
+
+def sim(**values):
+    return SimulationConfig(**{"failure_rate": 0.5, "repair_rate": 5.0, "mission_time": 1.0, **values})
+
+
+def fuzzy(**values):
+    return FuzzySection(
+        **{"failure_rate_center": 0.5, "repair_rate_center": 5.0,
+           "repair_rate_unit": "events_per_year", **values}
+    )
+
+
+def fit_result(**values):
+    return FitResult(**{"lambda1": 1.0, "lambda2": 2.0, "g": 2.0, "sse": 0.0, **values})
+
+
+def trace(ttf=1.0, ttr=0.5, up_time=1.0, down_time=0.5):
+    return ReplicationTrace([(ttf, ttr)], up_time, down_time)
+
+
+# (field as its error names it, an accepted value, rejected values, build)
+SCALAR_FIELDS = [
+    ("failure_rate", 0.5, POSITIVE, lambda v: sim(failure_rate=v)),
+    ("repair_rate", 5.0, POSITIVE, lambda v: sim(repair_rate=v)),
+    ("mission_time", 1.0, POSITIVE, lambda v: sim(mission_time=v)),
+    ("up_time", 1.0, NONNEGATIVE, lambda v: trace(up_time=v)),
+    ("down_time", 0.0, NONNEGATIVE, lambda v: trace(down_time=v)),
+    ("time_to_failure of cycle 0", 1.0, POSITIVE, lambda v: trace(ttf=v)),
+    ("repair_time of cycle 0", 0.0, NONNEGATIVE, lambda v: trace(ttr=v)),
+    ("counts[1]", 0.5, NONNEGATIVE, lambda v: ExposureTable((1.0, v), (1.0, 1.0))),
+    ("times[0]", 0.0, NONNEGATIVE, lambda v: ExposureTable((1.0, 1.0), (v, 1.0))),
+    ("rate", 0.0, NONNEGATIVE, lambda v: HardwareParams(rate=v, shape=1.0)),
+    ("shape", 2.0, POSITIVE, lambda v: HardwareParams(rate=0.5, shape=v)),
+    ("total_faults", 0.0, NONNEGATIVE, lambda v: SoftwareParams(total_faults=v, detection_rate=0.1)),
+    ("detection_rate", 0.0, NONNEGATIVE, lambda v: SoftwareParams(total_faults=1.0, detection_rate=v)),
+    ("startup_time", 0.0, NONNEGATIVE,
+     lambda v: SoftwareParams(total_faults=1.0, detection_rate=0.1, startup_time=v)),
+    ("lambda1", 1e-3, POSITIVE, lambda v: InteractionParams(lambda1=v, lambda2=2e-3)),
+    ("lambda2", 2e-3, POSITIVE, lambda v: InteractionParams(lambda1=1e-3, lambda2=v)),
+    ("time", 0.0, NONNEGATIVE, lambda v: weibull_reliability(HW, v)),
+    ("time", 0.0, NONNEGATIVE, lambda v: nhpp_mean_value(SW, v)),
+    ("time", 0.0, NONNEGATIVE, lambda v: software_reliability(SW, v)),
+    ("time", 0.0, NONNEGATIVE, lambda v: interaction_reliability_closed_form(INTER, v)),
+    ("lambda1", 0.0, NONNEGATIVE, lambda v: fit_result(lambda1=v, lambda2=2.0 * v)),
+    ("lambda2", 2.0, NONNEGATIVE, lambda v: fit_result(lambda2=v)),
+    ("g", 2.0, POSITIVE, lambda v: fit_result(g=v)),
+    ("sse", 0.0, NONNEGATIVE, lambda v: fit_result(sse=v)),
+    ("lambda1", 1.0, POSITIVE, lambda v: sse(TABLE, v, 1.0)),
+    ("lambda2", 1.0, POSITIVE, lambda v: sse(TABLE, 1.0, v)),
+    ("g", 2.0, POSITIVE, lambda v: fit_lambda1(TABLE, v)),
+    ("time grid start", 0.0, NONNEGATIVE, lambda v: TimeGrid(v, 10.0, 3)),
+    ("time grid stop", 1.0, POSITIVE, lambda v: TimeGrid(0.0, v, 3)),
+    ("failure_rate_center", 0.5, POSITIVE, lambda v: fuzzy(failure_rate_center=v)),
+    ("repair_rate_center", 5.0, POSITIVE, lambda v: fuzzy(repair_rate_center=v)),
+    ("halfwidth_fraction", 0.0, NONNEGATIVE, lambda v: fuzzy(halfwidth_fraction=v)),
+    ("ratio G", 2.0, POSITIVE, lambda v: FitSection((1.0, v))),
+    ("rate for UP->HD3", 0.0, NONNEGATIVE, lambda v: GeneratorMatrix.from_rates(STATES, {"UP->HD3": v})),
+    ("center", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(v, 0.0)),
+    ("halfwidth", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(1.0, v)),
+    ("x", -1.0, FINITE, lambda v: TriangularFuzzyNumber(1.0, 0.1).membership(v)),
+    ("alpha", 0.0, NONNEGATIVE, lambda v: AlphaCutInterval(v, 0.0, 1.0)),
+    ("lo", -1.0, FINITE, lambda v: AlphaCutInterval(0.5, v, 1.0)),
+    ("hi", 1.0, FINITE, lambda v: AlphaCutInterval(0.5, 0.0, v)),
+]
+
+# (field as its error names it, its minimum, build); non-integers, even
+# integral floats, raise TypeError as SeedSequence does.
+INTEGER_FIELDS = [
+    ("n_replications", 1, lambda v: sim(n_replications=v)),
+    ("n_intervals", 1, lambda v: sim(n_intervals=v)),
+    ("master_seed", 0, lambda v: sim(master_seed=v)),
+    ("replication_index", 0, lambda v: run_replication(SIM, v)),
+    ("time grid count", 2, lambda v: TimeGrid(0.0, 1.0, v)),
+    ("alpha_levels", 1, lambda v: fuzzy(alpha_levels=v)),
+]
+NON_INTEGERS = (2.5, 3.0, np.float64(3.0), NAN, INF)
+
+
+def _cases(fields):
+    return [pytest.param(name, v, build, id=f"{name}={v}") for name, _, bad, build in fields for v in bad]
+
+
+@pytest.mark.parametrize("name,value,build", _cases(SCALAR_FIELDS))
+def test_rejected_value_names_its_field(name, value, build):
+    # the name as a whole word: "g" must not match the "g" of "got"
+    with pytest.raises(ValueError, match=rf"(?<!\w){re.escape(name)}(?!\w)"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "build,value",
+    [pytest.param(build, v, id=name) for name, v, _, build in SCALAR_FIELDS]
+    + [pytest.param(build, minimum, id=name) for name, minimum, build in INTEGER_FIELDS],
+)
+def test_accepted_value_builds(build, value):
+    build(value)
+
+
+@pytest.mark.parametrize("name,minimum,build", INTEGER_FIELDS, ids=[f[0] for f in INTEGER_FIELDS])
+def test_integer_field_below_minimum_names_it(name, minimum, build):
+    for value in {minimum - 1, -1}:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {minimum}, got {value}$"):
+            build(value)
+
+
+@pytest.mark.parametrize(
+    "name,value,build",
+    [pytest.param(name, v, build, id=f"{name}={v!r}") for name, _, build in INTEGER_FIELDS for v in NON_INTEGERS],
+)
+def test_non_integer_raises_type_error_naming_the_field(name, value, build):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        build(value)
+
+
+def test_empty_ratio_grid_is_rejected():
+    with pytest.raises(ValueError, match="ratio grid must not be empty"):
+        FitSection(())
+
+
+@pytest.mark.parametrize(
+    "rule,value,message",
+    [
+        (finite, NAN, "v must be finite, got nan"),
+        (positive, 0.0, "v must be finite and > 0, got 0.0"),
+        (positive, INF, "v must be finite and > 0, got inf"),
+        (nonnegative, -1.0, "v must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_rule_message_format(rule, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rule("v", value)
+
+
+def test_rules_return_the_value():
+    assert finite("v", -2) == -2.0 and type(finite("v", -2)) is float
+    assert positive("v", np.float64(0.5)) == 0.5
+    assert nonnegative("v", 0) == 0.0
+    assert integer("v", np.int64(3), 0) == 3 and type(integer("v", np.int64(3), 0)) is int

@@ -239,6 +239,14 @@ class TestFitCommand:
         write_csv(exposure, ["interval", "X_i", "T_i"], [(1, 1.0, 0.0), (2, 2.0, 0.0)])
         assert main(["fit", "--out", str(tmp_path), "--exposure", str(exposure)]) == 3
 
+    @pytest.mark.parametrize("intervals,bad", [((2, 2, 9), 0), ((2, 1), 0), ((1, 3), 1), ((1, 2, 2), 2)])
+    def test_intervals_out_of_sequence_are_runtime_error(self, tmp_path, capsys, intervals, bad):
+        # the intervals must read 1, 2, ..., n; the first row that does not is named
+        exposure = tmp_path / "exposure.csv"
+        write_csv(exposure, ["interval", "X_i", "T_i"], [(i, 1.0, 2.5) for i in intervals])
+        assert main(["fit", "--out", str(tmp_path), "--exposure", str(exposure)]) == 3
+        assert f"exposure row '{intervals[bad]},1,2.5' must be interval {bad + 1}" in capsys.readouterr().err
+
     def test_malformed_exposure_is_runtime_error(self, tmp_path):
         exposure = tmp_path / "exposure.csv"
         exposure.write_text("wrong,header,here\n1,2,3\n")

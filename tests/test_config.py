@@ -19,6 +19,7 @@ from pmurel.config import (
     default_config,
     load_config,
 )
+from pmurel.fuzzy import uniform_alpha_grid
 from pmurel.markov import build_unified_model
 
 
@@ -40,7 +41,7 @@ class TestDefaults:
         assert cfg.time_unit == "years"
 
     def test_alpha_grid_has_eleven_levels(self):
-        grid = default_config().fuzzy.alpha_grid()
+        grid = uniform_alpha_grid(default_config().fuzzy.alpha_levels)
         assert len(grid) == 11
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
@@ -124,7 +125,7 @@ class TestFuzzySection:
 
     def test_single_alpha_level_is_core_only(self):
         section = FuzzySection.from_dict(self.base(alpha_levels=1))
-        assert section.alpha_grid() == (1.0,)
+        assert uniform_alpha_grid(section.alpha_levels) == (1.0,)
 
 
 class TestFitSection:
@@ -280,7 +281,7 @@ class TestLoadConfig:
                     "transitions": {"UP->HD3": 1.0},
                     "time_grid": {"start": 0.0, "stop": 10.0, "count": 1},
                 }),
-                "section 'markov.time_grid': time grid count must be >= 2, got 1",
+                "section 'markov.time_grid': time grid count must be an integer >= 2, got 1",
             ),
             (
                 minimal_doc(fuzzy={
@@ -288,7 +289,7 @@ class TestLoadConfig:
                     "repair_rate_center": 2.0,
                     "repair_rate_unit": "events_per_year",
                 }),
-                "section 'fuzzy': failure_rate_center must be > 0, got 0.0",
+                "section 'fuzzy': failure_rate_center must be finite and > 0, got 0.0",
             ),
         ],
     )

@@ -22,7 +22,7 @@ GOLDEN = {
     "failure_rate.csv": "8e9b2f0cc5323d33623fd4fe3c72c0879bf8d6c789a30b494ac936ba7a8f7876",
     "fit.csv": "9f14166c4db4905d7c16aa65177537edec81c3dcff12c15d96a15a1dcbd4e79c",
     "repair_rate.csv": "209bdc103dfa9d4bb7e7a9d6dff8d3a3292c435bb0a7dd8b294363fea8895384",
-    "report.txt": "dabc43801fdfc7464be086958e1b26235f79fb8b3b361f5ccc3ac3e56e6a5815",
+    "report.txt": "e0b6785438f9889afbaf81e92cfc8ce22800cde7dca4f9425543b0cd063673fb",
     "summary.csv": "0de5b08c34b1d44355bf1bd18042677b35f83d2e43d42bab0671475ebe391d9b",
     "unavailability.csv": "5763e4d7b7165c6daa7a9a84d59b564fe948b40c980649a88a2f47e70979faf2",
 }
