@@ -5,8 +5,9 @@ and through their interaction: triangular fuzzy numbers carry the uncertainty
 in failure/repair rates, a continuous-time Markov chain captures the coupled
 hardware-software degradation paths, closed-form Weibull/fault-detection
 curves give the component reliabilities, a sequential Monte Carlo engine
-generates synthetic failure histories, and a closed-form least-squares
-estimator recovers the two interaction rates from aggregated exposure data.
+generates synthetic failure histories, and a closed-form least-squares fit
+estimates the effective failure rate from aggregated exposure data, split
+into two interaction rates only for an assumed ratio G between them.
 """
 
 from .curves import (

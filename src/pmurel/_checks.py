@@ -12,22 +12,29 @@ import math
 import operator
 
 
-def finite(name: str, v) -> float:
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {v}")
+def _rule(name: str, v, rule: str, holds) -> float:
+    """``float(v)`` if ``v`` is finite and ``holds(v)``, else a ValueError
+    saying ``name`` must be ``rule``.  An int too large for a float, on which
+    ``math.isfinite`` raises OverflowError, is not finite."""
+    try:
+        ok = math.isfinite(v) and holds(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be {rule}, got an integer too large for a float") from None
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {v}")
     return float(v)
+
+
+def finite(name: str, v) -> float:
+    return _rule(name, v, "finite", lambda v: True)
 
 
 def positive(name: str, v) -> float:
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {v}")
-    return float(v)
+    return _rule(name, v, "finite and > 0", lambda v: v > 0.0)
 
 
 def nonnegative(name: str, v) -> float:
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {v}")
-    return float(v)
+    return _rule(name, v, "finite and >= 0", lambda v: v >= 0.0)
 
 
 def integer(name: str, v, minimum: int) -> int:

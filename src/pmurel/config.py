@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -67,9 +66,9 @@ def _check_keys(mapping, allowed, context: str) -> None:
 
 
 def _number(value, key: str, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' in section '{path}' must be a finite number, got {value!r}")
-    return float(value)
+    return checked(f"section '{path}'", finite, key, value)
 
 
 def _integer(value, key: str, path: str) -> int:

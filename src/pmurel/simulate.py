@@ -17,13 +17,16 @@ bucketing.
 The engine simulates a block at a time: the first ``run_replication`` call
 for an aligned block of ``_SUBSTREAM_BLOCK`` indices walks all of that
 block's replications at once, as arrays, and the two most recent blocks are
-kept, so the calls ``run_simulation`` makes for the rest of the block return
-kept traces whose events are views of one array per tile of rows.  Exposure
-bucketing is a handful of numpy calls per chunk of traces.  Each replication
-draws the raw outputs of numpy's PCG64 for its substream, times go through
-``math.log``, not ``np.log``, which differs from it in the last bit on some
-platforms, and every clock and bin adds in event order, so the results equal
-those of a scalar one-draw-at-a-time loop bit for bit
+kept, so the calls for the rest of the block return kept traces whose events
+are views of one array per tile of rows.  ``run_simulation`` streams: it
+buckets the traces a chunk at a time as they are drawn, a handful of numpy
+calls per chunk, and keeps only each replication's up fraction and failure
+count.  A campaign of any length therefore holds the kept blocks, the block
+being walked, one exposure chunk and 16 bytes per replication.  Each
+replication draws the raw outputs of numpy's PCG64 for its substream, times
+go through ``math.log``, not ``np.log``, which differs from it in the last
+bit on some platforms, and every clock and bin adds in event order, so the
+results equal those of a scalar one-draw-at-a-time loop bit for bit
 (``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
 
 The engine draws in rounds, a window of uniforms for every row still walking,
@@ -667,15 +670,15 @@ def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
     Each interval's time adds its overlaps in trace order and, within a
     trace, period order: the running totals lead each chunk's weights, so
     every bin is summed in the same order whatever the chunk size.
+    ``traces`` may be any iterable, a one-shot generator too: it is read once,
+    a chunk at a time, so only the current chunk's traces are held.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one replication trace")
     n = cfg.n_intervals
     edges = np.linspace(0.0, cfg.mission_time, n + 1)
     bins = np.arange(n)
     counts = np.zeros(n, dtype=np.int64)
     times = np.zeros(n)
+    chunk = None
     for chunk in _chunks(traces):
         events = np.concatenate([t.events for t in chunk])
         failed_in = np.clip(np.searchsorted(edges, events[:, 2], side="left"), 1, n) - 1
@@ -684,6 +687,8 @@ def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
         times = np.bincount(
             np.concatenate((bins, interval)), weights=np.concatenate((times, overlap)), minlength=n
         )
+    if chunk is None:
+        raise ValueError("need at least one replication trace")
     return ExposureTable(tuple(counts), tuple(times))
 
 
@@ -699,12 +704,21 @@ class SimulationSummary:
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
-    """Run all replications in index order and aggregate them."""
-    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
-
+    """Run all replications in index order and aggregate them in one pass,
+    bucketing each trace as it is drawn and keeping its up fraction and
+    failure count, not the trace."""
     n = cfg.n_replications
-    up_fractions = np.array([t.up_time / cfg.mission_time for t in traces])
-    failures = np.array([t.n_failures for t in traces], dtype=float)
+    up_fractions = np.empty(n)
+    failures = np.empty(n)
+
+    def replications():
+        for i in range(n):
+            trace = run_replication(cfg, i)
+            up_fractions[i] = trace.up_time / cfg.mission_time
+            failures[i] = trace.n_failures
+            yield trace
+
+    exposure = build_exposure_table(replications(), cfg)
     availability = float(up_fractions.sum() / n)
     mean_failures = float(failures.sum() / n)
     if n > 1:
@@ -718,5 +732,5 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
         mean_failures=mean_failures,
         availability_se=availability_se,
         mean_failures_se=mean_failures_se,
-        exposure=build_exposure_table(traces, cfg),
+        exposure=exposure,
     )

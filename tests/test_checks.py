@@ -88,7 +88,8 @@ SCALAR_FIELDS = [
     ("time", 0.0, NONNEGATIVE, lambda v: nhpp_mean_value(SW, v)),
     ("time", 0.0, NONNEGATIVE, lambda v: software_reliability(SW, v)),
     ("time", 0.0, NONNEGATIVE, lambda v: interaction_reliability_closed_form(INTER, v)),
-    ("lambda1", 0.0, NONNEGATIVE, lambda v: fit_result(lambda1=v, lambda2=2.0 * v)),
+    # 2 * v, not 2.0 * v: the product of a float and an int too large for one overflows
+    ("lambda1", 0.0, NONNEGATIVE, lambda v: fit_result(lambda1=v, lambda2=2 * v)),
     ("lambda2", 2.0, NONNEGATIVE, lambda v: fit_result(lambda2=v)),
     ("g", 2.0, POSITIVE, lambda v: fit_result(g=v)),
     ("sse", 0.0, NONNEGATIVE, lambda v: fit_result(sse=v)),
@@ -134,6 +135,20 @@ def test_rejected_value_names_its_field(name, value, build):
         build(value)
 
 
+# A JSON integer of 401 digits: math.isfinite raises OverflowError on it, and
+# every field rejects it with a ValueError naming the field instead.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["huge", "-huge"])
+@pytest.mark.parametrize(
+    "name,build", [pytest.param(name, build, id=name) for name, _, _, build in SCALAR_FIELDS]
+)
+def test_int_too_large_for_a_float_names_its_field(name, build, sign):
+    with pytest.raises(ValueError, match=rf"(?<!\w){re.escape(name)}(?!\w)"):
+        build(sign * HUGE)
+
+
 @pytest.mark.parametrize(
     "build,value",
     [pytest.param(build, v, id=name) for name, v, _, build in SCALAR_FIELDS]
@@ -171,6 +186,9 @@ def test_empty_ratio_grid_is_rejected():
         (positive, 0.0, "v must be finite and > 0, got 0.0"),
         (positive, INF, "v must be finite and > 0, got inf"),
         (nonnegative, -1.0, "v must be finite and >= 0, got -1.0"),
+        (finite, -HUGE, "v must be finite, got an integer too large for a float"),
+        (positive, HUGE, "v must be finite and > 0, got an integer too large for a float"),
+        (nonnegative, HUGE, "v must be finite and >= 0, got an integer too large for a float"),
     ],
 )
 def test_rule_message_format(rule, value, message):

@@ -334,6 +334,21 @@ class TestConfigHandling:
         assert main(["markov", "--config", str(path)]) == 2
         assert "section 'markov.time_grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,section,name",
+        [
+            ("fit", {"fit": {"g": 10**400}}, "g"),
+            ("fit", {"fit": {"g_grid": [1.0, -(10**400)]}}, "g_grid"),
+            ("markov", {"markov": {"transitions": {"UP->HD3": 10**400}}}, "UP->HD3"),
+            ("simulate", {"simulation": {**small_sim_section(), "mission_time": 10**400}}, "mission_time"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys, command, section, name):
+        # a JSON integer of 401 digits: math.isfinite raises OverflowError on it
+        cfg = write_config(tmp_path, **section)
+        assert main([command, "--config", str(cfg), "--dry-run"]) == 2
+        assert f"{name} must be finite, got an integer too large for a float" in capsys.readouterr().err
+
     def test_config_output_dir_respected(self, tmp_path):
         out = tmp_path / "configured"
         cfg = write_config(tmp_path, output_dir=str(out))

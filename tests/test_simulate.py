@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,7 +446,10 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("chunk", [1, 7, simulate.EXPOSURE_CHUNK])
     def test_identical_for_any_chunk_size(self, chunk, monkeypatch, tmp_path):
-        cfg = base_config(n_replications=2000)
+        # two whole substream blocks and part of a third, so the streamed run
+        # drops a block from the two-block cache while it still buckets
+        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+        cfg = base_config(n_replications=n)
 
         def output_bytes(summary, name):
             path = tmp_path / f"{name}.csv"
@@ -461,7 +465,31 @@ class TestRunSimulation:
 
         default = output_bytes(run_simulation(cfg), "default")
         monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
-        assert output_bytes(run_simulation(cfg), f"chunk{chunk}") == default
+        summary = run_simulation(cfg)
+        assert output_bytes(summary, f"chunk{chunk}") == default
+        assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
+
+    def test_memory_grows_by_the_per_replication_arrays_only(self):
+        # Whatever its length, the streamed campaign holds at most three
+        # blocks of traces (two cached, one walked) and one exposure chunk,
+        # plus 16 bytes per replication for the up fractions and failure
+        # counts; holding every trace costs hundreds.  Both sizes reach the
+        # three blocks, so those cancel.
+        def peak(blocks):
+            cfg = base_config(n_replications=blocks * simulate._SUBSTREAM_BLOCK)
+            simulate._replication_block.cache_clear()
+            simulate._substream_block.cache_clear()
+            tracemalloc.start()
+            try:
+                run_simulation(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                simulate._replication_block.cache_clear()
+
+        run_simulation(base_config(n_replications=10))  # fills the module's other caches
+        added = 4 * simulate._SUBSTREAM_BLOCK
+        assert peak(7) - peak(3) <= 64 * added
 
     @pytest.mark.parametrize("tile", [1, 75, 4 * simulate.TILE_ELEMENTS])
     def test_identical_for_any_tile_size(self, tile, monkeypatch):
@@ -618,6 +646,14 @@ class TestBuildExposureTable:
             sum(t.up_time for t in traces), abs=1e-9 * cfg.n_replications
         )
 
+    @pytest.mark.parametrize("chunk", [7, simulate.EXPOSURE_CHUNK])
+    def test_one_shot_generator_equals_list(self, chunk, monkeypatch):
+        monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
+        cfg = base_config(n_replications=500)
+        traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+        assert build_exposure_table((t for t in traces), cfg) == build_exposure_table(traces, cfg)
+
     def test_rejects_empty_trace_list(self):
-        with pytest.raises(ValueError):
-            build_exposure_table([], base_config())
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="^need at least one replication trace$"):
+                build_exposure_table(empty, base_config())
