@@ -160,10 +160,10 @@ class FuzzySection:
             )
         for name in ("failure_rate_center", "repair_rate_center"):
             positive(name, getattr(self, name))
-        if not 0.0 <= self.halfwidth_fraction < 1.0:
-            raise ValueError(
-                f"halfwidth_fraction must lie in [0, 1), got {self.halfwidth_fraction}"
-            )
+        fraction = nonnegative("halfwidth_fraction", self.halfwidth_fraction)
+        if not fraction < 1.0:
+            raise ValueError(f"halfwidth_fraction must lie in [0, 1), got {fraction}")
+        object.__setattr__(self, "halfwidth_fraction", fraction)
         integer("alpha_levels", self.alpha_levels, 1)
 
     def failure_number(self) -> TriangularFuzzyNumber:

@@ -14,15 +14,16 @@ workers.  The same configuration therefore produces bit-identical results,
 whatever the tile size of the block engine or the chunk size of the
 bucketing.
 
-The engine simulates a block at a time: the first ``run_replication`` call
-for an aligned block of ``_SUBSTREAM_BLOCK`` indices walks all of that
-block's replications at once, as arrays, and the two most recent blocks are
-kept, so the calls for the rest of the block return kept traces whose events
-are views of one array per tile of rows.  ``run_simulation`` streams: it
-buckets the traces a chunk at a time as they are drawn, a handful of numpy
-calls per chunk, and keeps only each replication's up fraction and failure
-count.  A campaign of any length therefore holds the kept blocks, the block
-being walked, one exposure chunk and 16 bytes per replication.  Each
+The engine simulates a tile at a time: a ``run_replication`` call walks the
+replications of the tile of rows holding its index, within an aligned block
+of ``_SUBSTREAM_BLOCK`` indices, at once, as arrays.  Each of the two most
+recent blocks keeps the tile it walked last, so the calls for the rest of
+that tile return kept traces whose events are views of the tile's one event
+array.  ``run_simulation`` streams: it buckets the traces a chunk at a time
+as they are drawn, a handful of numpy calls per chunk, and keeps only each
+replication's up fraction and failure count.  A campaign of any length or
+mission time therefore holds one tile of traces per kept block, one
+exposure chunk and 16 bytes per replication.  Each
 replication draws the raw outputs of numpy's PCG64 for its substream, times
 go through ``math.log``, not ``np.log``, which differs from it in the last
 bit on some platforms, and every clock and bin adds in event order, so the
@@ -542,29 +543,48 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     return events, counts, up0, down0
 
 
-# A pure function of its arguments returning immutable traces, so sharing the
-# two most recent blocks between callers changes no result.
-@functools.lru_cache(maxsize=2)
-def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int, block: int, n_rows: int):
-    """Traces of the first ``n_rows`` replications of a substream block.
+class _TracesByRow(dict):
+    """Traces of the first rows of a substream block, by row, walked a tile
+    of rows under ``TILE_ELEMENTS`` at a time on demand.
 
-    The block is walked in tiles of rows under ``TILE_ELEMENTS``; each
+    Only the tile last walked is held: a row in it is a dict lookup, and any
+    other row walks the tile holding it in place of the held one.  Each
     trace's events are a view of its tile's read-only event array.
     """
-    kind, width = _draw_plan(failure_rate, repair_rate, mission_time)
-    words = _substream_block(master_seed, block)[:n_rows]
-    tile = max(1, TILE_ELEMENTS // width)
-    traces = []
-    for lo in range(0, n_rows, tile):
-        streams = kind(words[lo:lo + tile])
-        events, counts, up, down = _walk(streams, failure_rate, repair_rate, mission_time, width)
+
+    __slots__ = ("_rates", "_kind", "_width", "_tile", "_words")
+
+    def __init__(self, failure_rate, repair_rate, mission_time, words: np.ndarray) -> None:
+        self._rates = failure_rate, repair_rate, mission_time
+        self._kind, self._width = _draw_plan(*self._rates)
+        self._tile = max(1, TILE_ELEMENTS // self._width)
+        self._words = words
+
+    def __missing__(self, row: int) -> ReplicationTrace:
+        lo = row - row % self._tile
+        self.clear()
+        streams = self._kind(self._words[lo:lo + self._tile])
+        events, counts, up, down = _walk(streams, *self._rates, self._width)
         events.flags.writeable = False
         ends = np.cumsum(counts).tolist()
-        for start, end, up_time, down_time in zip([0, *ends], ends, up.tolist(), down.tolist()):
+        for r, start, end, up_time, down_time in zip(
+            range(lo, lo + len(streams)), [0, *ends], ends, up.tolist(), down.tolist()
+        ):
             trace = object.__new__(ReplicationTrace)
             _set_trace(trace, events[start:end], up_time, down_time)
-            traces.append(trace)
-    return traces
+            self[r] = trace
+        return self[row]
+
+
+# A pure function of its arguments whose rows are immutable traces, so sharing
+# the two most recent blocks between callers changes no result.  Each block
+# holds one tile of traces, whichever of its rows was asked for last.
+@functools.lru_cache(maxsize=2)
+def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int, block: int, n_rows: int):
+    """Traces of the first ``n_rows`` replications of a substream block, by
+    row; the draw plan and tile size are worked out here, once per block."""
+    words = _substream_block(master_seed, block)[:n_rows]
+    return _TracesByRow(failure_rate, repair_rate, mission_time, words)
 
 
 def run_replication(cfg: SimulationConfig, replication_index: int) -> ReplicationTrace:
@@ -572,11 +592,14 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     clock passes the horizon, crediting the final partial period only up to
     the horizon.
 
-    The first call for an aligned block of ``_SUBSTREAM_BLOCK`` indices
-    simulates the block's replications up to ``cfg.n_replications`` (the
-    whole block for an index past it), and the two most recent blocks are
-    kept: a later call for the same block returns its kept trace.  Indices
-    are checked as SeedSequence checks a spawn key.
+    Replications are simulated a tile of rows at a time: a call simulates
+    the tile holding its index, within the index's aligned block of
+    ``_SUBSTREAM_BLOCK`` indices cut at ``cfg.n_replications`` (the whole
+    block for an index past it).  Each of the two most recent blocks keeps
+    the last tile it walked, so a later call for an index in a kept tile
+    returns its kept trace, and any other index walks its tile again, to
+    the same trace values.  Indices are checked as SeedSequence checks a
+    spawn key.
     """
     block, row = divmod(integer("replication_index", replication_index, 0), _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -470,11 +471,11 @@ class TestRunSimulation:
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
     def test_memory_grows_by_the_per_replication_arrays_only(self):
-        # Whatever its length, the streamed campaign holds at most three
-        # blocks of traces (two cached, one walked) and one exposure chunk,
-        # plus 16 bytes per replication for the up fractions and failure
-        # counts; holding every trace costs hundreds.  Both sizes reach the
-        # three blocks, so those cancel.
+        # Whatever its length, the streamed campaign holds one tile of traces
+        # per cached block and one exposure chunk, plus 16 bytes per
+        # replication for the up fractions and failure counts; holding every
+        # trace costs hundreds.  Both sizes fill the two-block cache, so the
+        # tiles cancel.
         def peak(blocks):
             cfg = base_config(n_replications=blocks * simulate._SUBSTREAM_BLOCK)
             simulate._replication_block.cache_clear()
@@ -490,6 +491,57 @@ class TestRunSimulation:
         run_simulation(base_config(n_replications=10))  # fills the module's other caches
         added = 4 * simulate._SUBSTREAM_BLOCK
         assert peak(7) - peak(3) <= 64 * added
+
+    def test_memory_does_not_grow_with_mission_time(self):
+        # Ten times the mission means ten times the events per trace; only one
+        # tile of them is alive at a time, and a tile's rows shrink as its
+        # rounds widen, so the peak stays put.  Holding whole blocks of traces
+        # grows it by about 6 MiB here.
+        def peak(mission_time):
+            cfg = base_config(mission_time=mission_time, n_replications=1000)
+            simulate._replication_block.cache_clear()
+            simulate._substream_block.cache_clear()
+            tracemalloc.start()
+            try:
+                run_simulation(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                simulate._replication_block.cache_clear()
+
+        run_simulation(base_config(n_replications=10))  # fills the module's other caches
+        assert peak(400.0) - peak(40.0) <= 2**20
+
+    def test_revisited_tiles_are_walked_again_to_the_same_traces(self, monkeypatch):
+        # runs of 101 consecutive indices in shuffled order, over two whole
+        # blocks and part of a third: runs come back to tiles their block
+        # already dropped, in both whole blocks
+        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+        cfg = base_config(n_replications=n)
+        simulate._replication_block.cache_clear()
+        want = [run_replication(cfg, i) for i in range(n)]
+        simulate._replication_block.cache_clear()
+
+        walked = []
+        missing = simulate._TracesByRow.__missing__
+
+        def recording_missing(traces, row):
+            # a block is known by its first row's seed words
+            walked.append((traces._words[0].tobytes(), row - row % traces._tile))
+            return missing(traces, row)
+
+        monkeypatch.setattr(simulate._TracesByRow, "__missing__", recording_missing)
+        runs = [range(lo, min(lo + 101, n)) for lo in range(0, n, 101)]
+        random.Random(12).shuffle(runs)
+        for i in (i for run in runs for i in run):
+            got = run_replication(cfg, i)
+            assert np.array_equal(got.events, want[i].events)
+            assert (got.up_time, got.down_time) == (want[i].up_time, want[i].down_time)
+        simulate._replication_block.cache_clear()
+        for block in (0, 1):
+            first_row = simulate._substream_block(cfg.master_seed, block)[0].tobytes()
+            tiles = [tile for b, tile in walked if b == first_row]
+            assert len(tiles) > len(set(tiles))
 
     @pytest.mark.parametrize("tile", [1, 75, 4 * simulate.TILE_ELEMENTS])
     def test_identical_for_any_tile_size(self, tile, monkeypatch):
