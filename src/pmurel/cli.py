@@ -26,6 +26,7 @@ from .config import (
     CurvesSection,
     FitSection,
     FuzzySection,
+    MarkovSection,
     RunConfig,
     checked,
     default_config,
@@ -112,7 +113,6 @@ def _fuzzy(fz: FuzzySection, out: Path) -> tuple[float, float]:
     failure_band = FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid))
     repair_band = FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid))
     lam, mu = defuzzify(failure), defuzzify(repair)
-    out.mkdir(parents=True, exist_ok=True)
     _write_band(out, "failure_rate.csv", failure_band)
     _write_band(out, "repair_rate.csv", repair_band)
     _write_band(out, "availability.csv", fuzzy_availability(failure, repair, grid))
@@ -124,7 +124,6 @@ def _fuzzy(fz: FuzzySection, out: Path) -> tuple[float, float]:
 def _simulate(sim: SimulationConfig, out: Path) -> SimulationSummary:
     """Run the Monte Carlo campaign; write summary.csv and exposure.csv."""
     summary = run_simulation(sim)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "summary.csv",
         ["availability", "mean_failures", "availability_se", "mean_failures_se"],
@@ -138,7 +137,6 @@ def _simulate(sim: SimulationConfig, out: Path) -> SimulationSummary:
 def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
     """Fit the interaction rates at each ratio; write fit.csv."""
     results = fit_scan(table, ratios)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "fit.csv", ["G", "lambda1", "lambda2", "sse"],
               [(r.g, r.lambda1, r.lambda2, r.sse) for r in results])
     return results
@@ -147,38 +145,21 @@ def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
 def _curve(cv: CurvesSection, out: Path) -> list[tuple]:
     """Write curve.csv and return its rows (t, R_hw, R_sw, R_int, R_pmu)."""
     rows = pmu_reliability_curve(cv.hardware, cv.software, cv.interaction, cv.time_grid.values())
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
     return rows
 
 
-def cmd_fuzzy(cfg: RunConfig, out: Path, args) -> int:
-    _fuzzy(cfg.fuzzy, out)
-    return EXIT_OK
-
-
-def cmd_curve(cfg: RunConfig, out: Path, args) -> int:
-    _curve(cfg.curves, out)
-    return EXIT_OK
-
-
-def cmd_markov(cfg: RunConfig, out: Path, args) -> int:
-    gen = cfg.markov.generator
+def _markov(mk: MarkovSection, out: Path) -> None:
+    """Solve the chain from UP over the grid; write markov.csv."""
+    gen = mk.generator
     initial = StateDistribution.point_mass(gen.states, "UP")
-    solution = transient_grid(gen, initial, cfg.markov.time_grid.values())
+    solution = transient_grid(gen, initial, mk.time_grid.values())
     rows = [
         (t, *dist.probs, operational_mass(dist))
         for t, dist in zip(solution.times, solution.distributions)
     ]
     header = ["t"] + [f"Q_{s}" for s in gen.states] + ["R_interaction"]
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "markov.csv", header, rows)
-    return EXIT_OK
-
-
-def cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
-    _simulate(cfg.simulation, out)
-    return EXIT_OK
 
 
 def _read_exposure_csv(path: Path) -> ExposureTable:
@@ -202,13 +183,12 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
     return ExposureTable(tuple(counts), tuple(times))
 
 
-def cmd_fit(cfg: RunConfig, out: Path, args) -> int:
+def _fit_command(cfg: RunConfig, out: Path, args) -> None:
     table = _read_exposure_csv(Path(args.exposure) if args.exposure else out / "exposure.csv")
     _fit(table, cfg.fit.ratios(), out)
-    return EXIT_OK
 
 
-def cmd_pipeline(cfg: RunConfig, out: Path, args) -> int:
+def _pipeline(cfg: RunConfig, out: Path, args) -> None:
     def stage(name, fn, *fn_args):
         try:
             return fn(*fn_args)
@@ -264,16 +244,17 @@ def cmd_pipeline(cfg: RunConfig, out: Path, args) -> int:
         "    file: curve.csv",
     ]
     (out / "report.txt").write_text("\n".join(report) + "\n")
-    return EXIT_OK
 
 
+# Each command's adapter: it reads its sections of the configuration and
+# writes its files into the output directory.
 _COMMANDS = {
-    "fuzzy": cmd_fuzzy,
-    "curve": cmd_curve,
-    "markov": cmd_markov,
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "pipeline": cmd_pipeline,
+    "fuzzy": lambda cfg, out, args: _fuzzy(cfg.fuzzy, out),
+    "curve": lambda cfg, out, args: _curve(cfg.curves, out),
+    "markov": lambda cfg, out, args: _markov(cfg.markov, out),
+    "simulate": lambda cfg, out, args: _simulate(cfg.simulation, out),
+    "fit": _fit_command,
+    "pipeline": _pipeline,
 }
 
 
@@ -289,7 +270,8 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if args.dry_run:
             return EXIT_OK
-        return _COMMANDS[args.command](cfg, Path(cfg.output_dir), args)
+        _COMMANDS[args.command](cfg, Path(cfg.output_dir), args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,18 +10,22 @@ Sections hold the engine's own types: the keys of ``curves.hardware``,
 of ``HardwareParams``, ``SoftwareParams``, ``InteractionParams`` and
 ``SimulationConfig``, and those types check their values; ``markov``
 transitions are checked by building their generator, which the section
-keeps.  Defaults are built only for the sections a document omits.  This
+keeps.  The whole document is read by one generic loader, ``_build``, that
+follows the field types of ``RunConfig`` down to its sections.  Each default
+is declared once, on a field: a section's factory on ``RunConfig`` and a
+key's default on its section type, and a document may omit either.  This
 module checks only the JSON shape (objects, numbers, integers, required
-keys) and the sections it defines itself.  The engine types and the section
-types reject a value with a ValueError, which ``checked`` turns into a
+keys) and the rules of the types it defines itself.  The engine types and the
+section types reject a value with a ValueError, which ``checked`` turns into a
 ConfigError naming where the value came from: a section path or a flag.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
 the documented default interpretation) or ``"hours_per_repair"`` (the value
 is a mean repair duration in hours, converted to 8760/value events per
-year).  Apart from that one conversion, all rates and times share the single
-declared ``time_unit`` and are never converted implicitly.
+year, so it needs ``time_unit`` ``"years"``).  Apart from that one
+conversion, all rates and times share the single declared ``time_unit`` and
+are never converted implicitly.
 """
 
 from __future__ import annotations
@@ -88,31 +92,34 @@ def checked(context: str, make, *args, **kwargs):
 
 def _build(cls, d, path: str):
     """Build the dataclass ``cls`` from the JSON object ``d`` found at
-    ``path`` (e.g. ``"curves.hardware"``), one key per ``__init__`` field.
+    ``path`` (e.g. ``"curves.hardware"``; ``""`` for the whole document,
+    named "configuration"), one key per ``__init__`` field.
 
     Unknown keys are rejected by name; omitted fields take their dataclass
-    default or are reported missing.  Each value is read by its field's
-    annotated type: a nested dataclass is built the same way, a
+    default or default factory, or are reported missing.  Each value is read
+    by its field's annotated type: a nested dataclass is built by its own
+    ``from_dict`` if it has one and the same way otherwise, a
     ``dict[str, float]`` is an object of numbers, ``int`` must be an integer
     and ``float`` a finite number; any other value is passed on as it is.
     ``cls`` checks the values itself, and the ``ValueError`` it raises is
     re-raised as a ConfigError naming ``path``.
     """
-    context = f"section '{path}'"
+    context = f"section '{path}'" if path else "configuration"
     keys = [f for f in fields(cls) if f.init]
     _check_keys(d, {f.name for f in keys}, context)
     hints = _field_types(cls)
     values = {}
     for f in keys:
         if f.name not in d:
-            if f.default is MISSING:
+            if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"missing required key '{f.name}' in {context}")
             continue
-        kind, value = hints[f.name], d[f.name]
-        if is_dataclass(kind):
-            value = _build(kind, value, f"{path}.{f.name}")
+        kind, value, inner = hints[f.name], d[f.name], f"{path}.{f.name}".lstrip(".")
+        if hasattr(kind, "from_dict"):
+            value = kind.from_dict(value)
+        elif is_dataclass(kind):
+            value = _build(kind, value, inner)
         elif typing.get_origin(kind) is dict:
-            inner = f"{path}.{f.name}"
             value = {k: _number(v, k, inner) for k, v in _object(value, f"section '{inner}'").items()}
         elif kind is int:
             value = _integer(value, f.name, path)
@@ -243,15 +250,33 @@ class FitSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The whole validated configuration document."""
+    """The whole validated configuration document; each section defaults to
+    the crisp study rates with a 10% uncertainty band."""
 
-    fuzzy: FuzzySection
-    curves: CurvesSection
-    markov: MarkovSection
-    simulation: SimulationConfig
-    fit: FitSection
+    fuzzy: FuzzySection = field(default_factory=lambda: FuzzySection(0.6566, 22.2898, "events_per_year"))
+    curves: CurvesSection = field(default_factory=lambda: CurvesSection(
+        HardwareParams(rate=0.6566, shape=1.0),
+        SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
+        InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
+        TimeGrid(0.0, 10.0, 101),
+    ))
+    markov: MarkovSection = field(default_factory=lambda: MarkovSection(
+        {"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3}, TimeGrid(0.0, 5000.0, 51)))
+    simulation: SimulationConfig = field(default_factory=lambda: SimulationConfig(0.6566, 22.2898, 10.0))
+    fit: FitSection = field(default_factory=FitSection)
     time_unit: str = "years"
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        for name in ("time_unit", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"'{name}' must be a nonempty string, got {value!r}")
+        if self.fuzzy.repair_rate_unit == "hours_per_repair" and self.time_unit != "years":
+            raise ValueError(
+                "repair_rate_unit 'hours_per_repair' gives events per year, so it needs "
+                f"time_unit 'years', got time_unit {self.time_unit!r}"
+            )
 
 
 def config_from_dict(doc) -> RunConfig:
@@ -260,24 +285,7 @@ def config_from_dict(doc) -> RunConfig:
     schema = doc.get("schema")
     if schema != SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
-    time_unit = doc.get("time_unit", RunConfig.time_unit)
-    if not isinstance(time_unit, str) or not time_unit:
-        raise ConfigError("'time_unit' must be a nonempty string")
-    output_dir = doc.get("output_dir", RunConfig.output_dir)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("'output_dir' must be a nonempty string")
-    parsers = {
-        "fuzzy": FuzzySection.from_dict,
-        "curves": lambda d: _build(CurvesSection, d, "curves"),
-        "markov": lambda d: _build(MarkovSection, d, "markov"),
-        "simulation": lambda d: _build(SimulationConfig, d, "simulation"),
-        "fit": FitSection.from_dict,
-    }
-    sections = {
-        name: parse(doc[name]) if name in doc else _DEFAULT_SECTIONS[name]()
-        for name, parse in parsers.items()
-    }
-    return RunConfig(**sections, time_unit=time_unit, output_dir=output_dir)
+    return _build(RunConfig, {k: v for k, v in doc.items() if k != "schema"}, "")
 
 
 def load_config(path) -> RunConfig:
@@ -290,38 +298,6 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
-# Built-in defaults, one factory per section: the crisp study rates with a
-# 10% uncertainty band.  A load builds only the sections its document omits.
-_DEFAULT_SECTIONS = {
-    "fuzzy": lambda: FuzzySection(
-        failure_rate_center=0.6566,
-        repair_rate_center=22.2898,
-        repair_rate_unit="events_per_year",
-        halfwidth_fraction=0.1,
-        alpha_levels=11,
-    ),
-    "curves": lambda: CurvesSection(
-        hardware=HardwareParams(rate=0.6566, shape=1.0),
-        software=SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
-        interaction=InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
-        time_grid=TimeGrid(start=0.0, stop=10.0, count=101),
-    ),
-    "markov": lambda: MarkovSection(
-        transitions={"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
-        time_grid=TimeGrid(start=0.0, stop=5000.0, count=51),
-    ),
-    "simulation": lambda: SimulationConfig(
-        failure_rate=0.6566,
-        repair_rate=22.2898,
-        mission_time=10.0,
-        n_replications=10000,
-        master_seed=42,
-        n_intervals=8,
-    ),
-    "fit": FitSection,
-}
-
-
 def default_config() -> RunConfig:
     """Built-in defaults: the crisp study rates with a 10% uncertainty band."""
-    return RunConfig(**{name: make() for name, make in _DEFAULT_SECTIONS.items()})
+    return RunConfig()

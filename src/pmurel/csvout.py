@@ -21,8 +21,11 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file with a fixed header and formatted rows."""
+    """Write a CSV file with a fixed header and formatted rows, creating its
+    directory if it is missing."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")

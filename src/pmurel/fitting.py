@@ -45,7 +45,10 @@ class FitResult:
 
 
 def effective_rate(lambda1: float, lambda2: float) -> float:
-    """Rate of the combined two-stage passage, 1 / (1/lambda1 + 1/lambda2)."""
+    """Rate of the combined two-stage passage, 1 / (1/lambda1 + 1/lambda2):
+    0 if either rate is 0, which is its limit there."""
+    if lambda1 == 0.0 or lambda2 == 0.0:
+        return 0.0
     return 1.0 / (1.0 / lambda1 + 1.0 / lambda2)
 
 

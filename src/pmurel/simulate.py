@@ -161,9 +161,6 @@ def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-# A pure function of its arguments returning a read-only array, so sharing the
-# two most recent blocks between callers changes no result.
-@functools.lru_cache(maxsize=2)
 def _substream_block(master_seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of replications ``block * _SUBSTREAM_BLOCK`` onwards,
     one row of four uint64 per replication."""

@@ -234,6 +234,11 @@ class TestFitCommand:
     def test_missing_exposure_is_io_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 4
 
+    def test_missing_exposure_creates_no_output_dir(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fit", "--exposure", str(tmp_path / "absent.csv"), "--out", str(out)]) == 4
+        assert not out.exists()
+
     def test_zero_exposure_time_is_runtime_error(self, tmp_path):
         exposure = tmp_path / "exposure.csv"
         write_csv(exposure, ["interval", "X_i", "T_i"], [(1, 1.0, 0.0), (2, 2.0, 0.0)])
@@ -277,6 +282,16 @@ class TestPipelineCommand:
         report = (out / "report.txt").read_text()
         assert "availability" in report
         assert "lambda1" in report
+
+    def test_zero_failure_campaign_reports_zero_effective_rate(self, tmp_path):
+        # no mission fails, so the fit gives lambda1 = lambda2 = 0
+        fuzzy = {"failure_rate_center": 1e-6, "repair_rate_center": 22.2898,
+                 "repair_rate_unit": "events_per_year"}
+        simulation = {**small_sim_section(), "failure_rate": 1e-6}
+        cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=simulation)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "effective rate 0\n" in (out / "report.txt").read_text()
 
     def test_pipeline_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, simulation=small_sim_section())
@@ -349,8 +364,25 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg), "--dry-run"]) == 2
         assert f"{name} must be finite, got an integer too large for a float" in capsys.readouterr().err
 
+    def test_hours_per_repair_needs_years(self, tmp_path, capsys):
+        fuzzy = {"failure_rate_center": 0.6566, "repair_rate_center": 9.5,
+                 "repair_rate_unit": "hours_per_repair"}
+        cfg = write_config(tmp_path, time_unit="days", fuzzy=fuzzy)
+        out = tmp_path / "out"
+        assert main(["fuzzy", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "repair_rate_unit" in err and "time_unit" in err
+        assert not out.exists()
+
     def test_config_output_dir_respected(self, tmp_path):
         out = tmp_path / "configured"
         cfg = write_config(tmp_path, output_dir=str(out))
         assert main(["fuzzy", "--config", str(cfg)]) == 0
         assert (out / "crisp.csv").exists()
+
+
+class TestWriteCsv:
+    def test_creates_a_missing_parent_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "table.csv"
+        write_csv(path, ["x", "y"], [(1, 0.5)])
+        assert path.read_text() == "x,y\n1,0.5\n"

@@ -14,6 +14,7 @@ from pmurel.config import (
     ConfigError,
     FitSection,
     FuzzySection,
+    RunConfig,
     TimeGrid,
     config_from_dict,
     default_config,
@@ -39,6 +40,9 @@ class TestDefaults:
         assert cfg.simulation.n_replications == 10000
         assert cfg.fit.ratios() == [2.0]
         assert cfg.time_unit == "years"
+
+    def test_defaults_live_on_the_run_config_fields(self):
+        assert default_config() == RunConfig()
 
     def test_alpha_grid_has_eleven_levels(self):
         grid = uniform_alpha_grid(default_config().fuzzy.alpha_levels)
@@ -126,6 +130,38 @@ class TestFuzzySection:
     def test_single_alpha_level_is_core_only(self):
         section = FuzzySection.from_dict(self.base(alpha_levels=1))
         assert uniform_alpha_grid(section.alpha_levels) == (1.0,)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field", ["time_unit", "output_dir"])
+    @pytest.mark.parametrize("value", ["", 5, None])
+    def test_strings_must_be_nonempty(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+        with pytest.raises(ConfigError, match=f"^configuration: '{field}' must be a nonempty string"):
+            config_from_dict(minimal_doc(**{field: value}))
+
+    def hours_per_repair(self):
+        return FuzzySection(0.6566, 9.5, "hours_per_repair")
+
+    def test_hours_per_repair_needs_years_in_a_document(self):
+        doc = minimal_doc(time_unit="days", fuzzy={
+            "failure_rate_center": 0.6566,
+            "repair_rate_center": 9.5,
+            "repair_rate_unit": "hours_per_repair",
+        })
+        with pytest.raises(ConfigError, match="^configuration: repair_rate_unit .* time_unit 'days'$"):
+            config_from_dict(doc)
+        doc["time_unit"] = "years"
+        assert config_from_dict(doc).fuzzy == self.hours_per_repair()
+
+    def test_hours_per_repair_needs_years_in_a_library_call(self):
+        cfg = RunConfig(fuzzy=self.hours_per_repair())
+        with pytest.raises(ValueError, match="time_unit 'hours'"):
+            replace(cfg, time_unit="hours")
+        with pytest.raises(ValueError, match="repair_rate_unit"):
+            replace(RunConfig(time_unit="days"), fuzzy=self.hours_per_repair())
+        assert replace(RunConfig(time_unit="days"), output_dir="elsewhere").time_unit == "days"
 
 
 class TestFitSection:

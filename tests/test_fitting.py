@@ -80,6 +80,15 @@ class TestFitLambda1:
         assert result.lambda1 == 0.0
         assert result.sse == 0.0
 
+    def test_zero_rates_have_zero_effective_rate(self):
+        # an all-zero table fits lambda1 = lambda2 = 0; the effective rate is
+        # then its limit 0, not a division by zero
+        table = ExposureTable((0.0,) * 8, tuple(1000.0 * i for i in range(1, 9)))
+        result = fit_lambda1(table, 2.0)
+        assert effective_rate(result.lambda1, result.lambda2) == 0.0
+        assert effective_rate(0.0, 2e-3) == 0.0
+        assert effective_rate(1e-3, 0.0) == 0.0
+
     def test_rejects_zero_exposure_time(self):
         table = ExposureTable((1.0, 2.0), (0.0, 0.0))
         with pytest.raises(ValueError):

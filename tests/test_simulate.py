@@ -479,7 +479,6 @@ class TestRunSimulation:
         def peak(blocks):
             cfg = base_config(n_replications=blocks * simulate._SUBSTREAM_BLOCK)
             simulate._replication_block.cache_clear()
-            simulate._substream_block.cache_clear()
             tracemalloc.start()
             try:
                 run_simulation(cfg)
@@ -500,7 +499,6 @@ class TestRunSimulation:
         def peak(mission_time):
             cfg = base_config(mission_time=mission_time, n_replications=1000)
             simulate._replication_block.cache_clear()
-            simulate._substream_block.cache_clear()
             tracemalloc.start()
             try:
                 run_simulation(cfg)
