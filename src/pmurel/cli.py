@@ -192,7 +192,7 @@ def _pipeline(cfg: RunConfig, out: Path, args) -> None:
     def stage(name, fn, *fn_args):
         try:
             return fn(*fn_args)
-        except (ConfigError, OSError, ValueError, ArithmeticError) as exc:
+        except (ConfigError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
             raise type(exc)(f"pipeline stage '{name}' failed: {exc}") from exc
 
     lam, mu = stage("fuzzy", _fuzzy, cfg.fuzzy, out)
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         detail = f"{exc.strerror}: {path}" if path else str(exc)
         print(f"i/o error: {detail}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
