@@ -172,6 +172,9 @@ class FuzzySection:
             raise ValueError(f"halfwidth_fraction must lie in [0, 1), got {fraction}")
         object.__setattr__(self, "halfwidth_fraction", fraction)
         integer("alpha_levels", self.alpha_levels, 1)
+        # a support that overflows is rejected here, on load, not on first use
+        self.failure_number()
+        self.repair_number()
 
     def failure_number(self) -> TriangularFuzzyNumber:
         c = self.failure_rate_center

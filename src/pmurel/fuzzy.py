@@ -39,7 +39,8 @@ class TriangularFuzzyNumber:
 
     Membership is 1 at ``center``, 0 outside
     ``[center - halfwidth, center + halfwidth]`` and linear in between.
-    The support may not extend below zero (rates cannot go negative).
+    The support may not extend below zero (rates cannot go negative), and
+    its upper end must be finite.
     """
 
     center: float
@@ -48,6 +49,7 @@ class TriangularFuzzyNumber:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", finite("center", self.center))
         object.__setattr__(self, "halfwidth", nonnegative("halfwidth", self.halfwidth))
+        finite("center + halfwidth", self.center + self.halfwidth)
         if self.center - self.halfwidth < 0.0:
             raise ValueError(
                 "support extends below zero: "
@@ -155,6 +157,11 @@ def alpha_cut(f: TriangularFuzzyNumber, alpha: float) -> AlphaCutInterval:
 
 
 def _availability_endpoints(lam: AlphaCutInterval, mu: AlphaCutInterval) -> tuple[float, float]:
+    """The hull of A at the two corners (mu_lo, lambda_hi) and (mu_hi,
+    lambda_lo).  In exact arithmetic the first corner is the lower end, but
+    where lambda/mu is below about 1e-15 both round to within an ulp of 1,
+    and the rounding can put them in either order; taking their min and max
+    changes nothing where they come out in order."""
     if lam.hi == 0.0 and mu.hi == 0.0:
         raise ValueError(
             "availability undefined: failure and repair rates are both "
@@ -164,7 +171,7 @@ def _availability_endpoints(lam: AlphaCutInterval, mu: AlphaCutInterval) -> tupl
     # are then 1 (failure rate zero) and 0 (repair rate zero).
     lo = mu.lo / (mu.lo + lam.hi) if mu.lo + lam.hi > 0.0 else 1.0
     hi = mu.hi / (mu.hi + lam.lo) if mu.hi + lam.lo > 0.0 else 0.0
-    return lo, hi
+    return min(lo, hi), max(lo, hi)
 
 
 def fuzzy_availability(

@@ -15,20 +15,23 @@ bucketing, or the process that walks the tiles.
 
 The engine simulates a tile at a time: a ``run_replication`` call walks the
 replications of the tile of rows holding its index, within an aligned block
-of ``_SUBSTREAM_BLOCK`` indices, at once, as arrays.  Each of the two most
-recent blocks keeps the last tile walked for it, so the calls for the rest of
-that tile return kept traces whose events are views of the tile's one event
-array.  ``run_simulation`` streams: it takes the campaign's walked tiles in
-index order, holds each in its block, and buckets the traces a chunk at a
-time as they are drawn, a handful of numpy calls per chunk, keeping only
-each replication's up fraction and failure count.  A campaign of any length
-or mission time therefore holds one tile of traces per kept block, one
-exposure chunk and 16 bytes per replication.  Each
-replication draws the raw outputs of numpy's PCG64 for its substream, times
-go through ``math.log``, not ``np.log``, which differs from it in the last
-bit on some platforms, and every clock and bin adds in event order, so the
-results equal those of a scalar one-draw-at-a-time loop bit for bit
-(``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
+of ``_SUBSTREAM_BLOCK`` indices, at once, as arrays.  The module holds the
+one tile walked last, so the calls for the rest of that tile return kept
+traces whose events are views of the tile's one event array; a call for any
+other tile, or for another campaign, walks its tile in place of the held
+one.  Calls from several threads at once therefore stay correct, and
+campaigns interleaved call by call walk their tiles again, to the same
+traces.  ``run_simulation`` streams: it takes the campaign's walked tiles in
+index order, holds each, and buckets the traces a chunk at a time as they
+are drawn, a handful of numpy calls per chunk, keeping only each
+replication's up fraction and failure count.  A campaign of any length or
+mission time therefore holds one tile of traces, one exposure chunk and 16
+bytes per replication.  Each replication draws the raw outputs of numpy's
+PCG64 for its substream, times go through ``math.log``, not ``np.log``,
+which differs from it in the last bit on some platforms, and every clock and
+bin adds in event order, so the results equal those of a scalar
+one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py``
+keeps such a loop as its reference).
 
 Walking the tiles and bucketing them take about the same time, so a large
 campaign does both at once: ``run_simulation`` forks one walker process
@@ -40,8 +43,8 @@ replications; there is no option for it.  Everything else, a
 ``run_replication`` call of its own too, walks in the calling thread.  The
 walker is reaped before ``run_simulation`` returns or raises, and killed
 first if it has not sent every tile.  Its memory is that of a separate
-process: the walk's temporaries do not count in the caller's resident set.
-Calls from several threads at once stay correct.
+process: the walk's temporaries, and the seed words it hashes, do not count
+in the caller's resident set.
 
 The engine draws in rounds, a window of uniforms for every row still walking,
 from one of two kinds of substream, chosen per campaign from its expected
@@ -59,9 +62,10 @@ so the choice changes no result.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
-whole aligned block of replication indices at once (``_substream_block``),
-and each substream's PCG64 is seeded from its row of that block.  Tests
-check the rows against numpy's own SeedSequence for equality.
+whole aligned block of replication indices at once (``_substream_block``,
+which keeps the last block hashed for the tiles after it), and each
+substream's PCG64 is seeded from its row of that block.  Tests check the
+rows against numpy's own SeedSequence for equality.
 """
 
 from __future__ import annotations
@@ -176,6 +180,7 @@ def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+@functools.lru_cache(maxsize=1)
 def _substream_block(master_seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of replications ``block * _SUBSTREAM_BLOCK`` onwards,
     one row of four uint64 per replication."""
@@ -229,8 +234,8 @@ class ReplicationTrace:
 
     The constructor takes the (time_to_failure, repair_time) pairs;
     ``run_replication`` returns traces whose ``events`` are read-only views
-    of one event array per tile of its block.  Up and down times must be
-    finite and >= 0.  Instances are immutable.
+    of their tile's one event array.  Up and down times must be finite and
+    >= 0.  Instances are immutable.
     """
 
     __slots__ = ("events", "up_time", "down_time")
@@ -563,73 +568,61 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     return events, counts, up0, down0
 
 
-class _TracesByRow(dict):
-    """Traces of the first rows of a substream block, by row, walked a tile
-    of rows under ``TILE_ELEMENTS`` at a time on demand, or held as
-    ``run_simulation`` hands the walked tiles over.
+def _walk_tile(cfg: SimulationConfig, index: int):
+    """Walk the tile of rows holding replication ``index``: returns the
+    tile's first index and ``_walk``'s four arrays for it.
 
-    Only the tile last held is kept: a row in it is a dict lookup, and any
-    other row walks the tile holding it in place of the held one.  Each
-    trace's events are a view of its tile's read-only event array.
+    A tile is a run of rows under ``TILE_ELEMENTS`` within the index's
+    aligned block of ``_SUBSTREAM_BLOCK`` indices, which is cut at
+    ``cfg.n_replications`` (the whole block for an index past it).
     """
-
-    __slots__ = ("_rates", "_kind", "_width", "_tile", "_words")
-
-    def __init__(self, failure_rate, repair_rate, mission_time, words: np.ndarray) -> None:
-        self._rates = failure_rate, repair_rate, mission_time
-        self._kind, self._width = _draw_plan(*self._rates)
-        self._tile = max(1, TILE_ELEMENTS // self._width)
-        self._words = words
-
-    def tiles(self) -> range:
-        """The first row of each tile, in order."""
-        return range(0, len(self._words), self._tile)
-
-    def walk(self, lo: int):
-        """``_walk`` over the tile whose first row is ``lo``."""
-        streams = self._kind(self._words[lo:lo + self._tile])
-        return _walk(streams, *self._rates, self._width)
-
-    def hold(self, lo: int, events: np.ndarray, counts: np.ndarray, up: np.ndarray, down: np.ndarray) -> None:
-        """Keep the walked tile whose first row is ``lo`` in place of the
-        held one."""
-        self.clear()
-        events.flags.writeable = False
-        ends = np.cumsum(counts).tolist()
-        for r, start, end, up_time, down_time in zip(
-            range(lo, lo + len(counts)), [0, *ends], ends, up.tolist(), down.tolist()
-        ):
-            trace = object.__new__(ReplicationTrace)
-            _set_trace(trace, events[start:end], up_time, down_time)
-            self[r] = trace
-
-    def __missing__(self, row: int) -> ReplicationTrace:
-        lo = row - row % self._tile
-        self.hold(lo, *self.walk(lo))
-        return self[row]
-
-
-# A pure function of its arguments whose rows are immutable traces, so sharing
-# the two most recent blocks between callers changes no result.  Each block
-# holds one tile of traces, whichever of its rows was asked for last.
-@functools.lru_cache(maxsize=2)
-def _replication_block(failure_rate, repair_rate, mission_time, master_seed: int, block: int, n_rows: int):
-    """Traces of the first ``n_rows`` replications of a substream block, by
-    row; the draw plan and tile size are worked out here, once per block."""
-    words = _substream_block(master_seed, block)[:n_rows]
-    return _TracesByRow(failure_rate, repair_rate, mission_time, words)
-
-
-def _block_of(cfg: SimulationConfig, index: int) -> tuple[_TracesByRow, int]:
-    """The kept block holding replication ``index``, cut at
-    ``cfg.n_replications`` (the whole block for an index past it), and the
-    index's row in it."""
+    rates = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
+    kind, width = _draw_plan(*rates)
+    rows = max(1, TILE_ELEMENTS // width)
     block, row = divmod(index, _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
         n_rows = _SUBSTREAM_BLOCK
-    traces = _replication_block(cfg.failure_rate, cfg.repair_rate, cfg.mission_time, cfg.master_seed, block, n_rows)
-    return traces, row
+    lo = row - row % rows
+    words = _substream_block(cfg.master_seed, block)[lo:min(lo + rows, n_rows)]
+    return block * _SUBSTREAM_BLOCK + lo, *_walk(kind(words), *rates, width)
+
+
+def _tiles(cfg: SimulationConfig):
+    """Walk the campaign's tiles in index order, in this process: yields the
+    first index of each tile and ``_walk``'s four arrays for it."""
+    index = 0
+    while index < cfg.n_replications:
+        first, events, counts, up, down = _walk_tile(cfg, index)
+        yield first, events, counts, up, down
+        index = first + len(counts)
+
+
+# The one walked tile kept: (key, first index, traces).  _hold replaces the
+# tuple whole, so a reader sees one tile or the other, never a mix.
+_held = (None, 0, ())
+
+
+def _tile_key(cfg: SimulationConfig) -> tuple:
+    """What a row's trace depends on besides its index: the rates, the
+    mission time and the seed, not the campaign's length."""
+    return cfg.failure_rate, cfg.repair_rate, cfg.mission_time, cfg.master_seed
+
+
+def _hold(cfg: SimulationConfig, first: int, events, counts, up, down) -> tuple:
+    """Keep the walked tile whose first index is ``first`` in place of the
+    held one, as traces whose events are views of its read-only event
+    array; returns the new held tuple."""
+    global _held
+    events.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    traces = []
+    for start, end, up_time, down_time in zip([0, *ends], ends, up.tolist(), down.tolist()):
+        trace = object.__new__(ReplicationTrace)
+        _set_trace(trace, events[start:end], up_time, down_time)
+        traces.append(trace)
+    held = _held = _tile_key(cfg), first, traces
+    return held
 
 
 def run_replication(cfg: SimulationConfig, replication_index: int) -> ReplicationTrace:
@@ -637,26 +630,17 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     clock passes the horizon, crediting the final partial period only up to
     the horizon.
 
-    Replications are simulated a tile of rows at a time: a call simulates
-    the tile holding its index, within the index's aligned block of
-    ``_SUBSTREAM_BLOCK`` indices cut at ``cfg.n_replications`` (the whole
-    block for an index past it).  Each of the two most recent blocks keeps
-    the last tile it walked, so a later call for an index in a kept tile
-    returns its kept trace, and any other index walks its tile again, to
-    the same trace values.  Indices are checked as SeedSequence checks a
-    spawn key.
+    Replications are simulated a tile of rows at a time (``_walk_tile``):
+    a call for an index in the held tile of the same rates, mission time and
+    seed returns its kept trace, and any other index walks its tile in place
+    of the held one, to the same trace values.  Indices are checked as
+    SeedSequence checks a spawn key.
     """
-    traces, row = _block_of(cfg, integer("replication_index", replication_index, 0))
-    return traces[row]
-
-
-def _tiles(cfg: SimulationConfig):
-    """Walk the campaign's tiles in index order, in this process: yields the
-    first index of each tile and ``_walk``'s four arrays for it."""
-    for first in range(0, cfg.n_replications, _SUBSTREAM_BLOCK):
-        traces, _ = _block_of(cfg, first)
-        for lo in traces.tiles():
-            yield first + lo, *traces.walk(lo)
+    index = integer("replication_index", replication_index, 0)
+    key, first, traces = _held
+    if key != _tile_key(cfg) or not first <= index < first + len(traces):
+        _, first, traces = _hold(cfg, *_walk_tile(cfg, index))
+    return traces[index - first]
 
 
 # Campaigns of at least this many replications walk in a forked process
@@ -896,10 +880,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     failures = np.empty(n)
 
     def replications(tiles):
-        for first, events, counts, up, down in tiles:
-            traces, row = _block_of(cfg, first)
-            traces.hold(row, events, counts, up, down)
-            for i in range(first, first + len(counts)):
+        for tile in tiles:
+            _, first, traces = _hold(cfg, *tile)
+            for i in range(first, first + len(traces)):
                 trace = run_replication(cfg, i)
                 up_fractions[i] = trace.up_time / cfg.mission_time
                 failures[i] = trace.n_failures

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pmurel import simulate
+
 
 @pytest.fixture
 def golden_section():
@@ -44,3 +46,18 @@ def golden_section():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_tiles():
+    """Start and end with no tile of traces held and no block of seed words
+    kept by the Monte Carlo engine; call the fixture's value to drop them
+    mid-test."""
+
+    def forget():
+        simulate._held = (None, 0, ())
+        simulate._substream_block.cache_clear()
+
+    forget()
+    yield forget
+    forget()

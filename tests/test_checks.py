@@ -176,6 +176,19 @@ def test_non_integer_raises_type_error_naming_the_field(name, value, build):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: TriangularFuzzyNumber(1e308, 0.9e308), id="triangle"),
+        pytest.param(lambda: fuzzy(failure_rate_center=1e308, halfwidth_fraction=0.9), id="failure_rate_center"),
+        pytest.param(lambda: fuzzy(repair_rate_center=1e308, halfwidth_fraction=0.9), id="repair_rate_center"),
+    ],
+)
+def test_triangle_whose_support_overflows_is_rejected(build):
+    with pytest.raises(ValueError, match=r"^center \+ halfwidth must be finite, got inf$"):
+        build()
+
+
 def test_empty_ratio_grid_is_rejected():
     with pytest.raises(ValueError, match="ratio grid must not be empty"):
         FitSection(())

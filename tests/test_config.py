@@ -327,6 +327,24 @@ class TestLoadConfig:
                 }),
                 "section 'fuzzy': failure_rate_center must be finite and > 0, got 0.0",
             ),
+            (
+                minimal_doc(fuzzy={
+                    "failure_rate_center": 1e308,
+                    "repair_rate_center": 2.0,
+                    "repair_rate_unit": "events_per_year",
+                    "halfwidth_fraction": 0.9,
+                }),
+                "section 'fuzzy': center + halfwidth must be finite, got inf",
+            ),
+            (
+                # 8760 hours a year over 1e-320 hours a repair overflows
+                minimal_doc(fuzzy={
+                    "failure_rate_center": 0.5,
+                    "repair_rate_center": 1e-320,
+                    "repair_rate_unit": "hours_per_repair",
+                }),
+                "section 'fuzzy': center must be finite, got inf",
+            ),
         ],
     )
     def test_section_errors_name_their_path(self, doc, message):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmurel.fuzzy import (
     AlphaCutInterval,
@@ -10,6 +12,7 @@ from pmurel.fuzzy import (
     defuzzify,
     fuzzy_availability,
     fuzzy_unavailability,
+    uniform_alpha_grid,
 )
 
 FAILURE = TriangularFuzzyNumber(0.6566, 0.06566)
@@ -151,6 +154,33 @@ class TestAvailability:
     def test_rejects_bad_grids(self, grid):
         with pytest.raises(ValueError):
             fuzzy_availability(FAILURE, REPAIR, grid)
+
+
+# rates log-uniform over [1e-12, 1e12]
+RATES = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+class TestBandsOverAllRates:
+    @settings(max_examples=300, deadline=None)
+    @given(lam=RATES, mu=RATES, fraction=st.floats(0.0, 1.0, exclude_max=True), levels=st.integers(1, 40))
+    # lambda/mu near 1e-16: both corners round to within an ulp of 1, in
+    # either order
+    @example(lam=1.11e-9, mu=8.5e6, fraction=0.1, levels=11)
+    def test_cuts_are_ordered_nested_and_hold_the_crisp_value(self, lam, mu, fraction, levels):
+        failure = TriangularFuzzyNumber(lam, fraction * lam)
+        repair = TriangularFuzzyNumber(mu, fraction * mu)
+        grid = uniform_alpha_grid(levels)
+        crisp = mu / (lam + mu)
+        for band, value in ((fuzzy_availability(failure, repair, grid), crisp),
+                            (fuzzy_unavailability(failure, repair, grid), 1.0 - crisp)):
+            assert band.alphas == grid
+            for cut in band.cuts:
+                assert cut.lo <= cut.hi
+            # nested within the few ulps FuzzyIndex allows
+            for outer, inner in zip(band.cuts, band.cuts[1:]):
+                assert inner.lo >= outer.lo - 1e-12 and inner.hi <= outer.hi + 1e-12
+            core = band.cuts[-1]
+            assert core.alpha == 1.0 and core.lo <= value <= core.hi
 
 
 class TestUnavailability:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,9 @@ REPAIR_RATE = 22.2898
 MISSION = 10.0
 CLOSED_FORM_AVAILABILITY = REPAIR_RATE / (FAILURE_RATE + REPAIR_RATE)
 RENEWAL_MEAN_FAILURES = MISSION / (1.0 / FAILURE_RATE + 1.0 / REPAIR_RATE)
+
+
+pytestmark = pytest.mark.usefixtures("fresh_tiles")
 
 
 def base_config(**overrides):
@@ -98,10 +102,10 @@ class TestSampleExponential:
         assert len(ttf) > 100000
         assert abs(ttf.mean() * FAILURE_RATE - 1.0) < 0.01
 
-    def test_fixed_seed_reproduces_sequence(self):
+    def test_fixed_seed_reproduces_sequence(self, fresh_tiles):
         cfg = base_config(n_replications=50)
         first = [run_replication(cfg, i) for i in range(50)]
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
         for i, trace in enumerate(first):
             again = run_replication(cfg, i)
             assert again is not trace
@@ -189,9 +193,9 @@ class TestReplicationRng:
         "seed,index,same_as",
         [(True, False, (1, 0)), (False, True, (0, 1)), (np.int64(9), np.uint64(BLOCK), (9, BLOCK))],
     )
-    def test_booleans_and_numpy_integers_are_accepted(self, seed, index, same_as):
+    def test_booleans_and_numpy_integers_are_accepted(self, seed, index, same_as, fresh_tiles):
         trace = replication_trace(seed, index)
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
         want = replication_trace(*same_as)
         assert np.array_equal(trace.events, want.events)
         assert (trace.up_time, trace.down_time) == (want.up_time, want.down_time)
@@ -306,13 +310,8 @@ TINY = 2.0**-53
 
 
 class TestDrawPath:
-    @pytest.fixture(autouse=True)
-    def fresh_blocks(self):
-        # scripted draws must neither use nor leave a kept block
-        simulate._replication_block.cache_clear()
-        yield
-        simulate._replication_block.cache_clear()
-
+    # scripted draws must neither use nor leave a held tile: the module's
+    # fresh_tiles drops it before and after each test
     def scripted(self, monkeypatch, width, *values):
         stream = _ScriptedStream(*values)
         monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (lambda words: stream, width))
@@ -331,11 +330,11 @@ class TestDrawPath:
         trace = run_replication(base_config(n_replications=1), 0)
         assert trace.cycles == ((-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),)
 
-    def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch):
+    def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch, fresh_tiles):
         cfg = base_config(mission_time=100.0, n_replications=5)
         expected = [run_replication(cfg, i) for i in range(5)]
         for streams in (simulate._ArrayStreams, simulate._NativeStreams):
-            simulate._replication_block.cache_clear()
+            fresh_tiles()
             seeded = []
 
             def recording_streams(words, streams=streams):
@@ -448,7 +447,8 @@ class TestRunSimulation:
     @pytest.mark.parametrize("chunk", [1, 7, simulate.EXPOSURE_CHUNK])
     def test_identical_for_any_chunk_size(self, chunk, monkeypatch, tmp_path):
         # two whole substream blocks and part of a third, so the streamed run
-        # drops a block from the two-block cache while it still buckets
+        # replaces the held tile and the kept seed words while it still
+        # buckets
         n = 2 * simulate._SUBSTREAM_BLOCK + 37
         cfg = base_config(n_replications=n)
 
@@ -470,89 +470,116 @@ class TestRunSimulation:
         assert output_bytes(summary, f"chunk{chunk}") == default
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
-    def test_memory_grows_by_the_per_replication_arrays_only(self):
-        # Whatever its length, the streamed campaign holds one tile of traces
-        # per cached block and one exposure chunk, plus 16 bytes per
+    def test_memory_grows_by_the_per_replication_arrays_only(self, fresh_tiles):
+        # Whatever its length, the streamed campaign holds one tile of traces,
+        # one block of seed words and one exposure chunk, plus 16 bytes per
         # replication for the up fractions and failure counts; holding every
-        # trace costs hundreds.  Both sizes fill the two-block cache, so the
-        # tiles cancel.
+        # trace costs hundreds.  Both sizes hold the same tile and block
+        # sizes, so those cancel.
         def peak(blocks):
             cfg = base_config(n_replications=blocks * simulate._SUBSTREAM_BLOCK)
-            simulate._replication_block.cache_clear()
+            fresh_tiles()
             tracemalloc.start()
             try:
                 run_simulation(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                simulate._replication_block.cache_clear()
+                fresh_tiles()
 
         run_simulation(base_config(n_replications=10))  # fills the module's other caches
         added = 4 * simulate._SUBSTREAM_BLOCK
         assert peak(7) - peak(3) <= 64 * added
 
-    def test_memory_does_not_grow_with_mission_time(self):
+    def test_memory_does_not_grow_with_mission_time(self, fresh_tiles):
         # Ten times the mission means ten times the events per trace; only one
         # tile of them is alive at a time, and a tile's rows shrink as its
         # rounds widen, so the peak stays put.  Holding whole blocks of traces
         # grows it by about 6 MiB here.
         def peak(mission_time):
             cfg = base_config(mission_time=mission_time, n_replications=1000)
-            simulate._replication_block.cache_clear()
+            fresh_tiles()
             tracemalloc.start()
             try:
                 run_simulation(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                simulate._replication_block.cache_clear()
+                fresh_tiles()
 
         run_simulation(base_config(n_replications=10))  # fills the module's other caches
         assert peak(400.0) - peak(40.0) <= 2**20
 
-    def test_revisited_tiles_are_walked_again_to_the_same_traces(self, monkeypatch):
+    def test_revisited_tiles_are_walked_again_to_the_same_traces(self, monkeypatch, fresh_tiles):
         # runs of 101 consecutive indices in shuffled order, over two whole
-        # blocks and part of a third: runs come back to tiles their block
-        # already dropped, in both whole blocks
+        # blocks and part of a third: runs come back to tiles already
+        # replaced by another, in both whole blocks
         n = 2 * simulate._SUBSTREAM_BLOCK + 37
         cfg = base_config(n_replications=n)
-        simulate._replication_block.cache_clear()
         want = [run_replication(cfg, i) for i in range(n)]
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
 
         walked = []
-        missing = simulate._TracesByRow.__missing__
+        walk_tile = simulate._walk_tile
 
-        def recording_missing(traces, row):
-            # a block is known by its first row's seed words
-            walked.append((traces._words[0].tobytes(), row - row % traces._tile))
-            return missing(traces, row)
+        def recording_walk_tile(cfg, index):
+            tile = walk_tile(cfg, index)
+            walked.append(tile[0])
+            return tile
 
-        monkeypatch.setattr(simulate._TracesByRow, "__missing__", recording_missing)
+        monkeypatch.setattr(simulate, "_walk_tile", recording_walk_tile)
         runs = [range(lo, min(lo + 101, n)) for lo in range(0, n, 101)]
         random.Random(12).shuffle(runs)
         for i in (i for run in runs for i in run):
             got = run_replication(cfg, i)
             assert np.array_equal(got.events, want[i].events)
             assert (got.up_time, got.down_time) == (want[i].up_time, want[i].down_time)
-        simulate._replication_block.cache_clear()
         for block in (0, 1):
-            first_row = simulate._substream_block(cfg.master_seed, block)[0].tobytes()
-            tiles = [tile for b, tile in walked if b == first_row]
+            tiles = [first for first in walked if first // simulate._SUBSTREAM_BLOCK == block]
             assert len(tiles) > len(set(tiles))
 
     @pytest.mark.parametrize("tile", [1, 75, 4 * simulate.TILE_ELEMENTS])
-    def test_identical_for_any_tile_size(self, tile, monkeypatch):
+    def test_identical_for_any_tile_size(self, tile, monkeypatch, fresh_tiles):
         cfg = base_config(n_replications=300)
-        simulate._replication_block.cache_clear()
         default = [run_replication(cfg, i) for i in range(cfg.n_replications)]
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
         monkeypatch.setattr(simulate, "TILE_ELEMENTS", tile)
         for i, want in enumerate(default):
             got = run_replication(cfg, i)
             assert np.array_equal(got.events, want.events)
             assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
-        simulate._replication_block.cache_clear()
+
+    def test_threads_interleaving_campaigns_get_their_own_traces(self, fresh_tiles):
+        # six threads on two cores, each calling its own campaign in index
+        # order 50 times over, replace the one held tile under each other;
+        # a call that read the held tile in two steps could mix two tiles
+        configs = [base_config(n_replications=120, master_seed=seed) for seed in range(6)]
+        want = [[run_replication(cfg, i) for i in range(cfg.n_replications)] for cfg in configs]
+        fresh_tiles()
+        start = threading.Barrier(len(configs))
+        wrong = []
+
+        def calls(cfg, expected):
+            start.wait()
+            for _ in range(50):
+                for i, trace in enumerate(expected):
+                    got = run_replication(cfg, i)
+                    if not (np.array_equal(got.events, trace.events)
+                            and (got.up_time, got.down_time) == (trace.up_time, trace.down_time)):
+                        wrong.append((cfg.master_seed, i))
+
+        threads = [threading.Thread(target=calls, args=pair) for pair in zip(configs, want)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_narrow_rounds_never_import_numpy_random(self, tmp_path):
         # the default campaign draws from array streams; a fresh interpreter

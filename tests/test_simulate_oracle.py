@@ -28,6 +28,8 @@ from pmurel.simulate import (
 
 BLOCK = simulate._SUBSTREAM_BLOCK
 
+pytestmark = pytest.mark.usefixtures("fresh_tiles")
+
 
 def reference_sample_exponential(rate, rng):
     u = rng.random()
@@ -159,7 +161,6 @@ def test_engine_matches_scalar_reference(
 @pytest.mark.parametrize("n_replications", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_block_edges_match_scalar_reference(n_replications):
     # the block is cut at n_replications, and BLOCK + 1 starts a second one
-    simulate._replication_block.cache_clear()
     cfg = config(n_replications=n_replications, master_seed=n_replications)
     traces = [run_replication(cfg, i) for i in range(n_replications)]
     references = [reference_run_replication(cfg, i) for i in range(n_replications)]
@@ -180,7 +181,6 @@ def mission_with_native_round(draws, failure_rate=0.6566, repair_rate=22.2898):
 @pytest.mark.parametrize("offset", [-2, 0, 2])
 def test_stream_kinds_at_the_threshold_match_scalar_reference(offset):
     # just below, at and above the widest native round drawn from array streams
-    simulate._replication_block.cache_clear()
     draws = simulate.ARRAY_STREAM_DRAWS + offset
     cfg = config(mission_time=mission_with_native_round(draws), n_replications=60, master_seed=draws)
     kind, width = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)
@@ -199,7 +199,6 @@ def test_stream_kinds_at_the_threshold_match_scalar_reference(offset):
 @pytest.mark.parametrize("mission_time", [0.3, 10.0, 40.0])
 def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch):
     # one cycle per round: every row resumes its real stream many times
-    simulate._replication_block.cache_clear()
     monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (getattr(simulate, kind), 2))
     cfg = config(mission_time=mission_time, n_replications=25, master_seed=2**63 - 25)
     traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
@@ -215,7 +214,6 @@ def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch)
 )
 def test_single_call_matches_scalar_reference(n_replications, index):
     # an index in a later block, or at or past n_replications, called on its own
-    simulate._replication_block.cache_clear()
     cfg = config(n_replications=n_replications, master_seed=7)
     assert_same_trace(run_replication(cfg, index), reference_run_replication(cfg, index), cfg.mission_time)
 
@@ -223,8 +221,8 @@ def test_single_call_matches_scalar_reference(n_replications, index):
 @settings(max_examples=20, deadline=None)
 @given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4 * BLOCK)), min_size=2, max_size=10))
 def test_out_of_order_calls_match_scalar_reference(calls):
-    # three configurations and five blocks against a cache of two blocks;
-    # short missions keep each block cheap
+    # three configurations and five blocks against one held tile and one
+    # kept block of seed words; short missions keep each block cheap
     configs = [
         config(mission_time=0.5, n_replications=3 * BLOCK + 5, master_seed=1),
         config(mission_time=0.5, n_replications=2, master_seed=1),

@@ -1,6 +1,7 @@
 """The forked walker of run_simulation: the same results whatever the layout,
 and no process or file descriptor left behind on any path."""
 
+import functools
 import os
 import signal
 import subprocess
@@ -17,19 +18,15 @@ BLOCK = simulate._SUBSTREAM_BLOCK
 # above the walker's threshold and ending in a partial block
 N_WALKED = simulate.WALKER_MIN_REPLICATIONS + 1234
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the walker needs os.fork")
+pytestmark = [
+    pytest.mark.skipif(not hasattr(os, "fork"), reason="the walker needs os.fork"),
+    pytest.mark.usefixtures("fresh_tiles"),
+]
 
 
 def config(mission_time=10.0, n_replications=N_WALKED, master_seed=42):
     return SimulationConfig(failure_rate=0.6566, repair_rate=22.2898, mission_time=mission_time,
                             n_replications=n_replications, master_seed=master_seed)
-
-
-@pytest.fixture(autouse=True)
-def fresh_blocks():
-    simulate._replication_block.cache_clear()
-    yield
-    simulate._replication_block.cache_clear()
 
 
 @pytest.fixture
@@ -93,7 +90,8 @@ class TestSelection:
 
 class TestSameResultsWhateverTheLayout:
     @pytest.mark.parametrize("mission_time,kind", [(10.0, "_ArrayStreams"), (30.0, "_NativeStreams")])
-    def test_walker_equals_in_process_and_single_calls(self, mission_time, kind, forks, monkeypatch):
+    def test_walker_equals_in_process_and_single_calls(self, mission_time, kind, forks, monkeypatch,
+                                                       fresh_tiles):
         cfg = config(mission_time=mission_time, master_seed=2**40 + 3)
         plan = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)
         assert plan[0] is getattr(simulate, kind)
@@ -101,13 +99,38 @@ class TestSameResultsWhateverTheLayout:
         forked = run_simulation(cfg)
         assert len(forks) == 1
         monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
         assert run_simulation(cfg) == forked
         assert len(forks) == 1
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
         traces = (run_replication(cfg, i) for i in range(cfg.n_replications))
         assert build_exposure_table(traces, cfg) == forked.exposure
         assert_no_children()
+
+
+class TestSeedWordsAreHashedWhereTilesAreWalked:
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Count the blocks of seed words this process hashes."""
+        blocks = []
+        real = simulate._substream_block.__wrapped__
+
+        def counting(master_seed, block):
+            blocks.append(block)
+            return real(master_seed, block)
+
+        monkeypatch.setattr(simulate, "_substream_block", functools.lru_cache(maxsize=1)(counting))
+        return blocks
+
+    def test_a_forked_campaign_hashes_none_in_the_calling_process(self, hashed, forks):
+        run_simulation(config())
+        assert len(forks) == 1
+        assert hashed == []
+
+    def test_an_in_process_campaign_hashes_each_block_once(self, hashed, monkeypatch):
+        monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
+        run_simulation(config())
+        assert hashed == list(range(-(-N_WALKED // BLOCK)))
 
 
 class TestProcessHygiene:
@@ -175,10 +198,10 @@ class TestProcessHygiene:
         assert open_fds() == before
         assert_no_children()
 
-    def test_failed_fork_walks_in_process(self, deadline, monkeypatch):
+    def test_failed_fork_walks_in_process(self, deadline, monkeypatch, fresh_tiles):
         cfg = config()
         expected = run_simulation(cfg)
-        simulate._replication_block.cache_clear()
+        fresh_tiles()
 
         def failing_fork():
             raise BlockingIOError("no process to spare")
