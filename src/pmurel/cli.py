@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: ``fuzzy`` (uncertainty bands and
 crisp rates), ``curve`` (component reliability curves), ``markov`` (state
 probabilities of the unified model), ``simulate`` (Monte Carlo campaign),
 ``fit`` (interaction-rate estimation from an exposure table) and
-``pipeline`` (all of the above in order, with a plain-text report).
+``pipeline`` (fuzzy, simulate, fit, curve and markov in that order, the
+simulation at the fuzzy stage's crisp rates, with a plain-text report).
 
 Every command reads one JSON configuration document (built-in defaults when
 ``--config`` is omitted) and writes CSV files into the output directory.
@@ -33,7 +34,7 @@ from .config import (
     load_config,
 )
 from .csvout import write_csv
-from .curves import pmu_reliability_curve
+from .curves import InteractionParams, pmu_reliability_curve
 from .fitting import FitResult, effective_rate, fit_scan
 from .fuzzy import (
     FuzzyIndex,
@@ -43,7 +44,7 @@ from .fuzzy import (
     fuzzy_unavailability,
     uniform_alpha_grid,
 )
-from .markov import StateDistribution, operational_mass, transient_grid
+from .markov import StateDistribution, interaction_reliability_markov, operational_mass, transient_grid
 from .simulate import ExposureTable, SimulationConfig, SimulationSummary, run_simulation
 
 EXIT_OK = 0
@@ -142,9 +143,9 @@ def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
     return results
 
 
-def _curve(cv: CurvesSection, out: Path) -> list[tuple]:
+def _curve(cv: CurvesSection, inter: InteractionParams, out: Path) -> list[tuple]:
     """Write curve.csv and return its rows (t, R_hw, R_sw, R_int, R_pmu)."""
-    rows = pmu_reliability_curve(cv.hardware, cv.software, cv.interaction, cv.time_grid.values())
+    rows = pmu_reliability_curve(cv.hardware, cv.software, inter, cv.time_grid.values())
     write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
     return rows
 
@@ -200,12 +201,18 @@ def _pipeline(cfg: RunConfig, out: Path, args) -> None:
     sim = replace(cfg.simulation, failure_rate=lam, repair_rate=mu)
     summary = stage("simulate", _simulate, sim, out)
     results = stage("fit", _fit, summary.exposure, cfg.fit.ratios(), out)
-    curve = stage("curve", _curve, cfg.curves, out)
+    inter = cfg.markov.interaction()
+    curve = stage("curve", _curve, cfg.curves, inter, out)
+    stage("markov", _markov, cfg.markov, out)
 
     unit = cfg.time_unit[:-1] if cfg.time_unit.endswith("s") else cfg.time_unit
     renewal = sim.mission_time / (1.0 / lam + 1.0 / mu)
     grid = cfg.curves.time_grid
     _, r_hw, r_sw, r_int, r_pmu = curve[-1]
+    gen = cfg.markov.generator
+    # the closed form solves the chain exactly when UP and HD3 have no other exits
+    two_stage = -gen.rate("UP", "UP") == inter.lambda1 and -gen.rate("HD3", "HD3") == inter.lambda2
+    chain = interaction_reliability_markov(gen, grid.stop)
     report = [
         "PMU reliability pipeline report",
         "===============================",
@@ -235,13 +242,22 @@ def _pipeline(cfg: RunConfig, out: Path, args) -> None:
         "    (the effective rate is the only identified quantity;"
         " it is the same for every G)",
         f"    it estimates the simulated failure rate lambda = {sim.failure_rate:.6g} per {unit},"
-        " not the interaction rates of curves.interaction",
+        " not the interaction rates UP->HD3 and HD3->F_INT of markov.transitions",
         "    file: fit.csv",
         "",
         f"[4] component reliability curves over [{grid.start:g}, {grid.stop:g}]",
         f"    at the horizon: hardware {r_hw:.6g}, software {r_sw:.6g},"
         f" interaction {r_int:.6g}, product {r_pmu:.6g}",
         "    file: curve.csv",
+        "",
+        f"[5] unified Markov chain from UP over [{cfg.markov.time_grid.start:g},"
+        f" {cfg.markov.time_grid.stop:g}], solved by uniformization",
+        f"    operational mass at t={grid.stop:g}: chain {chain:.14f},"
+        f" closed-form R_int {r_int:.14f}",
+        f"    difference chain - R_int: {chain - r_int:.2g}" if two_stage else
+        "    the chain leaves UP or HD3 by other transitions than UP->HD3 and HD3->F_INT,"
+        " so it differs from the two-stage closed form by design",
+        "    file: markov.csv",
     ]
     (out / "report.txt").write_text("\n".join(report) + "\n")
 
@@ -250,7 +266,7 @@ def _pipeline(cfg: RunConfig, out: Path, args) -> None:
 # writes its files into the output directory.
 _COMMANDS = {
     "fuzzy": lambda cfg, out, args: _fuzzy(cfg.fuzzy, out),
-    "curve": lambda cfg, out, args: _curve(cfg.curves, out),
+    "curve": lambda cfg, out, args: _curve(cfg.curves, cfg.markov.interaction(), out),
     "markov": lambda cfg, out, args: _markov(cfg.markov, out),
     "simulate": lambda cfg, out, args: _simulate(cfg.simulation, out),
     "fit": _fit_command,

@@ -6,18 +6,20 @@ Unknown keys anywhere are rejected by name, so typos never silently fall
 back to defaults.  Command-line flags override file values after loading.
 
 Sections hold the engine's own types: the keys of ``curves.hardware``,
-``curves.software``, ``curves.interaction`` and ``simulation`` are the fields
-of ``HardwareParams``, ``SoftwareParams``, ``InteractionParams`` and
-``SimulationConfig``, and those types check their values; ``markov``
-transitions are checked by building their generator, which the section
-keeps.  The whole document is read by one generic loader, ``_build``, that
-follows the field types of ``RunConfig`` down to its sections.  Each default
-is declared once, on a field: a section's factory on ``RunConfig`` and a
-key's default on its section type, and a document may omit either.  This
-module checks only the JSON shape (objects, numbers, integers, required
-keys) and the rules of the types it defines itself.  The engine types and the
-section types reject a value with a ValueError, which ``checked`` turns into a
-ConfigError naming where the value came from: a section path or a flag.
+``curves.software`` and ``simulation`` are the fields of ``HardwareParams``,
+``SoftwareParams`` and ``SimulationConfig``, and those types check their
+values; ``markov`` transitions are checked by building their generator, which
+the section keeps.  The interaction rates have one home, the ``markov``
+transitions ``UP->HD3`` and ``HD3->F_INT``: the curve's ``InteractionParams``
+are read from them (``MarkovSection.interaction``).  The whole document is
+read by one generic loader, ``_build``, that follows the field types of
+``RunConfig`` down to its sections.  Each default is declared once, on a
+field: a section's factory on ``RunConfig`` and a key's default on its
+section type, and a document may omit either.  This module checks only the
+JSON shape (objects, numbers, integers, required keys) and the rules of the
+types it defines itself.  The engine types and the section types reject a
+value with a ValueError, which ``checked`` turns into a ConfigError naming
+where the value came from: a section path or a flag.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
@@ -26,6 +28,9 @@ is a mean repair duration in hours, converted to 8760/value events per
 year, so it needs ``time_unit`` ``"years"``).  Apart from that one
 conversion, all rates and times share the single declared ``time_unit`` and
 are never converted implicitly.
+
+A ``pmu-reliability/1`` document still loads: its ``curves.interaction``, a
+second copy of the chain's rates, is taken out and must equal them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .fuzzy import TriangularFuzzyNumber
 from .markov import GeneratorMatrix, build_unified_model
 from .simulate import SimulationConfig
 
-SCHEMA = "pmu-reliability/1"
+SCHEMA = "pmu-reliability/2"
+SCHEMA_1 = "pmu-reliability/1"
 HOURS_PER_YEAR = 8760.0
 
 REPAIR_RATE_UNITS = ("events_per_year", "hours_per_repair")
@@ -183,7 +189,7 @@ class FuzzySection:
     def repair_number(self) -> TriangularFuzzyNumber:
         c = self.repair_rate_center
         if self.repair_rate_unit == "hours_per_repair":
-            c = HOURS_PER_YEAR / c
+            c = positive("repair_rate_center in events per year", HOURS_PER_YEAR / c)
         return TriangularFuzzyNumber(c, self.halfwidth_fraction * c)
 
     @classmethod
@@ -199,11 +205,11 @@ class FuzzySection:
 
 @dataclass(frozen=True)
 class CurvesSection:
-    """Component curve parameters and the grid they are evaluated on."""
+    """Hardware and software curve parameters and the curves' time grid; the
+    interaction rates are the chain's (``MarkovSection.interaction``)."""
 
     hardware: HardwareParams
     software: SoftwareParams
-    interaction: InteractionParams
     time_grid: TimeGrid
 
 
@@ -218,6 +224,10 @@ class MarkovSection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generator", build_unified_model(self.transitions))
+
+    def interaction(self) -> InteractionParams:
+        """The two-stage curve's rates: the chain's ``UP->HD3`` and ``HD3->F_INT``."""
+        return InteractionParams(self.generator.rate("UP", "HD3"), self.generator.rate("HD3", "F_INT"))
 
 
 @dataclass(frozen=True)
@@ -260,7 +270,6 @@ class RunConfig:
     curves: CurvesSection = field(default_factory=lambda: CurvesSection(
         HardwareParams(rate=0.6566, shape=1.0),
         SoftwareParams(total_faults=10.0, detection_rate=0.1, startup_time=5.0),
-        InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3),
         TimeGrid(0.0, 10.0, 101),
     ))
     markov: MarkovSection = field(default_factory=lambda: MarkovSection(
@@ -286,9 +295,22 @@ def config_from_dict(doc) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     _check_keys(doc, {"schema", *(f.name for f in fields(RunConfig))}, "configuration")
     schema = doc.get("schema")
-    if schema != SCHEMA:
-        raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
-    return _build(RunConfig, {k: v for k, v in doc.items() if k != "schema"}, "")
+    if schema not in (SCHEMA, SCHEMA_1):
+        raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r} (or {SCHEMA_1!r})")
+    body = {k: v for k, v in doc.items() if k != "schema"}
+    curves = body.get("curves")
+    copied = schema == SCHEMA_1 and isinstance(curves, dict) and "interaction" in curves
+    if copied:
+        body["curves"] = {k: v for k, v in curves.items() if k != "interaction"}
+    cfg = _build(RunConfig, body, "")
+    if copied:
+        given = _build(InteractionParams, curves["interaction"], "curves.interaction")
+        chain = cfg.markov.interaction()
+        if given != chain:
+            raise ConfigError(
+                f"curves.interaction ({given.lambda1!r}, {given.lambda2!r}) disagrees with "
+                f"markov.transitions UP->HD3/HD3->F_INT ({chain.lambda1!r}, {chain.lambda2!r})")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -8,7 +8,9 @@ Three factors multiply into the overall PMU reliability:
   given prior test/startup exposure T, i.e. exp(-[m(t + T) - m(T)]),
 * hardware-software interaction: survival of the two-stage chain
   UP -> degraded -> failed, the hypoexponential form
-  (l2 * exp(-l1 t) - l1 * exp(-l2 t)) / (l2 - l1).
+  (l2 * exp(-l1 t) - l1 * exp(-l2 t)) / (l2 - l1).  This is the unified
+  Markov model's UP -> HD3 -> F_INT path, and a run configuration takes the
+  two rates from that chain's transitions (``MarkovSection.interaction``).
 
 Rates and times carry one user-declared unit (years by default); nothing
 here converts units.
@@ -59,6 +61,8 @@ class InteractionParams:
     lambda1: rate of undetected hardware degradation (UP -> HD3),
     lambda2: rate at which that degradation induces system failure
     (HD3 -> interaction failure).
+    Each is finite and >= 0, as the chain's rates are; 0 is a path never
+    taken, and the survival is then exactly 1.
     """
 
     lambda1: float
@@ -66,7 +70,7 @@ class InteractionParams:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2"):
-            positive(name, getattr(self, name))
+            nonnegative(name, getattr(self, name))
 
 
 def weibull_reliability(p: HardwareParams, t: float) -> float:

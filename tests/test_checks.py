@@ -82,8 +82,8 @@ SCALAR_FIELDS = [
     ("detection_rate", 0.0, NONNEGATIVE, lambda v: SoftwareParams(total_faults=1.0, detection_rate=v)),
     ("startup_time", 0.0, NONNEGATIVE,
      lambda v: SoftwareParams(total_faults=1.0, detection_rate=0.1, startup_time=v)),
-    ("lambda1", 1e-3, POSITIVE, lambda v: InteractionParams(lambda1=v, lambda2=2e-3)),
-    ("lambda2", 2e-3, POSITIVE, lambda v: InteractionParams(lambda1=1e-3, lambda2=v)),
+    ("lambda1", 1e-3, NONNEGATIVE, lambda v: InteractionParams(lambda1=v, lambda2=2e-3)),
+    ("lambda2", 2e-3, NONNEGATIVE, lambda v: InteractionParams(lambda1=1e-3, lambda2=v)),
     ("time", 0.0, NONNEGATIVE, lambda v: weibull_reliability(HW, v)),
     ("time", 0.0, NONNEGATIVE, lambda v: nhpp_mean_value(SW, v)),
     ("time", 0.0, NONNEGATIVE, lambda v: software_reliability(SW, v)),

@@ -7,9 +7,18 @@ from pmurel import markov
 from pmurel.cli import main
 from pmurel.config import SCHEMA
 from pmurel.csvout import write_csv
+from pmurel.curves import InteractionParams, interaction_reliability_closed_form
+from pmurel.markov import build_unified_model, interaction_reliability_markov
 from pmurel.simulate import ExposureTable
 
 CRISP_AVAILABILITY = 22.2898 / (22.2898 + 0.6566)
+
+# every transition of the unified model, with fast repairs and restarts
+STIFF = {
+    "UP->HD1": 1e-3, "UP->HD2": 2e-3, "UP->HD3": 8.92e-4, "UP->SD": 5e-2,
+    "HD1->F_HW": 1e-2, "HD2->F_HW": 5e-3, "HD2->UP": 50.0, "HD3->F_INT": 3.92e-3,
+    "SD->F_SW": 1e-2, "SD->UP": 500.0,
+}
 
 
 def read_csv(path):
@@ -95,6 +104,23 @@ class TestCurveCommand:
             t, r_hw, r_sw, r_int, r_pmu = (float(v) for v in row)
             assert r_pmu == r_hw * r_sw * r_int
 
+    def test_interaction_curve_follows_the_chain(self, tmp_path):
+        rates = {"UP->HD3": 2e-3, "HD3->F_INT": 5e-3}
+        grid = {"start": 0.0, "stop": 10.0, "count": 3}
+        path = write_config(tmp_path, markov={"transitions": rates, "time_grid": grid})
+        assert main(["curve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        chain = build_unified_model(rates)
+        for row in read_csv(tmp_path / "out" / "curve.csv")[1]:
+            t, _, _, r_int, _ = (float(v) for v in row)
+            assert r_int == interaction_reliability_closed_form(InteractionParams(2e-3, 5e-3), t)
+            assert abs(r_int - interaction_reliability_markov(chain, t)) <= 1e-10
+
+    def test_chain_without_up_to_hd3_never_fails_by_interaction(self, tmp_path):
+        grid = {"start": 0.0, "stop": 10.0, "count": 3}
+        path = write_config(tmp_path, markov={"transitions": {"UP->HD1": 0.1}, "time_grid": grid})
+        assert main(["curve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert [float(row[3]) for row in read_csv(tmp_path / "out" / "curve.csv")[1]] == [1.0] * 101
+
 
 class TestMarkovCommand:
     def test_builds_the_generator_once(self, tmp_path, monkeypatch):
@@ -110,15 +136,10 @@ class TestMarkovCommand:
             name = getattr(module, "__name__", "")
             if name.split(".")[0] == "pmurel" and getattr(module, "build_unified_model", None) is build:
                 monkeypatch.setattr(module, "build_unified_model", spy)
-        stiff = {
-            "UP->HD1": 1e-3, "UP->HD2": 2e-3, "UP->HD3": 8.92e-4, "UP->SD": 5e-2,
-            "HD1->F_HW": 1e-2, "HD2->F_HW": 5e-3, "HD2->UP": 50.0, "HD3->F_INT": 3.92e-3,
-            "SD->F_SW": 1e-2, "SD->UP": 500.0,
-        }
         grid = {"start": 0.0, "stop": 20.0, "count": 51}
-        path = write_config(tmp_path, markov={"transitions": stiff, "time_grid": grid})
+        path = write_config(tmp_path, markov={"transitions": STIFF, "time_grid": grid})
         assert main(["markov", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert calls == [stiff]
+        assert calls == [STIFF]
         assert len(read_csv(tmp_path / "out" / "markov.csv")[1]) == 51
 
     def test_short_poisson_sum_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -272,6 +293,7 @@ class TestPipelineCommand:
             "exposure.csv",
             "fit.csv",
             "curve.csv",
+            "markov.csv",
             "report.txt",
         ):
             assert (out / name).exists(), name
@@ -293,6 +315,25 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         assert "effective rate 0\n" in (out / "report.txt").read_text()
 
+    def test_report_compares_the_chain_with_the_closed_form(self, tmp_path):
+        cfg = write_config(tmp_path, simulation=small_sim_section(n=100))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "chain 0.99982794388940, closed-form R_int 0.99982794388900" in report
+        assert "difference chain - R_int: 4e-13\n" in report
+
+    def test_report_says_a_chain_with_other_exits_differs_by_design(self, tmp_path):
+        grid = {"start": 0.0, "stop": 20.0, "count": 5}
+        cfg = write_config(tmp_path, simulation=small_sim_section(n=100),
+                           markov={"transitions": STIFF, "time_grid": grid})
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "differs from the two-stage closed form by design" in report
+        assert "difference" not in report
+        assert len(read_csv(out / "markov.csv")[1]) == 5
+
     def test_pipeline_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, simulation=small_sim_section())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -305,7 +346,6 @@ class TestPipelineCommand:
         curves = {
             "hardware": {"rate": 0.6566, "shape": 1.0},
             "software": {"total_faults": 10.0, "detection_rate": 0.1},
-            "interaction": {"lambda1": 8.92e-4, "lambda2": 3.92e-3},
             "time_grid": {"start": 0.3, "stop": 7.7, "count": 5},
         }
         cfg = write_config(tmp_path, curves=curves, simulation=small_sim_section(n=100))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pmurel.config import (
     SCHEMA,
+    SCHEMA_1,
     ConfigError,
     FitSection,
     FuzzySection,
@@ -20,8 +21,17 @@ from pmurel.config import (
     default_config,
     load_config,
 )
+from pmurel.curves import InteractionParams
 from pmurel.fuzzy import uniform_alpha_grid
 from pmurel.markov import build_unified_model
+
+
+# a curves section of a schema 2 document
+CURVES = {
+    "hardware": {"rate": 1.0, "shape": 2.0},
+    "software": {"total_faults": 1.0, "detection_rate": 0.1},
+    "time_grid": {"start": 0.0, "stop": 10.0, "count": 3},
+}
 
 
 def minimal_doc(**extra):
@@ -64,6 +74,11 @@ class TestSchemaAndKeys:
         with pytest.raises(ConfigError, match="schema"):
             config_from_dict({"schema": "pmu-reliability/999"})
 
+    def test_interaction_rates_are_a_copy_only_in_schema_1(self):
+        curves = {**CURVES, "interaction": {"lambda1": 1e-3, "lambda2": 2e-3}}
+        with pytest.raises(ConfigError, match="^unknown key 'interaction' in section 'curves'$"):
+            config_from_dict(minimal_doc(curves=curves))
+
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigError, match="fuzy"):
             config_from_dict(minimal_doc(fuzy={}))
@@ -89,6 +104,43 @@ class TestSchemaAndKeys:
         section = readme.split("\n## Configuration\n", 1)[1]
         block = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
         assert config_from_dict(json.loads(block)) == default_config()
+
+
+class TestSchema1:
+    """Schema 1 documents declared the chain's interaction rates a second
+    time, as ``curves.interaction``."""
+
+    def v1(self, interaction, **sections):
+        return {"schema": SCHEMA_1, "curves": {**CURVES, "interaction": interaction}, **sections}
+
+    def test_document_without_the_copy_loads_as_schema_2(self):
+        assert config_from_dict({"schema": SCHEMA_1}) == default_config()
+        assert config_from_dict({"schema": SCHEMA_1, "curves": CURVES}) == config_from_dict(
+            minimal_doc(curves=CURVES))
+
+    @pytest.mark.parametrize("rates", [(8.92e-4, 3.92e-3), (2e-3, 5e-3), (0, 1)])
+    def test_agreeing_copy_loads_as_if_absent(self, rates):
+        markov = {"transitions": {"UP->HD3": rates[0], "HD3->F_INT": rates[1]},
+                  "time_grid": {"start": 0.0, "stop": 10.0, "count": 3}}
+        doc = self.v1(dict(zip(("lambda1", "lambda2"), rates)), markov=markov)
+        cfg = config_from_dict(doc)
+        assert cfg == config_from_dict(minimal_doc(curves=CURVES, markov=markov))
+        assert cfg.markov.interaction() == InteractionParams(*rates)
+
+    def test_disagreeing_copy_names_both_keys(self):
+        doc = self.v1({"lambda1": 1e-3, "lambda2": 3.92e-3})
+        message = ("curves.interaction (0.001, 0.00392) disagrees with "
+                   "markov.transitions UP->HD3/HD3->F_INT (0.000892, 0.00392)")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    def test_bad_copy_is_checked_as_a_section(self):
+        with pytest.raises(ConfigError, match="^section 'curves.interaction': lambda2 must be finite and >= 0"):
+            config_from_dict(self.v1({"lambda1": 8.92e-4, "lambda2": -1.0}))
+        with pytest.raises(ConfigError, match="^unknown key 'lambda3' in section 'curves.interaction'$"):
+            config_from_dict(self.v1({"lambda1": 8.92e-4, "lambda2": 3.92e-3, "lambda3": 1.0}))
+        with pytest.raises(ConfigError, match="^section 'curves.interaction' must be a JSON object$"):
+            config_from_dict(self.v1(None))
 
 
 class TestFuzzySection:
@@ -293,11 +345,10 @@ class TestLoadConfig:
             curves={
                 "hardware": {"rate": 1.0, "shape": -2.0},
                 "software": {"total_faults": 1.0, "detection_rate": 0.1},
-                "interaction": {"lambda1": 1e-3, "lambda2": 2e-3},
                 "time_grid": {"start": 0.0, "stop": 10.0, "count": 3},
             }
         )
-        with pytest.raises(ConfigError, match="curves"):
+        with pytest.raises(ConfigError, match="^section 'curves.hardware': shape must be"):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -307,7 +358,6 @@ class TestLoadConfig:
                 minimal_doc(curves={
                     "hardware": {"rate": 1.0, "shape": 1.0},
                     "software": {"total_faults": 1.0, "detection_rate": 0.1},
-                    "interaction": {"lambda1": 1e-3, "lambda2": 2e-3},
                     "time_grid": {"start": 5.0, "stop": 5.0, "count": 3},
                 }),
                 "section 'curves.time_grid': time grid stop must exceed start",
@@ -343,7 +393,7 @@ class TestLoadConfig:
                     "repair_rate_center": 1e-320,
                     "repair_rate_unit": "hours_per_repair",
                 }),
-                "section 'fuzzy': center must be finite, got inf",
+                "section 'fuzzy': repair_rate_center in events per year must be finite and > 0, got inf",
             ),
         ],
     )

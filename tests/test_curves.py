@@ -41,10 +41,13 @@ class TestParams:
             SoftwareParams(total_faults=1.0, detection_rate=0.1, startup_time=-1.0)
 
     def test_interaction_validation(self):
-        with pytest.raises(ValueError):
-            InteractionParams(lambda1=0.0, lambda2=1.0)
+        # 0 is a path never taken, as in the chain the rates come from
+        for p in (InteractionParams(0.0, 1.0), InteractionParams(1.0, 0.0), InteractionParams(0.0, 0.0)):
+            assert interaction_reliability_closed_form(p, 5.0) == 1.0
         with pytest.raises(ValueError):
             InteractionParams(lambda1=1.0, lambda2=-1.0)
+        with pytest.raises(ValueError):
+            InteractionParams(lambda1=math.nan, lambda2=1.0)
 
 
 class TestWeibull:
