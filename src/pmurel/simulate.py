@@ -27,11 +27,12 @@ are drawn, a handful of numpy calls per chunk, keeping only each
 replication's up fraction and failure count.  A campaign of any length or
 mission time therefore holds one tile of traces, one exposure chunk and 16
 bytes per replication.  Each replication draws the raw outputs of numpy's
-PCG64 for its substream, times go through ``math.log``, not ``np.log``,
-which differs from it in the last bit on some platforms, and every clock and
-bin adds in event order, so the results equal those of a scalar
-one-draw-at-a-time loop bit for bit (``tests/test_simulate_oracle.py``
-keeps such a loop as its reference).
+PCG64 for its substream, times go through the module's own natural log
+(``_log``, a port of fdlibm's in IEEE ``+ - * /`` alone), not the
+platform's libm, and every clock and bin adds in event order.  So the
+results depend on the seed alone, not on the platform, and equal those of a
+scalar one-draw-at-a-time loop over the same log bit for bit
+(``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
 
 Walking the tiles and bucketing them take about the same time, so a large
 campaign does both at once: ``run_simulation`` forks one walker process
@@ -457,6 +458,48 @@ def _draw_plan(failure_rate: float, repair_rate: float, mission_time: float) -> 
     return _ArrayStreams, max(2, 2 * math.ceil(cycles))
 
 
+# fdlibm's e_log.c (Sun Microsystems, 1993): ln 2 split in two, and the
+# coefficients of its minimax polynomial in s = f / (2 + f).
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG1, _LG2, _LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
+_LG4, _LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
+_LG6, _LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural log of uniforms in [2**-53, 1], elementwise: fdlibm's
+    ``__ieee754_log`` in its general form, without its branches for zero,
+    negative, subnormal, infinite or NaN input, or for f near 0.
+
+    With x = m * 2**k and m in [√½, √2), f = m - 1 and s = f / (2 + f),
+    log x = k ln2_hi - ((f²/2 - (s (f²/2 + R) + k ln2_lo)) - f), R a
+    polynomial in s².  It takes ``frexp`` and IEEE ``+ - * /`` alone, and
+    numpy ufuncs apply one rounded operation each, with no fused
+    multiply-add, so the result is the same on every IEEE-754 platform.
+    It is within one ulp of the true log, and log 1 is +0.0.
+    """
+    m, k = np.frexp(x)
+    low = m < _SQRT_HALF
+    m *= 1.0 + low  # doubles m where it is low, exactly
+    k -= low
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
+    r += w * (_LG2 + w * (_LG4 + w * _LG6))
+    hfsq = 0.5 * f * f
+    r += hfsq
+    r *= s
+    r += k * _LN2_LO
+    hfsq -= r
+    hfsq -= f
+    out = k * _LN2_HI
+    out -= hfsq
+    return out
+
+
 def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, width: int):
     """Simulate one replication per row of ``streams`` to the horizon.
 
@@ -466,14 +509,14 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     each, and each one's up and down time.
 
     A raw draw becomes ``(raw >> 11) * 2**-53``, the value ``Generator.random``
-    returns, and exact zeros are skipped.  Times are ``-math.log(u) / rate``:
-    ``np.log`` only locates each walk's end, to choose the draws whose exact
-    logs are taken.  Every clock and total is an ``np.add.accumulate`` over
-    durations in event order led by the running value, so it rounds as
-    ``clock += ttf; clock += ttr`` does.  A replication that runs out of
-    draws, or whose repair was clipped at the horizon without its clock
-    reaching it, carries its totals into the next round and resumes its
-    stream at its first unused draw.
+    returns, and exact zeros are skipped.  Times are ``-_log(u) / rate``,
+    the package's own log, so they are the same bits on every platform, and
+    each round takes them and its clocks once.  Every clock and total is an
+    ``np.add.accumulate`` over durations in event order led by the running
+    value, so it rounds as ``clock += ttf; clock += ttr`` does.  A
+    replication that runs out of draws, or whose repair was clipped at the
+    horizon without its clock reaching it, carries its totals into the next
+    round and resumes its stream at its first unused draw.
     """
     n = len(streams)
     # running clock, start of the next up period, up time and down time
@@ -495,33 +538,24 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
             u = np.take_along_axis(u, skips, axis=1)
             avail -= zero.sum(axis=1)
             u[cols >= avail[:, None]] = 1.0
-        dur = np.log(u)
-        clock = dur / neg_rates
-        clock[:, 0] += clock0[active]
-        np.add.accumulate(clock, axis=1, out=clock)
-        crossed = clock >= horizon
-        first = crossed.argmax(axis=1)
-        # at least one whole cycle, so that a row np.log ends too early still
-        # moves on
-        usable = np.minimum(np.where(crossed[rows, first], np.maximum(first, 1) + 1, width), avail)
-        exact = cols < usable[:, None]
-        dur[exact] = np.fromiter(map(math.log, memoryview(u[exact])), float, int(usable.sum()))
+        dur = _log(u)
         dur /= neg_rates
-        np.copyto(clock, dur)
+        clock = dur.copy()
         clock[:, 0] += clock0[active]
         np.add.accumulate(clock, axis=1, out=clock)
+        drawn = cols < avail[:, None]
 
         ttf, ttr = dur[:, 0::2], dur[:, 1::2]
         fail_at, repaired = clock[:, 0::2], clock[:, 1::2]
         gap = horizon - fail_at
         clipped = gap < ttr
-        stop = np.empty_like(exact)
+        stop = np.empty_like(drawn)
         np.greater_equal(fail_at, horizon, out=stop[:, 0::2])
         np.logical_or(clipped, repaired >= horizon, out=stop[:, 1::2])
-        stop &= exact
+        stop &= drawn
         end = stop.argmax(axis=1)
         ended = stop[rows, end]
-        n_cycles = np.where(ended, (end + 1) // 2, usable // 2)
+        n_cycles = np.where(ended, (end + 1) // 2, avail // 2)
         by_failure = ended & (end % 2 == 0)
         clip = np.flatnonzero(ended & (end % 2 == 1) & clipped[rows, end // 2])
         credited = ttr.copy()

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -252,3 +254,30 @@ def test_c7_software_reliability_spot_check():
     )
     ok = abs(value - 0.02165) <= 1e-4
     verdict("C7 software-reliability spot", ok, f"R(10) = {value:.6f}")
+
+
+def test_c8_campaign_matches_its_exact_expectations():
+    # The campaign starts UP, so with a = lambda + mu its mission-average
+    # availability is mu/a + lambda (1 - e^{-aT}) / (a^2 T) and its expected
+    # failure count lambda T times that.  One 100k-mission campaign at a
+    # fixed seed must lie within 4 of its own standard errors of both: a
+    # bias in the times, such as a log that rounds one way, shows here long
+    # before it reaches C1's or C6's tolerance.
+    a = FAILURE_RATE + REPAIR_RATE
+    availability = REPAIR_RATE / a - FAILURE_RATE * math.expm1(-a * MISSION) / (a * a * MISSION)
+    failures = FAILURE_RATE * MISSION * availability
+    summary = run_simulation(replace(MC_CONFIG, n_replications=100_000))
+    z_availability = (summary.availability - availability) / summary.availability_se
+    z_failures = (summary.mean_failures - failures) / summary.mean_failures_se
+    ok = (
+        round(availability, 7) == 0.9715102
+        and round(failures, 5) == 6.37894
+        and abs(z_availability) <= 4.0
+        and abs(z_failures) <= 4.0
+    )
+    verdict(
+        "C8 exact-expectations",
+        ok,
+        f"availability {summary.availability:.7f} vs {availability:.7f} (z {z_availability:+.2f}), "
+        f"failures {summary.mean_failures:.5f} vs {failures:.5f} (z {z_failures:+.2f})",
+    )

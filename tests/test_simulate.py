@@ -82,11 +82,11 @@ class TestSampleExponential:
         u = round(math.exp(-1.0) * 2**53) * 2.0**-53
         for rate in (0.6566, 2.0, 22.2898):
             events, *_ = simulate._walk(_ScriptedStream(u, u, TINY, 0.5), rate, rate, 10.0 / rate, 4)
-            assert events[0, 0] == -math.log(u) / rate == pytest.approx(1.0 / rate, rel=1e-12)
+            assert events[0, 0] == -port_log(u) / rate == pytest.approx(1.0 / rate, rel=1e-12)
 
     def test_zero_uniform_draw_is_rejected(self):
         events, *_ = simulate._walk(_ScriptedStream(0.0, 0.5, 0.5, TINY), 1.0, 1.0, 10.0, 4)
-        assert events[0, 0] == -math.log(0.5)
+        assert events[0, 0] == -port_log(0.5)
 
     def test_rejects_nonpositive_rate(self):
         # the rates a draw is divided by are checked where a campaign is built
@@ -115,6 +115,12 @@ class TestSampleExponential:
     def test_different_replications_differ(self):
         cfg = base_config(n_replications=2)
         assert run_replication(cfg, 0).cycles != run_replication(cfg, 1).cycles
+
+
+def port_log(u):
+    """The engine's log of one uniform, ``simulate._log``: not the
+    platform's ``math.log``, which may round it otherwise."""
+    return float(simulate._log(np.array([u]))[0])
 
 
 def seed_sequence_rng(seed, index):
@@ -328,7 +334,7 @@ class TestDrawPath:
         # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
         self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, TINY, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(n_replications=1), 0)
-        assert trace.cycles == ((-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),)
+        assert trace.cycles == ((-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),)
 
     def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch, fresh_tiles):
         cfg = base_config(mission_time=100.0, n_replications=5)
@@ -356,8 +362,8 @@ class TestDrawPath:
         trace = run_replication(base_config(n_replications=1), 0)
         assert stream.draws == [(0, 4), (2, 4)]
         assert trace.cycles == (
-            (-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),
-            (-math.log(0.25) / FAILURE_RATE, -math.log(0.8) / REPAIR_RATE),
+            (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
+            (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),
         )
 
     def test_window_without_two_nonzero_draws_widens(self, monkeypatch):
@@ -367,43 +373,38 @@ class TestDrawPath:
         trace = run_replication(base_config(n_replications=1), 0)
         assert stream.draws == [(0, 2), (2, 2), (2, 4)]
         assert trace.cycles == (
-            (-math.log(0.5) / FAILURE_RATE, -math.log(0.9) / REPAIR_RATE),
-            (-math.log(0.25) / FAILURE_RATE, -math.log(0.8) / REPAIR_RATE),
+            (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
+            (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),
         )
 
-    def test_walk_that_np_log_ends_too_early_moves_on(self, monkeypatch):
-        # np.log puts the first failure exactly at the horizon and math.log
-        # just before it, so the walk must take the repair draw as well
-        script = [None, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5]
-        uniforms = seed_sequence_rng(2023, 1).random(100000)
-        exact = np.array([-math.log(u) for u in uniforms.tolist()]) / FAILURE_RATE
-        for u in uniforms[np.log(uniforms) / -FAILURE_RATE > exact].tolist():
-            script[0] = u
-            horizon = float(np.log(np.array([script]))[0, 0] / -FAILURE_RATE)
-            if horizon > -math.log(u) / FAILURE_RATE:
-                break
-        else:
-            pytest.skip("np.log never exceeds math.log on the sampled uniforms here")
-        stream = self.scripted(monkeypatch, 8, *script)
+    def test_failure_exactly_at_the_horizon_ends_the_walk(self, monkeypatch):
+        # a first failure time equal to the horizon counts as reaching it,
+        # as the scalar loop's clock + ttf >= horizon does: no failure, the
+        # whole mission up, and no draw after the first round
+        u = seed_sequence_rng(2023, 1).random()
+        horizon = -port_log(u) / FAILURE_RATE
+        stream = self.scripted(monkeypatch, 8, u, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(mission_time=horizon, n_replications=1), 0)
-        ttf = -math.log(u) / FAILURE_RATE
-        assert trace.cycles == ((ttf, horizon - ttf),)
+        assert trace.cycles == ()
+        assert (trace.up_time, trace.down_time) == (horizon, 0.0)
         assert stream.draws == [(0, 8)]
 
-    def test_times_use_math_log(self, monkeypatch):
-        uniforms = seed_sequence_rng(2023, 0).random(100000)
+    def test_times_use_the_log_port(self, monkeypatch):
+        # a uniform whose time the port and the platform's math.log round
+        # apart: the engine takes the port's, whatever the platform
+        uniforms = seed_sequence_rng(2023, 0).random(1000)
+        ported = (-simulate._log(uniforms) / FAILURE_RATE).tolist()
         differing = [
-            u for u in uniforms.tolist()
-            if -math.log(u) / FAILURE_RATE != float(-np.log(u) / FAILURE_RATE)
+            (u, t) for u, t in zip(uniforms.tolist(), ported) if t != -math.log(u) / FAILURE_RATE
         ]
         if not differing:
-            pytest.skip("np.log and math.log agree on every sampled uniform here")
-        u = differing[0]
+            pytest.skip("math.log agrees with the port on every sampled uniform here")
+        u, want = differing[0]
         # u's failure time is below 50 unless u < 6e-15; TINY's is above 50
         self.scripted(monkeypatch, 8, u, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(mission_time=50.0, n_replications=1), 0)
-        assert trace.cycles[0][0] == -math.log(u) / FAILURE_RATE
-        assert trace.failure_times()[0] == -math.log(u) / FAILURE_RATE
+        assert trace.cycles[0][0] == want
+        assert trace.failure_times()[0] == want
 
 
 class TestReplicationTrace:

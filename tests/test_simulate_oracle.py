@@ -31,11 +31,33 @@ BLOCK = simulate._SUBSTREAM_BLOCK
 pytestmark = pytest.mark.usefixtures("fresh_tiles")
 
 
+# fdlibm's e_log.c (Sun Microsystems, 1993), as the engine's _log takes it
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+LG1, LG2, LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
+LG4, LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
+LG6, LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
+
+
+def reference_log(x):
+    """fdlibm's log of one float in (0, 1], step by step in Python floats,
+    whose operations round as the engine's numpy ufuncs do."""
+    m, k = math.frexp(x)
+    if m < math.sqrt(0.5):
+        m, k = 2.0 * m, k - 1
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7))) + w * (LG2 + w * (LG4 + w * LG6))
+    hfsq = 0.5 * f * f
+    return k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+
+
 def reference_sample_exponential(rate, rng):
     u = rng.random()
     while u <= 0.0:
         u = rng.random()
-    return -math.log(u) / rate
+    return -reference_log(u) / rate
 
 
 @dataclass(frozen=True)
@@ -300,3 +322,39 @@ def test_edge_aligned_traces_match_reference(quarters, n_intervals, mission_time
         assert trace.failure_times() == ref.failure_times()
         assert trace.up_periods(mission_time) == ref.up_periods(mission_time)
     assert_same_table(traces, references, cfg)
+
+
+def ulps_apart(a, b):
+    """Distance in ulps between float arrays of the same sign."""
+    return np.abs(np.asarray(a, dtype=float).view(np.int64) - np.asarray(b, dtype=float).view(np.int64))
+
+
+# uniforms as the engine draws them, k * 2**-53 with k in 1 ... 2**53
+uniform_lists = st.lists(st.integers(1, 2**53), min_size=1, max_size=64).map(
+    lambda ks: np.array(ks, dtype=float) * 2.0**-53
+)
+
+
+class TestLogPort:
+    """The engine's log, ``simulate._log``, against the platform's
+    ``math.log`` and the scalar port above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uniforms=uniform_lists)
+    def test_within_one_ulp_of_math_log(self, uniforms):
+        platform = [math.log(u) for u in uniforms.tolist()]
+        assert ulps_apart(simulate._log(uniforms), platform).max() <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(uniforms=uniform_lists)
+    def test_scalar_port_equals_vector_port(self, uniforms):
+        scalar = [reference_log(u) for u in uniforms.tolist()]
+        assert ulps_apart(simulate._log(uniforms), scalar).max() == 0
+
+    def test_powers_of_two_equal_math_log(self):
+        powers = 2.0 ** -np.arange(54.0)
+        assert simulate._log(powers).tolist() == [math.log(p) for p in powers.tolist()]
+
+    def test_log_of_one_is_positive_zero(self):
+        for zero in (simulate._log(np.array([1.0]))[0], reference_log(1.0)):
+            assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
