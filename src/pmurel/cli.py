@@ -9,8 +9,8 @@ simulation at the fuzzy stage's crisp rates, with a plain-text report).
 
 Every command reads one JSON configuration document (built-in defaults when
 ``--config`` is omitted) and writes CSV files into the output directory.
-Exit statuses: 0 success, 2 configuration error, 3 runtime/numerical error,
-4 I/O failure.
+Exit statuses: 0 success, 2 configuration error, 3 runtime/numerical error
+(running out of memory too), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -191,6 +191,8 @@ def _fit_command(cfg: RunConfig, out: Path, args) -> None:
 
 def _pipeline(cfg: RunConfig, out: Path, args) -> None:
     def stage(name, fn, *fn_args):
+        # MemoryError passes unchanged: numpy's subclass of it cannot be
+        # rebuilt from a message
         try:
             return fn(*fn_args)
         except (ConfigError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
@@ -298,6 +300,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

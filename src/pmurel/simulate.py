@@ -1,10 +1,15 @@
 """Sequential Monte Carlo simulation of failure/repair cycles over a mission.
 
 Each replication alternates exponentially distributed time-to-failure and
-time-to-repair draws (the constant-rate premise of the state model) and
-accumulates a clock until the mission horizon.  Replications are aggregated
-into availability and failure-count estimates plus the interval-bucketed
-exposure table consumed by the rate-fitting module.
+time-to-repair draws (the constant-rate premise of the state model) on one
+clock, ``clock += ttf; clock += ttr``, its last repair clipped at the mission
+horizon, and carries only that clock and its up time.  Its events have three
+columns (time to failure, credited repair, failure time): a failure time
+ends its up period, bit for bit, the next starts at it plus the credited
+repair, where the clock goes on, and the down time is derived from the
+events.  Replications are aggregated into availability and failure-count
+estimates plus the interval-bucketed exposure table consumed by the
+rate-fitting module.
 
 Reproducibility contract: replication i draws from its own substream, the
 PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
@@ -37,7 +42,8 @@ scalar one-draw-at-a-time loop over the same log bit for bit
 Walking the tiles and bucketing them take about the same time, so a large
 campaign does both at once: ``run_simulation`` forks one walker process
 (``os.fork``), which walks the tiles in index order and writes each tile's
-arrays to a pipe while the calling process buckets the tiles before it.
+events, counts and up times to a pipe while the calling process buckets the
+tiles before it.
 It does so only where the platform can fork, the process may run on at
 least two CPUs and the campaign has at least ``WALKER_MIN_REPLICATIONS``
 replications; there is no option for it.  Everything else, a
@@ -225,38 +231,33 @@ def _seed_words_class() -> type:
 class ReplicationTrace:
     """Failure/repair history of one replication, truncated at the mission end.
 
-    ``events`` holds one row (time_to_failure, repair_time, failure_time,
-    next_up_start) per failure that occurred before the mission horizon; the
-    repair time of the last row is clipped at the horizon if the mission ended
-    mid-repair.  ``failure_time`` is the clock walked as ``clock += ttf;
-    clock += ttr`` and ``next_up_start`` the start of the following up period,
-    walked as ``clock += ttf + ttr``.  A final up period that ran out the
-    mission clock appears in ``up_time`` only.
+    ``events`` holds one row (time_to_failure, repair_time, failure_time)
+    per failure before the mission horizon, on the one clock of the module
+    docstring; the last repair is clipped at the horizon if the mission
+    ended mid-repair.  A final up period that ran out the mission clock
+    appears in ``up_time`` only.
 
     The constructor takes the (time_to_failure, repair_time) pairs;
     ``run_replication`` returns traces whose ``events`` are read-only views
-    of their tile's one event array.  Up and down times must be finite and
-    >= 0.  Instances are immutable.
+    of their tile's one event array.  The up time must be finite and >= 0.
+    Instances are immutable.
     """
 
-    __slots__ = ("events", "up_time", "down_time")
+    __slots__ = ("events", "up_time")
 
-    def __init__(self, cycles, up_time: float, down_time: float) -> None:
+    def __init__(self, cycles, up_time: float) -> None:
         nonnegative("up_time", up_time)
-        nonnegative("down_time", down_time)
         rows = []
-        clock = start = 0.0
+        clock = 0.0
         for i, (ttf, ttr) in enumerate(cycles):
             positive(f"time_to_failure of cycle {i}", ttf)
             nonnegative(f"repair_time of cycle {i}", ttr)
             clock += ttf
-            fail_at = clock
+            rows += (ttf, ttr, clock)
             clock += ttr
-            start += ttf + ttr
-            rows += (ttf, ttr, fail_at, start)
-        events = np.array(rows, dtype=float).reshape(-1, 4)
+        events = np.array(rows, dtype=float).reshape(-1, 3)
         events.flags.writeable = False
-        _set_trace(self, events, up_time, down_time)
+        _set_trace(self, events, up_time)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -270,30 +271,35 @@ class ReplicationTrace:
     def n_failures(self) -> int:
         return len(self.events)
 
+    @property
+    def down_time(self) -> float:
+        """The repair times added one after another in cycle order (a
+        sequential sum, not numpy's pairwise one)."""
+        return float(np.add.accumulate(np.append(0.0, self.events[:, 1]))[-1])
+
     def failure_times(self) -> list[float]:
         """Absolute occurrence time of each failure, in order."""
         return self.events[:, 2].tolist()
 
     def up_periods(self, mission_time: float) -> list[tuple[float, float]]:
-        """Operating intervals [start, end] within [0, mission_time]."""
-        starts = [0.0, *self.events[:, 3].tolist()]
-        periods = [(s, s + ttf) for s, ttf in zip(starts, self.events[:, 0].tolist())]
+        """Operating intervals [start, end] within [0, mission_time]: each
+        ends at its failure time, the next starts at it plus the repair."""
+        _, repairs, failures = self.events.T.tolist()
+        starts = [0.0, *(f + r for f, r in zip(failures, repairs))]
+        periods = list(zip(starts, failures))
         if starts[-1] < mission_time:
             periods.append((starts[-1], mission_time))
         return periods
 
 
 # The slots' own setters, which ReplicationTrace.__setattr__ does not reach.
-_SET_EVENTS, _SET_UP_TIME, _SET_DOWN_TIME = (
-    ReplicationTrace.__dict__[name].__set__ for name in ReplicationTrace.__slots__
-)
+_SET_EVENTS, _SET_UP_TIME = (ReplicationTrace.__dict__[name].__set__ for name in ReplicationTrace.__slots__)
 
 
-def _set_trace(trace: ReplicationTrace, events: np.ndarray, up_time: float, down_time: float) -> None:
-    """Fill a trace with a read-only (n_failures x 4) event array."""
+def _set_trace(trace: ReplicationTrace, events: np.ndarray, up_time: float) -> None:
+    """Fill a trace with a read-only (n_failures x 3) event array."""
     _SET_EVENTS(trace, events)
     _SET_UP_TIME(trace, up_time)
-    _SET_DOWN_TIME(trace, down_time)
 
 
 class _NativeStreams:
@@ -506,7 +512,8 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     Each round draws ``width`` raw outputs for every row still walking and
     steps all of them at once.  Returns the events of every replication,
     in row order and cycle order within a row, the number of events of
-    each, and each one's up and down time.
+    each, and each one's up time: the two running values of a row, with
+    its clock.
 
     A raw draw becomes ``(raw >> 11) * 2**-53``, the value ``Generator.random``
     returns, and exact zeros are skipped.  Times are ``-_log(u) / rate``,
@@ -515,12 +522,13 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     ``np.add.accumulate`` over durations in event order led by the running
     value, so it rounds as ``clock += ttf; clock += ttr`` does.  A
     replication that runs out of draws, or whose repair was clipped at the
-    horizon without its clock reaching it, carries its totals into the next
-    round and resumes its stream at its first unused draw.
+    horizon without its clock reaching it, carries its clock and up time
+    into the next round and resumes its stream at its first unused draw;
+    its clock goes on from its last failure time plus its credited repair.
     """
     n = len(streams)
-    # running clock, start of the next up period, up time and down time
-    clock0, start0, up0, down0 = np.zeros((4, n))
+    # running clock and up time
+    clock0, up0 = np.zeros((2, n))
     counts = np.zeros(n, dtype=np.intp)
     active = np.arange(n)
     rounds = []
@@ -561,26 +569,18 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
         credited = ttr.copy()
         credited[clip, end[clip] // 2] = gap[clip, end[clip] // 2]
 
-        started = ttf + credited
-        started[:, 0] += start0[active]
-        np.add.accumulate(started, axis=1, out=started)
         up = ttf.copy()
         up[:, 0] += up0[active]
         np.add.accumulate(up, axis=1, out=up)
-        down = credited.copy()
-        down[:, 0] += down0[active]
-        np.add.accumulate(down, axis=1, out=down)
 
         last, walked = np.maximum(n_cycles - 1, 0), n_cycles > 0
         clock_k = np.where(walked, fail_at[rows, last] + credited[rows, last], clock0[active])
         up_k = np.where(walked, up[rows, last], up0[active])
         up0[active] = np.where(by_failure, up_k + (horizon - clock_k), up_k)
-        down0[active] = np.where(walked, down[rows, last], down0[active])
-        start0[active] = np.where(walked, started[rows, last], start0[active])
         clock0[active] = clock_k
         counts[active] += n_cycles
         walk = cols[: width // 2] < n_cycles[:, None]
-        events = np.column_stack((ttf[walk], credited[walk], fail_at[walk], started[walk]))
+        events = np.column_stack((ttf[walk], credited[walk], fail_at[walk]))
         rounds.append((active, n_cycles, events))
 
         going = ~(by_failure | (clock_k >= horizon))
@@ -599,12 +599,12 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     if len(rounds) > 1:
         owner = np.concatenate([np.repeat(a, k) for a, k, _ in rounds])
         events = events[np.argsort(owner, kind="stable")]
-    return events, counts, up0, down0
+    return events, counts, up0
 
 
 def _walk_tile(cfg: SimulationConfig, index: int):
     """Walk the tile of rows holding replication ``index``: returns the
-    tile's first index and ``_walk``'s four arrays for it.
+    tile's first index and ``_walk``'s three arrays for it.
 
     A tile is a run of rows under ``TILE_ELEMENTS`` within the index's
     aligned block of ``_SUBSTREAM_BLOCK`` indices, which is cut at
@@ -624,11 +624,11 @@ def _walk_tile(cfg: SimulationConfig, index: int):
 
 def _tiles(cfg: SimulationConfig):
     """Walk the campaign's tiles in index order, in this process: yields the
-    first index of each tile and ``_walk``'s four arrays for it."""
+    first index of each tile and ``_walk``'s three arrays for it."""
     index = 0
     while index < cfg.n_replications:
-        first, events, counts, up, down = _walk_tile(cfg, index)
-        yield first, events, counts, up, down
+        first, events, counts, up = _walk_tile(cfg, index)
+        yield first, events, counts, up
         index = first + len(counts)
 
 
@@ -643,7 +643,7 @@ def _tile_key(cfg: SimulationConfig) -> tuple:
     return cfg.failure_rate, cfg.repair_rate, cfg.mission_time, cfg.master_seed
 
 
-def _hold(cfg: SimulationConfig, first: int, events, counts, up, down) -> tuple:
+def _hold(cfg: SimulationConfig, first: int, events, counts, up) -> tuple:
     """Keep the walked tile whose first index is ``first`` in place of the
     held one, as traces whose events are views of its read-only event
     array; returns the new held tuple."""
@@ -651,9 +651,9 @@ def _hold(cfg: SimulationConfig, first: int, events, counts, up, down) -> tuple:
     events.flags.writeable = False
     ends = np.cumsum(counts).tolist()
     traces = []
-    for start, end, up_time, down_time in zip([0, *ends], ends, up.tolist(), down.tolist()):
+    for start, end, up_time in zip([0, *ends], ends, up.tolist()):
         trace = object.__new__(ReplicationTrace)
-        _set_trace(trace, events[start:end], up_time, down_time)
+        _set_trace(trace, events[start:end], up_time)
         traces.append(trace)
     held = _held = _tile_key(cfg), first, traces
     return held
@@ -745,9 +745,9 @@ def _forked_tiles(cfg: SimulationConfig):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                for first, events, counts, up, down in _tiles(cfg):
+                for first, events, counts, up in _tiles(cfg):
                     sizes = np.array([len(counts), len(events)], dtype=np.intp)
-                    for array in (sizes, events, counts, up, down):
+                    for array in (sizes, events, counts, up):
                         pipe.write(array)
             code = 0
         except BaseException:
@@ -767,7 +767,7 @@ def _forked_tiles(cfg: SimulationConfig):
                 if sizes is None:
                     break
                 rows, n_events = sizes.tolist()
-                layout = ((n_events, 4), float), (rows, np.intp), (rows, float), (rows, float)
+                layout = ((n_events, 3), float), (rows, np.intp), (rows, float)
                 tile = [_read_array(pipe, shape, dtype) for shape, dtype in layout]
                 if any(array is None for array in tile):
                     break
@@ -820,14 +820,13 @@ class ExposureTable:
 
 def _up_periods(chunk, events: np.ndarray, mission_time: float) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the chunk's up periods, in trace order and, within a
-    trace, cycle order with the tail period last.  Every trace gets a tail
-    (start, mission_time); one that starts at or after the horizon is empty
-    and overlaps no interval."""
+    trace, cycle order with the tail period last, as ``up_periods`` has
+    them.  Every trace gets a tail (start, mission_time); one that starts at
+    or after the horizon is empty and overlaps no interval."""
     lengths = np.fromiter((len(t.events) for t in chunk), dtype=np.intp, count=len(chunk))
     row_ends = np.cumsum(lengths)
-    starts = np.insert(events[:, 3], row_ends - lengths, 0.0)
-    cycle_starts = np.delete(starts, row_ends + np.arange(len(chunk)))
-    ends = np.insert(cycle_starts + events[:, 0], row_ends, mission_time)
+    starts = np.insert(events[:, 2] + events[:, 1], row_ends - lengths, 0.0)
+    ends = np.insert(events[:, 2], row_ends, mission_time)
     return starts, ends
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pmurel import markov
+from pmurel import cli, markov
 from pmurel.cli import main
 from pmurel.config import SCHEMA
 from pmurel.csvout import write_csv
@@ -196,6 +196,23 @@ class TestSimulateCommand:
         header, rows = read_csv(out / "exposure.csv")
         assert header == ["interval", "X_i", "T_i"]
         assert [int(r[0]) for r in rows] == list(range(1, 9))
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_campaign_too_large_for_memory_exits_3(self, tmp_path, capsys, command):
+        # 8e17 bytes per replication array is beyond any address space, so
+        # the allocation is refused at once
+        cfg = write_config(tmp_path, simulation=small_sim_section(n=10**17))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_memory_error_without_a_message_says_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def exhausted(sim):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_simulation", exhausted)
+        assert main(["simulate", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 class TestFitCommand:

@@ -20,9 +20,9 @@ GOLDEN = {
     "availability.csv": "2bfa2decabc27bb18059547ae431b523491feda4b79adba8b712da7572522020",
     "crisp.csv": "b4239a8d4e57cdfc69a92d5aa1ef1e6f1307e9309e43bd7b34b78b81a0cd06c0",
     "curve.csv": "f7e4b808dc9aa1dde1f8bb764fcbc94832a6dfdb341c5a613b6abe3aa23b086d",
-    "exposure.csv": "40867eb03526a2e40de4f323092a8e41fe7845bf43440d41db893e89886cb251",
+    "exposure.csv": "9b35c77c0728825b952de37ac43eea3069bb67ea0a266f9c201a8747234ba82c",
     "failure_rate.csv": "8e9b2f0cc5323d33623fd4fe3c72c0879bf8d6c789a30b494ac936ba7a8f7876",
-    "fit.csv": "8d70a1ad5765434bbe8f58d0c20c2e4d3462f65b79e920379ef159d8bf29c6c1",
+    "fit.csv": "887bd8df60f2c450aabf84855cebd53cb9041fa0cba2aca169cbe9baad77c21f",
     "repair_rate.csv": "209bdc103dfa9d4bb7e7a9d6dff8d3a3292c435bb0a7dd8b294363fea8895384",
     "report.txt": "e6804ba37ef5bace2f5aa8598464a0d9b4bbd0e3b3eb89ad5bd4017fd8a7c0c6",
     "summary.csv": "0de5b08c34b1d44355bf1bd18042677b35f83d2e43d42bab0671475ebe391d9b",
@@ -50,7 +50,7 @@ WIDE_ROUNDS = {
 }
 
 GOLDEN_WIDE_ROUNDS = {
-    "exposure.csv": "8b624d04fdbaaf1ef5c5c1918ff1fa78ad90c7ac079aff2efc2ad61b846e2fe8",
+    "exposure.csv": "874a23fc72dd57afcd5c3f1544672fbfffc3f2500ec36ebfa2634d3d66fff069",
     "summary.csv": "3d2f8002bd70b999c81b1af25861ea3674b17e8068b6caf578a67a2893256a61",
 }
 

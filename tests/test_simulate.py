@@ -275,6 +275,21 @@ class TestRunReplication:
             covered = sum(e - s for s, e in trace.up_periods(MISSION))
             assert covered == pytest.approx(trace.up_time, abs=1e-9)
 
+    def test_up_periods_run_on_the_one_clock(self):
+        # every up period but the tail ends exactly at its failure time, and
+        # none of the 559 missions whose last repair was clipped at the
+        # horizon lists an up period after it
+        cfg = base_config(n_replications=20000)
+        clipped = 0
+        for i in range(cfg.n_replications):
+            trace = run_replication(cfg, i)
+            periods = trace.up_periods(MISSION)
+            assert [end for _, end in periods[: trace.n_failures]] == trace.failure_times()
+            if trace.n_failures and trace.events[-1, 2] + trace.events[-1, 1] >= MISSION:
+                clipped += 1
+                assert len(periods) == trace.n_failures
+        assert clipped == 559
+
 
 class _ScriptedStream:
     """Stands in for the substreams of a tile of one replication: serves
@@ -410,25 +425,34 @@ class TestDrawPath:
 class TestReplicationTrace:
     def test_rejects_inconsistent_cycles(self):
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((0.0, 0.5),), up_time=9.5, down_time=0.5)
+            ReplicationTrace(cycles=((0.0, 0.5),), up_time=9.5)
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((1.0, -0.5),), up_time=9.5, down_time=0.5)
+            ReplicationTrace(cycles=((1.0, -0.5),), up_time=9.5)
 
     def test_is_immutable(self):
-        trace = ReplicationTrace(cycles=((1.0, 0.5),), up_time=9.5, down_time=0.5)
+        trace = ReplicationTrace(cycles=((1.0, 0.5),), up_time=9.5)
         with pytest.raises(AttributeError):
             trace.up_time = 1.0
         with pytest.raises(ValueError):
             trace.events[0, 0] = 2.0
         assert trace.cycles == ((1.0, 0.5),)
 
+    def test_down_time_adds_the_repairs_in_cycle_order(self):
+        # sixteen repairs whose running sum, as the walk's clock adds, differs
+        # from numpy's pairwise one
+        repairs = [1.0] + [2.0**-53] * 15
+        trace = ReplicationTrace(cycles=[(1.0, r) for r in repairs], up_time=0.0)
+        assert trace.down_time == 1.0 != float(np.sum(repairs))
+
     @pytest.mark.parametrize(
-        "up_time,down_time",
+        "up_time,repair_time",
         [(math.nan, -3.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan), (0.0, math.inf), (9.0, -1e-9)],
     )
-    def test_rejects_impossible_totals(self, up_time, down_time):
+    def test_rejects_impossible_totals(self, up_time, repair_time):
+        # the down time is the repairs' sum, so an impossible one comes from
+        # an impossible repair time
         with pytest.raises(ValueError):
-            ReplicationTrace(cycles=(), up_time=up_time, down_time=down_time)
+            ReplicationTrace(cycles=((1.0, repair_time),), up_time=up_time)
 
     def test_simulated_traces_are_read_only_views_of_their_tile(self):
         cfg = base_config(n_replications=20)
@@ -692,9 +716,7 @@ class TestBuildExposureTable:
         # t = 2.5 lands in interval 2 (boundary belongs to the earlier,
         # right-closed interval)
         cfg = base_config(n_replications=1)
-        trace = ReplicationTrace(
-            cycles=((2.5, 0.5),), up_time=9.5, down_time=0.5
-        )
+        trace = ReplicationTrace(cycles=((2.5, 0.5),), up_time=9.5)
         table = build_exposure_table([trace], cfg)
         assert table.counts == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         # up periods [0, 2.5] and [3.0, 10]: interval 3 loses the repair time
@@ -702,9 +724,7 @@ class TestBuildExposureTable:
 
     def test_interior_failure_bucketing(self):
         cfg = base_config(n_replications=1)
-        trace = ReplicationTrace(
-            cycles=((9.99, 0.01),), up_time=9.99, down_time=0.01
-        )
+        trace = ReplicationTrace(cycles=((9.99, 0.01),), up_time=9.99)
         table = build_exposure_table([trace], cfg)
         assert table.counts[7] == 1.0
 

@@ -1,8 +1,9 @@
 """Exact-equality oracle for the Monte Carlo engine.
 
 The reference functions below are a scalar engine: one scalar draw per
-event, traces as tuples of (ttf, ttr) pairs, and exposure bucketing by scalar
-``searchsorted`` calls and a loop over the intervals each up period covers.
+event, traces as tuples of (ttf, ttr) pairs walked on one clock, and
+exposure bucketing by scalar ``searchsorted`` calls and a loop over the
+intervals each up period covers.
 Its random streams come from numpy's own ``SeedSequence``, not from the
 engine's ``_substream_block``, so the substream derivation is checked too.  The block
 engine must reproduce them bit for bit, so every comparison here is ``==``,
@@ -77,11 +78,15 @@ class ReferenceTrace:
         return times
 
     def up_periods(self, mission_time):
+        # each period ends at its failure time and the next starts where the
+        # repair leaves the same clock
         periods = []
         clock = 0.0
         for ttf, ttr in self.cycles:
-            periods.append((clock, clock + ttf))
-            clock += ttf + ttr
+            start = clock
+            clock += ttf
+            periods.append((start, clock))
+            clock += ttr
         if clock < mission_time:
             periods.append((clock, mission_time))
         return periods
@@ -284,7 +289,7 @@ def test_hand_built_trace_matches_reference(name):
     cfg = config(n_replications=1)
     cycles = HAND_BUILT[name]
     up = cfg.mission_time - sum(ttr for _, ttr in cycles)
-    trace = ReplicationTrace(cycles=cycles, up_time=up, down_time=0.0)
+    trace = ReplicationTrace(cycles=cycles, up_time=up)
     ref = ReferenceTrace(cycles, len(cycles), up, 0.0)
     assert trace.cycles == cycles
     assert trace.failure_times() == ref.failure_times()
@@ -295,7 +300,7 @@ def test_hand_built_trace_matches_reference(name):
 def test_hand_built_traces_together_match_reference():
     cfg = config(n_replications=len(HAND_BUILT))
     names = sorted(HAND_BUILT)
-    traces = [ReplicationTrace(HAND_BUILT[k], 0.0, 0.0) for k in names]
+    traces = [ReplicationTrace(HAND_BUILT[k], 0.0) for k in names]
     references = [ReferenceTrace(HAND_BUILT[k], len(HAND_BUILT[k]), 0.0, 0.0) for k in names]
     assert_same_table(traces, references, cfg)
 
@@ -316,7 +321,7 @@ def test_edge_aligned_traces_match_reference(quarters, n_intervals, mission_time
     cfg = config(mission_time=mission_time, n_intervals=n_intervals, n_replications=len(quarters))
     width = mission_time / n_intervals
     cycle_lists = [tuple((a * width / 4, b * width / 4) for a, b in q) for q in quarters]
-    traces = [ReplicationTrace(c, 0.0, 0.0) for c in cycle_lists]
+    traces = [ReplicationTrace(c, 0.0) for c in cycle_lists]
     references = [ReferenceTrace(c, len(c), 0.0, 0.0) for c in cycle_lists]
     for trace, ref in zip(traces, references):
         assert trace.failure_times() == ref.failure_times()
