@@ -2,13 +2,16 @@
 
 Subcommands mirror the pipeline stages: ``fuzzy`` (uncertainty bands and
 crisp rates), ``curve`` (component reliability curves), ``markov`` (state
-probabilities of the unified model), ``simulate`` (Monte Carlo campaign),
+probabilities of the unified model), ``simulate`` (Monte Carlo campaign at
+the fuzzy section's crisp rates, the only rates a configuration gives it),
 ``fit`` (interaction-rate estimation from an exposure table) and
-``pipeline`` (fuzzy, simulate, fit, curve and markov in that order, the
-simulation at the fuzzy stage's crisp rates, with a plain-text report).
+``pipeline`` (fuzzy, simulate, fit, curve and markov in that order, with a
+plain-text report).
 
 Every command reads one JSON configuration document (built-in defaults when
 ``--config`` is omitted) and writes CSV files into the output directory.
+A command computes all its files before it writes any, so a ``pipeline``
+stage that fails leaves the output directory as it found it.
 Exit statuses: 0 success, 2 configuration error, 3 runtime/numerical error
 (running out of memory too), 4 I/O failure.
 """
@@ -39,7 +42,6 @@ from .fitting import FitResult, effective_rate, fit_scan
 from .fuzzy import (
     FuzzyIndex,
     alpha_cut,
-    defuzzify,
     fuzzy_availability,
     fuzzy_unavailability,
     uniform_alpha_grid,
@@ -102,56 +104,63 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _write_band(out: Path, name: str, band: FuzzyIndex) -> None:
-    write_csv(out / name, ["alpha", "lo", "hi"], band.rows())
+def _write(out: Path, files: dict) -> None:
+    """Write each file into ``out``: a (header, rows) table as CSV, a string
+    as it is, in the order they were added."""
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            write_csv(out / name, *content)
 
 
-def _fuzzy(fz: FuzzySection, out: Path) -> tuple[float, float]:
-    """Write the rate and availability bands and crisp.csv; return the crisp
-    (defuzzified) failure and repair rates."""
+def _fuzzy(fz: FuzzySection, files: dict) -> tuple[float, float]:
+    """Add the rate and availability bands and crisp.csv to ``files``; return
+    the crisp (defuzzified) failure and repair rates."""
     failure, repair = fz.failure_number(), fz.repair_number()
     grid = uniform_alpha_grid(fz.alpha_levels)
-    failure_band = FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid))
-    repair_band = FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid))
-    lam, mu = defuzzify(failure), defuzzify(repair)
-    _write_band(out, "failure_rate.csv", failure_band)
-    _write_band(out, "repair_rate.csv", repair_band)
-    _write_band(out, "availability.csv", fuzzy_availability(failure, repair, grid))
-    _write_band(out, "unavailability.csv", fuzzy_unavailability(failure, repair, grid))
-    write_csv(out / "crisp.csv", ["quantity", "value"], [("failure_rate", lam), ("repair_rate", mu)])
+    bands = {
+        "failure_rate.csv": FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid)),
+        "repair_rate.csv": FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid)),
+        "availability.csv": fuzzy_availability(failure, repair, grid),
+        "unavailability.csv": fuzzy_unavailability(failure, repair, grid),
+    }
+    lam, mu = fz.crisp_rates()
+    for name, band in bands.items():
+        files[name] = (["alpha", "lo", "hi"], band.rows())
+    files["crisp.csv"] = (["quantity", "value"], [("failure_rate", lam), ("repair_rate", mu)])
     return lam, mu
 
 
-def _simulate(sim: SimulationConfig, out: Path) -> SimulationSummary:
-    """Run the Monte Carlo campaign; write summary.csv and exposure.csv."""
+def _simulate(sim: SimulationConfig, files: dict) -> SimulationSummary:
+    """Run the Monte Carlo campaign; add summary.csv and exposure.csv."""
     summary = run_simulation(sim)
-    write_csv(
-        out / "summary.csv",
+    files["summary.csv"] = (
         ["availability", "mean_failures", "availability_se", "mean_failures_se"],
         [(summary.availability, summary.mean_failures,
           summary.availability_se, summary.mean_failures_se)],
     )
-    write_csv(out / "exposure.csv", EXPOSURE_HEADER, summary.exposure.rows())
+    files["exposure.csv"] = (EXPOSURE_HEADER, summary.exposure.rows())
     return summary
 
 
-def _fit(table: ExposureTable, ratios, out: Path) -> list[FitResult]:
-    """Fit the interaction rates at each ratio; write fit.csv."""
+def _fit(table: ExposureTable, ratios, files: dict) -> list[FitResult]:
+    """Fit the interaction rates at each ratio; add fit.csv."""
     results = fit_scan(table, ratios)
-    write_csv(out / "fit.csv", ["G", "lambda1", "lambda2", "sse"],
-              [(r.g, r.lambda1, r.lambda2, r.sse) for r in results])
+    files["fit.csv"] = (["G", "lambda1", "lambda2", "sse"],
+                        [(r.g, r.lambda1, r.lambda2, r.sse) for r in results])
     return results
 
 
-def _curve(cv: CurvesSection, inter: InteractionParams, out: Path) -> list[tuple]:
-    """Write curve.csv and return its rows (t, R_hw, R_sw, R_int, R_pmu)."""
+def _curve(cv: CurvesSection, inter: InteractionParams, files: dict) -> list[tuple]:
+    """Add curve.csv and return its rows (t, R_hw, R_sw, R_int, R_pmu)."""
     rows = pmu_reliability_curve(cv.hardware, cv.software, inter, cv.time_grid.values())
-    write_csv(out / "curve.csv", ["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
+    files["curve.csv"] = (["t", "R_hw", "R_sw", "R_int", "R_pmu"], rows)
     return rows
 
 
-def _markov(mk: MarkovSection, out: Path) -> None:
-    """Solve the chain from UP over the grid; write markov.csv."""
+def _markov(mk: MarkovSection, files: dict) -> None:
+    """Solve the chain from UP over the grid; add markov.csv."""
     gen = mk.generator
     initial = StateDistribution.point_mass(gen.states, "UP")
     solution = transient_grid(gen, initial, mk.time_grid.values())
@@ -160,7 +169,7 @@ def _markov(mk: MarkovSection, out: Path) -> None:
         for t, dist in zip(solution.times, solution.distributions)
     ]
     header = ["t"] + [f"Q_{s}" for s in gen.states] + ["R_interaction"]
-    write_csv(out / "markov.csv", header, rows)
+    files["markov.csv"] = (header, rows)
 
 
 def _read_exposure_csv(path: Path) -> ExposureTable:
@@ -184,28 +193,29 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
     return ExposureTable(tuple(counts), tuple(times))
 
 
-def _fit_command(cfg: RunConfig, out: Path, args) -> None:
+def _fit_command(cfg: RunConfig, files: dict, args) -> None:
+    out = Path(cfg.output_dir)
     table = _read_exposure_csv(Path(args.exposure) if args.exposure else out / "exposure.csv")
-    _fit(table, cfg.fit.ratios(), out)
+    _fit(table, cfg.fit.ratios(), files)
 
 
-def _pipeline(cfg: RunConfig, out: Path, args) -> None:
+def _pipeline(cfg: RunConfig, files: dict, args) -> None:
     def stage(name, fn, *fn_args):
-        # MemoryError passes unchanged: numpy's subclass of it cannot be
-        # rebuilt from a message
         try:
-            return fn(*fn_args)
+            return fn(*fn_args, files)
+        except MemoryError as exc:
+            # numpy's subclass of MemoryError cannot be rebuilt from a message
+            raise MemoryError(f"pipeline stage '{name}' failed: {str(exc) or 'out of memory'}") from exc
         except (ConfigError, OSError, ValueError, ArithmeticError, RuntimeError) as exc:
             raise type(exc)(f"pipeline stage '{name}' failed: {exc}") from exc
 
-    lam, mu = stage("fuzzy", _fuzzy, cfg.fuzzy, out)
-    # The simulation always runs at the defuzzified rates.
-    sim = replace(cfg.simulation, failure_rate=lam, repair_rate=mu)
-    summary = stage("simulate", _simulate, sim, out)
-    results = stage("fit", _fit, summary.exposure, cfg.fit.ratios(), out)
+    lam, mu = stage("fuzzy", _fuzzy, cfg.fuzzy)
+    sim = cfg.simulation
+    summary = stage("simulate", _simulate, sim)
+    results = stage("fit", _fit, summary.exposure, cfg.fit.ratios())
     inter = cfg.markov.interaction()
-    curve = stage("curve", _curve, cfg.curves, inter, out)
-    stage("markov", _markov, cfg.markov, out)
+    curve = stage("curve", _curve, cfg.curves, inter)
+    stage("markov", _markov, cfg.markov)
 
     unit = cfg.time_unit[:-1] if cfg.time_unit.endswith("s") else cfg.time_unit
     renewal = sim.mission_time / (1.0 / lam + 1.0 / mu)
@@ -261,16 +271,16 @@ def _pipeline(cfg: RunConfig, out: Path, args) -> None:
         " so it differs from the two-stage closed form by design",
         "    file: markov.csv",
     ]
-    (out / "report.txt").write_text("\n".join(report) + "\n")
+    files["report.txt"] = "\n".join(report) + "\n"
 
 
 # Each command's adapter: it reads its sections of the configuration and
-# writes its files into the output directory.
+# adds its files, by name, to the dict it is given.
 _COMMANDS = {
-    "fuzzy": lambda cfg, out, args: _fuzzy(cfg.fuzzy, out),
-    "curve": lambda cfg, out, args: _curve(cfg.curves, cfg.markov.interaction(), out),
-    "markov": lambda cfg, out, args: _markov(cfg.markov, out),
-    "simulate": lambda cfg, out, args: _simulate(cfg.simulation, out),
+    "fuzzy": lambda cfg, files, args: _fuzzy(cfg.fuzzy, files),
+    "curve": lambda cfg, files, args: _curve(cfg.curves, cfg.markov.interaction(), files),
+    "markov": lambda cfg, files, args: _markov(cfg.markov, files),
+    "simulate": lambda cfg, files, args: _simulate(cfg.simulation, files),
     "fit": _fit_command,
     "pipeline": _pipeline,
 }
@@ -288,7 +298,9 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if args.dry_run:
             return EXIT_OK
-        _COMMANDS[args.command](cfg, Path(cfg.output_dir), args)
+        files = {}
+        _COMMANDS[args.command](cfg, files, args)
+        _write(Path(cfg.output_dir), files)
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

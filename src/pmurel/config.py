@@ -5,21 +5,26 @@ section per pipeline stage (fuzzy, curves, markov, simulation, fit).
 Unknown keys anywhere are rejected by name, so typos never silently fall
 back to defaults.  Command-line flags override file values after loading.
 
-Sections hold the engine's own types: the keys of ``curves.hardware``,
-``curves.software`` and ``simulation`` are the fields of ``HardwareParams``,
-``SoftwareParams`` and ``SimulationConfig``, and those types check their
-values; ``markov`` transitions are checked by building their generator, which
-the section keeps.  The interaction rates have one home, the ``markov``
+Sections hold the engine's own types: the keys of ``curves.hardware`` and
+``curves.software`` are the fields of ``HardwareParams`` and
+``SoftwareParams``, those of ``simulation`` the fields of ``SimulationConfig``
+but its two rates, and those types check their values; ``markov``
+transitions are checked by building their generator, which the section
+keeps.  Each value has one home.  The interaction rates are the ``markov``
 transitions ``UP->HD3`` and ``HD3->F_INT``: the curve's ``InteractionParams``
-are read from them (``MarkovSection.interaction``).  The whole document is
-read by one generic loader, ``_build``, that follows the field types of
-``RunConfig`` down to its sections.  Each default is declared once, on a
-field: a section's factory on ``RunConfig`` and a key's default on its
-section type, and a document may omit either.  This module checks only the
-JSON shape (objects, numbers, integers, required keys) and the rules of the
-types it defines itself.  The engine types and the section types reject a
-value with a ValueError, which ``checked`` turns into a ConfigError naming
-where the value came from: a section path or a flag.
+are read from them (``MarkovSection.interaction``).  The Monte Carlo rates
+are the ``fuzzy`` section's crisp rates (``FuzzySection.crisp_rates``):
+``RunConfig.simulation`` is built from the ``simulation`` section and those
+rates, and ``RunConfig`` rejects a ``SimulationConfig`` at any other rates.
+The rest of the document is read by one generic loader, ``_build``, that
+follows the field types of ``RunConfig`` down to its sections.  Each default
+is declared once: a section's default on ``RunConfig`` and a key's default
+on its section type, and a document may omit either.  This
+module checks only the JSON shape (objects, numbers, integers, required
+keys) and the rules of the types it defines itself.  The engine types and
+the section types reject a value with a ValueError, which ``checked`` turns
+into a ConfigError naming where the value came from: a section path or a
+flag.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
@@ -29,8 +34,10 @@ year, so it needs ``time_unit`` ``"years"``).  Apart from that one
 conversion, all rates and times share the single declared ``time_unit`` and
 are never converted implicitly.
 
-A ``pmu-reliability/1`` document still loads: its ``curves.interaction``, a
-second copy of the chain's rates, is taken out and must equal them.
+Documents of the older schemas ``pmu-reliability/1`` and ``/2`` still load.
+They may hold second copies of a value beside its home (``_COPIES``): the
+``/1`` ``curves.interaction`` and the ``/1`` and ``/2`` ``simulation``
+rates.  Each copy is taken out and must equal its home exactly.
 """
 
 from __future__ import annotations
@@ -38,16 +45,17 @@ from __future__ import annotations
 import functools
 import json
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from ._checks import finite, integer, nonnegative, positive
 from .curves import HardwareParams, InteractionParams, SoftwareParams
-from .fuzzy import TriangularFuzzyNumber
+from .fuzzy import TriangularFuzzyNumber, defuzzify
 from .markov import GeneratorMatrix, build_unified_model
 from .simulate import SimulationConfig
 
-SCHEMA = "pmu-reliability/2"
+SCHEMA = "pmu-reliability/3"
+SCHEMA_2 = "pmu-reliability/2"
 SCHEMA_1 = "pmu-reliability/1"
 HOURS_PER_YEAR = 8760.0
 
@@ -96,10 +104,11 @@ def checked(context: str, make, *args, **kwargs):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _build(cls, d, path: str):
+def _build(cls, d, path: str, **given):
     """Build the dataclass ``cls`` from the JSON object ``d`` found at
     ``path`` (e.g. ``"curves.hardware"``; ``""`` for the whole document,
-    named "configuration"), one key per ``__init__`` field.
+    named "configuration"), one key per ``__init__`` field but those whose
+    values are ``given``.
 
     Unknown keys are rejected by name; omitted fields take their dataclass
     default or default factory, or are reported missing.  Each value is read
@@ -111,7 +120,7 @@ def _build(cls, d, path: str):
     re-raised as a ConfigError naming ``path``.
     """
     context = f"section '{path}'" if path else "configuration"
-    keys = [f for f in fields(cls) if f.init]
+    keys = [f for f in fields(cls) if f.init and f.name not in given]
     _check_keys(d, {f.name for f in keys}, context)
     hints = _field_types(cls)
     values = {}
@@ -132,7 +141,7 @@ def _build(cls, d, path: str):
         elif kind is float:
             value = _number(value, f.name, path)
         values[f.name] = value
-    return checked(context, cls, **values)
+    return checked(context, cls, **values, **given)
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,11 @@ class FuzzySection:
         if self.repair_rate_unit == "hours_per_repair":
             c = positive("repair_rate_center in events per year", HOURS_PER_YEAR / c)
         return TriangularFuzzyNumber(c, self.halfwidth_fraction * c)
+
+    def crisp_rates(self) -> tuple[float, float]:
+        """The defuzzified failure and repair rates, at which every command
+        simulates."""
+        return defuzzify(self.failure_number()), defuzzify(self.repair_number())
 
     @classmethod
     def from_dict(cls, d) -> "FuzzySection":
@@ -264,7 +278,8 @@ class FitSection:
 @dataclass(frozen=True)
 class RunConfig:
     """The whole validated configuration document; each section defaults to
-    the crisp study rates with a 10% uncertainty band."""
+    the crisp study rates with a 10% uncertainty band.  ``simulation`` runs
+    at the fuzzy section's crisp rates; omitted, it is a 10-year campaign."""
 
     fuzzy: FuzzySection = field(default_factory=lambda: FuzzySection(0.6566, 22.2898, "events_per_year"))
     curves: CurvesSection = field(default_factory=lambda: CurvesSection(
@@ -274,7 +289,7 @@ class RunConfig:
     ))
     markov: MarkovSection = field(default_factory=lambda: MarkovSection(
         {"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3}, TimeGrid(0.0, 5000.0, 51)))
-    simulation: SimulationConfig = field(default_factory=lambda: SimulationConfig(0.6566, 22.2898, 10.0))
+    simulation: SimulationConfig | None = None
     fit: FitSection = field(default_factory=FitSection)
     time_unit: str = "years"
     output_dir: str = "out"
@@ -289,27 +304,60 @@ class RunConfig:
                 "repair_rate_unit 'hours_per_repair' gives events per year, so it needs "
                 f"time_unit 'years', got time_unit {self.time_unit!r}"
             )
+        rates = self.fuzzy.crisp_rates()
+        if self.simulation is None:
+            object.__setattr__(self, "simulation", SimulationConfig(*rates, mission_time=10.0))
+        simulated = (self.simulation.failure_rate, self.simulation.repair_rate)
+        if simulated != rates:
+            raise ValueError(
+                f"simulation rates {simulated} differ from the fuzzy section's crisp rates {rates}"
+            )
+
+
+# Second copies of a value that older schemas declared beside its home, as
+# (the schemas holding the copy, its section and key, the home's name, the
+# home's value in a built RunConfig).  A copy is taken out of its section on
+# load, read as its home's type, and must equal the home's value exactly.
+_COPIES = (
+    ((SCHEMA_1,), "curves", "interaction", "markov.transitions UP->HD3/HD3->F_INT",
+     lambda cfg: cfg.markov.interaction()),
+    ((SCHEMA_1, SCHEMA_2), "simulation", "failure_rate", "the crisp rate of fuzzy.failure_rate_center",
+     lambda cfg: cfg.simulation.failure_rate),
+    ((SCHEMA_1, SCHEMA_2), "simulation", "repair_rate", "the crisp rate of fuzzy.repair_rate_center",
+     lambda cfg: cfg.simulation.repair_rate),
+)
+
+
+def _values(value) -> str:
+    return ", ".join(map(repr, astuple(value) if is_dataclass(value) else (value,)))
 
 
 def config_from_dict(doc) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     _check_keys(doc, {"schema", *(f.name for f in fields(RunConfig))}, "configuration")
     schema = doc.get("schema")
-    if schema not in (SCHEMA, SCHEMA_1):
-        raise ConfigError(f"unsupported schema {schema!r}; expected {SCHEMA!r} (or {SCHEMA_1!r})")
+    if schema not in (SCHEMA, SCHEMA_2, SCHEMA_1):
+        raise ConfigError(
+            f"unsupported schema {schema!r}; expected {SCHEMA!r} (or the older {SCHEMA_2!r} or {SCHEMA_1!r})")
     body = {k: v for k, v in doc.items() if k != "schema"}
-    curves = body.get("curves")
-    copied = schema == SCHEMA_1 and isinstance(curves, dict) and "interaction" in curves
-    if copied:
-        body["curves"] = {k: v for k, v in curves.items() if k != "interaction"}
-    cfg = _build(RunConfig, body, "")
-    if copied:
-        given = _build(InteractionParams, curves["interaction"], "curves.interaction")
-        chain = cfg.markov.interaction()
-        if given != chain:
-            raise ConfigError(
-                f"curves.interaction ({given.lambda1!r}, {given.lambda2!r}) disagrees with "
-                f"markov.transitions UP->HD3/HD3->F_INT ({chain.lambda1!r}, {chain.lambda2!r})")
+    copies = []
+    for schemas, section, key, home, value in _COPIES:
+        d = body.get(section)
+        if schema in schemas and isinstance(d, dict) and key in d:
+            body[section] = {k: v for k, v in d.items() if k != key}
+            copies.append((section, key, d[key], home, value))
+    # the simulation section is built last, at the crisp rates of the fuzzy one
+    cfg = _build(RunConfig, {k: v for k, v in body.items() if k != "simulation"}, "")
+    if "simulation" in body:
+        lam, mu = cfg.fuzzy.crisp_rates()
+        sim = _build(SimulationConfig, body["simulation"], "simulation", failure_rate=lam, repair_rate=mu)
+        cfg = replace(cfg, simulation=sim)
+    for section, key, copy, home, value in copies:
+        expected, path = value(cfg), f"{section}.{key}"
+        given = (_build(type(expected), copy, path) if is_dataclass(expected)
+                 else _number(copy, key, section))
+        if given != expected:
+            raise ConfigError(f"{path} ({_values(given)}) disagrees with {home} ({_values(expected)})")
     return cfg
 
 

@@ -38,8 +38,6 @@ def write_config(tmp_path, **sections):
 
 def small_sim_section(n=1000, seed=42):
     return {
-        "failure_rate": 0.6566,
-        "repair_rate": 22.2898,
         "mission_time": 10.0,
         "n_replications": n,
         "master_seed": seed,
@@ -200,11 +198,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_campaign_too_large_for_memory_exits_3(self, tmp_path, capsys, command):
         # 8e17 bytes per replication array is beyond any address space, so
-        # the allocation is refused at once
+        # the allocation is refused at once; the pipeline names its stage
         cfg = write_config(tmp_path, simulation=small_sim_section(n=10**17))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        stage = "pipeline stage 'simulate' failed: " if command == "pipeline" else ""
+        assert err.startswith(f"error: {stage}Unable to allocate") and err.count("\n") == 1
 
     def test_memory_error_without_a_message_says_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def exhausted(sim):
@@ -213,6 +212,19 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "run_simulation", exhausted)
         assert main(["simulate", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "error: out of memory\n"
+        assert main(["pipeline", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: pipeline stage 'simulate' failed: out of memory\n"
+
+    def test_runs_at_the_crisp_rates_as_the_pipeline_does(self, tmp_path):
+        fuzzy = {"failure_rate_center": 1.0, "repair_rate_center": 9.5,
+                 "repair_rate_unit": "hours_per_repair"}
+        cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=small_sim_section())
+        runs = {command: tmp_path / command for command in ("simulate", "pipeline")}
+        for command, out in runs.items():
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("summary.csv", "exposure.csv"):
+            assert (runs["simulate"] / name).read_bytes() == (runs["pipeline"] / name).read_bytes()
+        assert "lambda = 1 per year" in (runs["pipeline"] / "report.txt").read_text()
 
 
 class TestFitCommand:
@@ -326,8 +338,7 @@ class TestPipelineCommand:
         # no mission fails, so the fit gives lambda1 = lambda2 = 0
         fuzzy = {"failure_rate_center": 1e-6, "repair_rate_center": 22.2898,
                  "repair_rate_unit": "events_per_year"}
-        simulation = {**small_sim_section(), "failure_rate": 1e-6}
-        cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=simulation)
+        cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=small_sim_section())
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         assert "effective rate 0\n" in (out / "report.txt").read_text()
@@ -350,6 +361,26 @@ class TestPipelineCommand:
         assert "differs from the two-stage closed form by design" in report
         assert "difference" not in report
         assert len(read_csv(out / "markov.csv")[1]) == 5
+
+    @pytest.mark.parametrize("fail", ["config", "monkeypatch"])
+    def test_failed_stage_leaves_the_output_directory_as_found(self, tmp_path, monkeypatch, fail):
+        # an earlier run's files keep their bytes and no file is added, when
+        # the campaign is too large for memory or the last stage fails
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(write_config(tmp_path, simulation=small_sim_section(n=100))),
+                     "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # other rates, so that any file written would change
+        fuzzy = {"failure_rate_center": 1.0, "repair_rate_center": 22.2898,
+                 "repair_rate_unit": "events_per_year"}
+        if fail == "config":
+            cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=small_sim_section(n=10**17))
+        else:
+            cfg = write_config(tmp_path, fuzzy=fuzzy, simulation=small_sim_section(n=100))
+            monkeypatch.setattr(cli, "transient_grid", lambda *args: 1 / 0)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_pipeline_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, simulation=small_sim_section())

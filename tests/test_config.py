@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pmurel.config import (
     SCHEMA,
     SCHEMA_1,
+    SCHEMA_2,
     ConfigError,
     FitSection,
     FuzzySection,
@@ -24,9 +25,10 @@ from pmurel.config import (
 from pmurel.curves import InteractionParams
 from pmurel.fuzzy import uniform_alpha_grid
 from pmurel.markov import build_unified_model
+from pmurel.simulate import SimulationConfig
 
 
-# a curves section of a schema 2 document
+# a curves section of a schema 2 or 3 document
 CURVES = {
     "hardware": {"rate": 1.0, "shape": 2.0},
     "software": {"total_faults": 1.0, "detection_rate": 0.1},
@@ -143,6 +145,57 @@ class TestSchema1:
             config_from_dict(self.v1(None))
 
 
+class TestSimulationRateCopies:
+    """Schema 1 and 2 documents declared the Monte Carlo rates a second time,
+    as ``simulation.failure_rate`` and ``simulation.repair_rate``."""
+
+    SIMULATION = {"mission_time": 5.0, "n_replications": 10}
+
+    def doc(self, schema, fuzzy=None, **rates):
+        doc = {"schema": schema, "simulation": {**self.SIMULATION, **rates}}
+        if fuzzy is not None:
+            doc["fuzzy"] = fuzzy
+        return doc
+
+    @pytest.mark.parametrize("schema", [SCHEMA_1, SCHEMA_2])
+    @pytest.mark.parametrize("rates", [{}, {"failure_rate": 0.6566}, {"failure_rate": 0.6566, "repair_rate": 22.2898}])
+    def test_agreeing_copies_load_as_if_absent(self, schema, rates):
+        assert config_from_dict(self.doc(schema, **rates)) == config_from_dict(self.doc(SCHEMA))
+
+    @pytest.mark.parametrize("schema", [SCHEMA_1, SCHEMA_2])
+    def test_copies_of_the_crisp_hours_per_repair_rate_load(self, schema):
+        fuzzy = {"failure_rate_center": 1.0, "repair_rate_center": 9.5, "repair_rate_unit": "hours_per_repair"}
+        cfg = config_from_dict(self.doc(schema, fuzzy, failure_rate=1.0, repair_rate=8760.0 / 9.5))
+        assert cfg == config_from_dict(self.doc(SCHEMA, fuzzy))
+        assert (cfg.simulation.failure_rate, cfg.simulation.repair_rate) == (1.0, 8760.0 / 9.5)
+        message = ("simulation.repair_rate (9.5) disagrees with the crisp rate of "
+                   "fuzzy.repair_rate_center (922.1052631578947)")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(self.doc(schema, fuzzy, repair_rate=9.5))
+
+    @pytest.mark.parametrize("schema", [SCHEMA_1, SCHEMA_2])
+    def test_disagreeing_copy_names_both_keys(self, schema):
+        message = ("simulation.failure_rate (0.5) disagrees with the crisp rate of "
+                   "fuzzy.failure_rate_center (0.6566)")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(self.doc(schema, failure_rate=0.5, repair_rate=22.2898))
+
+    def test_bad_copy_is_checked_as_a_number(self):
+        with pytest.raises(ConfigError, match="^'repair_rate' in section 'simulation' must be a finite number"):
+            config_from_dict(self.doc(SCHEMA_2, repair_rate="fast"))
+
+    def test_schema_3_holds_no_copy(self):
+        for key in ("failure_rate", "repair_rate"):
+            with pytest.raises(ConfigError, match=f"^unknown key '{key}' in section 'simulation'$"):
+                config_from_dict(self.doc(SCHEMA, **{key: 1.0}))
+
+    def test_simulation_runs_at_the_crisp_rates(self):
+        fuzzy = {"failure_rate_center": 1.0, "repair_rate_center": 10.0, "repair_rate_unit": "events_per_year"}
+        cfg = config_from_dict({"schema": SCHEMA, "fuzzy": fuzzy})
+        assert cfg.simulation == SimulationConfig(1.0, 10.0, mission_time=10.0)
+        assert cfg.fuzzy.crisp_rates() == (1.0, 10.0)
+
+
 class TestFuzzySection:
     def base(self, **overrides):
         d = {
@@ -215,6 +268,17 @@ class TestRunConfig:
             replace(RunConfig(time_unit="days"), fuzzy=self.hours_per_repair())
         assert replace(RunConfig(time_unit="days"), output_dir="elsewhere").time_unit == "days"
 
+    def test_simulation_runs_at_the_crisp_rates_in_a_library_call(self):
+        fuzzy = FuzzySection(1.0, 9.5, "hours_per_repair")
+        cfg = RunConfig(fuzzy=fuzzy)
+        assert cfg.simulation == SimulationConfig(1.0, 8760.0 / 9.5, mission_time=10.0)
+        assert RunConfig(fuzzy=fuzzy, simulation=cfg.simulation) == cfg
+        with pytest.raises(ValueError, match=r"^simulation rates \(0.6566, 22.2898\) differ from the fuzzy "
+                                             r"section's crisp rates \(1.0, 922.1052631578947\)$"):
+            RunConfig(fuzzy=fuzzy, simulation=default_config().simulation)
+        with pytest.raises(ValueError, match="crisp rates"):
+            replace(cfg, fuzzy=default_config().fuzzy)
+
 
 class TestFitSection:
     def test_grid_variant(self):
@@ -274,13 +338,16 @@ class TestTimeGrid:
 class TestLoadConfig:
     def test_round_trip_file(self, tmp_path):
         doc = minimal_doc(
+            fuzzy={
+                "failure_rate_center": 1.0,
+                "repair_rate_center": 10.0,
+                "repair_rate_unit": "events_per_year",
+            },
             simulation={
-                "failure_rate": 1.0,
-                "repair_rate": 10.0,
                 "mission_time": 5.0,
                 "n_replications": 100,
                 "master_seed": 7,
-            }
+            },
         )
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
@@ -320,24 +387,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key 'generator'"):
             config_from_dict(doc)
 
-    def test_simulation_section_requires_rates(self):
+    def test_simulation_section_rejects_rates(self):
+        # they are the fuzzy section's crisp rates
         doc = minimal_doc(
-            simulation={"mission_time": 5.0, "n_replications": 10, "master_seed": 1}
+            simulation={"failure_rate": 0.6566, "mission_time": 5.0, "n_replications": 10, "master_seed": 1}
         )
-        with pytest.raises(ConfigError, match="failure_rate"):
+        with pytest.raises(ConfigError, match="^unknown key 'failure_rate' in section 'simulation'$"):
+            config_from_dict(doc)
+        del doc["simulation"]["mission_time"]
+        del doc["simulation"]["failure_rate"]
+        with pytest.raises(ConfigError, match="^missing required key 'mission_time' in section 'simulation'$"):
             config_from_dict(doc)
 
     def test_boolean_is_not_a_number(self):
         doc = minimal_doc(
             simulation={
-                "failure_rate": True,
-                "repair_rate": 10.0,
-                "mission_time": 5.0,
+                "mission_time": True,
                 "n_replications": 10,
                 "master_seed": 1,
             }
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'mission_time' in section 'simulation' must be a finite number"):
             config_from_dict(doc)
 
     def test_bad_curve_values_fail_at_load(self):
@@ -404,8 +474,6 @@ class TestLoadConfig:
     def test_bad_simulation_values_fail_at_load(self):
         doc = minimal_doc(
             simulation={
-                "failure_rate": 0.5,
-                "repair_rate": 5.0,
                 "mission_time": 10.0,
                 "n_replications": 0,
                 "master_seed": 1,
