@@ -39,7 +39,6 @@ from .markov import (
     TransientSolution,
     build_unified_model,
     interaction_reliability_markov,
-    transient_distribution,
     transient_grid,
 )
 from .simulate import (
@@ -89,7 +88,6 @@ __all__ = [
     "run_simulation",
     "software_reliability",
     "sse",
-    "transient_distribution",
     "transient_grid",
     "weibull_reliability",
 ]

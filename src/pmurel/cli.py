@@ -164,10 +164,7 @@ def _markov(mk: MarkovSection, files: dict) -> None:
     gen = mk.generator
     initial = StateDistribution.point_mass(gen.states, "UP")
     solution = transient_grid(gen, initial, mk.time_grid.values())
-    rows = [
-        (t, *dist.probs, operational_mass(dist))
-        for t, dist in zip(solution.times, solution.distributions)
-    ]
+    rows = [(t, *p, r) for t, p, r in zip(solution.times, solution.probs, operational_mass(solution))]
     header = ["t"] + [f"Q_{s}" for s in gen.states] + ["R_interaction"]
     files["markov.csv"] = (header, rows)
 

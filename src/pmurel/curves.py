@@ -74,9 +74,17 @@ class InteractionParams:
 
 
 def weibull_reliability(p: HardwareParams, t: float) -> float:
-    """Hardware survival probability exp(-rate * t**shape)."""
+    """Hardware survival probability exp(-rate * t**shape).
+
+    Where t**shape overflows the survival is 0, or 1 at rate 0.
+    """
     t = nonnegative("time", t)
-    return math.exp(-p.rate * t**p.shape)
+    if p.rate == 0.0:
+        return 1.0
+    try:
+        return math.exp(-p.rate * t**p.shape)
+    except OverflowError:
+        return 0.0
 
 
 def nhpp_mean_value(p: SoftwareParams, t: float) -> float:

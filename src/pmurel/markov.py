@@ -20,7 +20,7 @@ exit rate, the generator Q is embedded into the discrete chain
 P = I + Q/rate, and exp(Q h) = sum_k Poisson(rate*h, k) P^k.
 
 ``transient_grid`` solves one chain over a whole nondecreasing time grid and
-is the only solve path; ``transient_distribution`` is its one-point case.
+is the only solve path.
 
 * Grid stepping.  The solve steps from each grid point to the next, never
   from t = 0.  Each interval dt is split into ceil(rate*dt / 64) equal
@@ -29,19 +29,21 @@ is the only solve path; ``transient_distribution`` is its one-point case.
   of powers P^0..P^K serves the grid: for each distinct sub-step length h,
   M_h = sum_{k<=K_h} w_k P^k is summed from it once, and each sub-step is
   one vector-matrix product.
-* Budget split.  The truncation budget of 1e-10 is split evenly over all
-  sub-steps of the grid: K_h is the first index at which the tail
-  1 - sum_{k<=K_h} w_k is at most 1e-10 / (number of sub-steps).
-* Tail-mass accounting.  The truncated weight 1 - sum_{k<=K_h} w_k is added
-  onto the last power P^K_h, row by row so that the rounding of the powers
-  goes with it.  Every row of M_h then sums to 1, and chained solves
-  conserve probability.  Each sub-step still moves any entry by at most its
-  tail mass away from the exact solution, and since both sum to 1 the error
-  at a grid point is at most the sum of the tail masses before it.  The
-  total is reported as the achieved bound.
-* Nothing is clipped or cut short silently.  Uniformization adds only
-  nonnegative terms.  A Poisson sum that stalls short of its target raises
-  ArithmeticError; the whole grid is checked by the StateDistribution rule.
+* Stop rule.  The budget of 1e-10 is split evenly over all sub-steps of
+  the grid.  Past the mean each Poisson term is at most mean/(K+2) times
+  the one before, so the omitted terms sum to at most
+  B_K = w_K (mean/(K+1)) / (1 - mean/(K+2)), a bound taken from the terms
+  as in Fox and Glynn (CACM 31, 1988).  K_h is the first index past the
+  mean with B_K at most the per-sub-step budget.  Unlike 1 - sum(w), B_K
+  cannot stall in rounding or go negative.
+* Tail-mass accounting.  Each row's shortfall from 1 (omitted terms and
+  rounding of the powers) is added onto the last power P^K_h, so every row
+  of M_h sums to 1 and chained solves conserve probability.  A sub-step
+  still moves any entry by at most B_K from the exact solution, so the
+  error at a grid point is at most the sum of the bounds before it: the
+  achieved bound reported.
+* Nothing is clipped.  Uniformization adds only nonnegative terms, and the
+  whole grid is checked by the StateDistribution rule.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def parse_transition(name: str) -> tuple[str, str]:
     if not sep or not src or not dst:
         raise ValueError(f"malformed transition name {name!r}; expected 'SRC->DST'")
     return src, dst
+
+
+def _index(states: tuple[str, ...], state: str) -> int:
+    try:
+        return states.index(state)
+    except ValueError:
+        raise ValueError(f"unknown state {state!r}") from None
 
 
 @dataclass(frozen=True)
@@ -143,10 +152,7 @@ class GeneratorMatrix:
         return cls(states, m)
 
     def index(self, state: str) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise ValueError(f"unknown state {state!r}") from None
+        return _index(self.states, state)
 
     def rate(self, src: str, dst: str) -> float:
         return float(self.matrix[self.index(src), self.index(dst)])
@@ -183,24 +189,14 @@ class StateDistribution:
         object.__setattr__(self, "probs", p)
 
     @classmethod
-    def _of_rows(cls, states: tuple[str, ...], rows: np.ndarray, times) -> tuple:
-        # One distribution per row, a view of ``rows``, checked in one pass.
-        _check_probabilities(rows, times)
-        rows.setflags(write=False)
-        distributions = tuple(object.__new__(cls) for _ in rows)
-        for d, row in zip(distributions, rows):
-            vars(d).update(states=states, probs=row)
-        return distributions
-
-    @classmethod
     def point_mass(cls, states, state: str) -> "StateDistribution":
         states = tuple(states)
         p = np.zeros(len(states))
-        p[states.index(state)] = 1.0
+        p[_index(states, state)] = 1.0
         return cls(states, p)
 
     def __getitem__(self, state: str) -> float:
-        return float(self.probs[self.states.index(state)])
+        return float(self.probs[_index(self.states, state)])
 
     def as_dict(self) -> dict[str, float]:
         return {s: float(p) for s, p in zip(self.states, self.probs)}
@@ -223,32 +219,25 @@ def build_unified_model(rates: Mapping[str, float]) -> GeneratorMatrix:
 
 
 def _poisson_weights(mean: float, eps: float) -> tuple[list[float], float]:
-    # Poisson(mean, k) for k = 0..K, K the first index at which the tail mass
-    # 1 - sum(weights), exact once the sum passes 1/2, is at most eps; and
-    # that tail.  mean must be small enough that exp(-mean) does not
-    # underflow (guaranteed by the sub-step splitting in transient_grid).
-    weight = cumulative = math.exp(-mean)
+    # Poisson(mean, k) for k = 0..K, K the first index with K + 1 > mean and
+    # B_K <= eps (module docstring); and B_K.  The sub-steps keep mean <= 64,
+    # so exp(-mean) does not underflow and the terms fall below any eps.
+    weight = math.exp(-mean)
     weights = [weight]
-    # Past mean + 12*sqrt(mean) the Poisson tail is far below any eps we
-    # use; a sum still short of 1 - eps there has stalled in rounding.
-    k_max = int(mean + 12.0 * math.sqrt(mean) + 60.0)
-    while 1.0 - cumulative > eps:
-        k = len(weights)
-        if k > k_max:
-            raise ArithmeticError(
-                f"Poisson weights of mean {mean!r} stalled at {cumulative!r} after "
-                f"{k} terms, short of the truncation target 1 - {eps!r}"
-            )
+    while True:
+        k = len(weights)  # K + 1
+        if k > mean:
+            bound = weight * (mean / k) / (1.0 - mean / (k + 1))
+            if bound <= eps:
+                return weights, bound
         weight *= mean / k
-        cumulative += weight
         weights.append(weight)
-    return weights, 1.0 - cumulative
 
 
 def _step_matrix(powers: np.ndarray, weights: list[float]) -> np.ndarray:
     # sum_{k<=K} w_k P^k from the power table P^0, P^1, ..., summed in order
-    # of k, plus each row's shortfall from 1 (tail mass and rounding of the
-    # powers) onto the same row of P^K, so every row sums to 1.
+    # of k, plus each row's shortfall from 1 (omitted terms and rounding of
+    # the powers) onto the same row of P^K, so every row sums to 1.
     k = len(weights)
     m = np.add.reduce(np.array(weights)[:, np.newaxis, np.newaxis] * powers[:k], axis=0)
     m += (1.0 - m.sum(axis=1))[:, np.newaxis] * powers[k - 1]
@@ -257,23 +246,26 @@ def _step_matrix(powers: np.ndarray, weights: list[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransientSolution:
-    """Distributions of one chain over a time grid, with solver diagnostics.
+    """Probabilities of one chain over a time grid, with solver diagnostics.
 
-    ``error_bound`` is the achieved Poisson truncation bound: no entry of any
-    distribution is further than this from the exact solution, apart from
-    floating-point rounding.  ``steps`` counts the uniformization sub-steps
-    and ``poisson_terms`` the Poisson terms summed into the step matrices.
+    ``probs`` is a read-only (len(times) x len(states)) array: row i is the
+    distribution at ``times[i]``, column j the probability of ``states[j]``.
+    ``error_bound`` is the achieved Poisson truncation bound: no entry is
+    further than this from the exact solution, apart from floating-point
+    rounding.  ``steps`` counts the uniformization sub-steps and
+    ``poisson_terms`` the Poisson terms summed into the step matrices.
     """
 
+    states: tuple[str, ...]
     times: tuple[float, ...]
-    distributions: tuple[StateDistribution, ...]
+    probs: np.ndarray
     error_bound: float
     steps: int
     poisson_terms: int
 
 
 def transient_grid(g: GeneratorMatrix, initial: StateDistribution, times) -> TransientSolution:
-    """Distributions at each of ``times`` of the chain started from ``initial``.
+    """Probabilities at each of ``times`` of the chain started from ``initial``.
 
     ``times`` must be finite, >= 0 and nondecreasing; repeated times are
     allowed.  The solve steps from each grid point to the next with Poisson
@@ -293,7 +285,7 @@ def transient_grid(g: GeneratorMatrix, initial: StateDistribution, times) -> Tra
     splits = [math.ceil(rate * dt / _MAX_STEP_MEAN) for dt in intervals]
     steps = sum(splits)
     step_eps = _POISSON_TRUNCATION_EPS / max(1, steps)
-    # Poisson weights and tail mass per distinct sub-step length (exact key).
+    # Poisson weights and tail bound per distinct sub-step length (exact key).
     lengths = dict.fromkeys(dt / n for dt, n in zip(intervals, splits) if n)
     poisson = {h: _poisson_weights(rate * h, step_eps) for h in lengths}
     step_matrices = {}
@@ -303,37 +295,33 @@ def transient_grid(g: GeneratorMatrix, initial: StateDistribution, times) -> Tra
         powers[0] = np.eye(len(q))
         for k in range(1, len(powers)):
             powers[k] = powers[k - 1] @ p
-        step_matrices = {h: (_step_matrix(powers, w), tail) for h, (w, tail) in poisson.items()}
+        step_matrices = {h: (_step_matrix(powers, w), bound) for h, (w, bound) in poisson.items()}
 
     x = initial.probs
-    rows = np.empty((len(times), len(q)))
+    probs = np.empty((len(times), len(q)))
     error_bound = 0.0
     for i, (dt, n) in enumerate(zip(intervals, splits)):
         if n:
-            m, tail = step_matrices[dt / n]
+            m, bound = step_matrices[dt / n]
             for _ in range(n):
                 x = x @ m
-            error_bound += n * tail
-        rows[i] = x
+            error_bound += n * bound
+        probs[i] = x
+    _check_probabilities(probs, times)
+    probs.setflags(write=False)
     poisson_terms = sum(len(w) for w, _ in poisson.values())
-    distributions = StateDistribution._of_rows(g.states, rows, times)
-    return TransientSolution(times, distributions, error_bound, steps, poisson_terms)
+    return TransientSolution(g.states, times, probs, error_bound, steps, poisson_terms)
 
 
-def transient_distribution(
-    g: GeneratorMatrix, initial: StateDistribution, t: float
-) -> StateDistribution:
-    """Distribution at time t of the chain started from ``initial``.
-
-    The one-point case of ``transient_grid``: Poisson truncation error at
-    most 1e-10 over the whole horizon.
-    """
-    return transient_grid(g, initial, (t,)).distributions[0]
-
-
-def operational_mass(dist: StateDistribution) -> float:
-    """Probability of the operational states {UP, HD1, HD2, HD3} present in ``dist``."""
-    return sum(dist[s] for s in OPERATIONAL_STATES if s in dist.states)
+def operational_mass(solution: TransientSolution) -> np.ndarray:
+    """Probability of the operational states {UP, HD1, HD2, HD3} present in
+    the chain, one per time of ``solution``: their columns added left to
+    right, not clamped to 1."""
+    mass = np.zeros(len(solution.times))
+    for s in OPERATIONAL_STATES:
+        if s in solution.states:
+            mass = mass + solution.probs[:, solution.states.index(s)]
+    return mass
 
 
 def interaction_reliability_markov(g: GeneratorMatrix, t: float) -> float:
@@ -343,4 +331,4 @@ def interaction_reliability_markov(g: GeneratorMatrix, t: float) -> float:
     the chain is started as a point mass on UP.
     """
     up = StateDistribution.point_mass(g.states, "UP")
-    return operational_mass(transient_distribution(g, up, t))
+    return float(operational_mass(transient_grid(g, up, (t,)))[0])

@@ -904,22 +904,21 @@ class SimulationSummary:
 
 def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     """Run all replications in index order and aggregate them in one pass,
-    bucketing each trace as it is drawn and keeping its up fraction and
-    failure count, not the trace.  The tiles are walked in a forked process
-    where ``_walker_pays`` says so, in this one otherwise, to the same
-    traces."""
+    bucketing each trace as it is drawn and keeping each tile's up fractions
+    and failure counts, not its traces.  The tiles are walked in a forked
+    process where ``_walker_pays`` says so, in this one otherwise, to the
+    same traces."""
     n = cfg.n_replications
     up_fractions = np.empty(n)
     failures = np.empty(n)
 
     def replications(tiles):
-        for tile in tiles:
-            _, first, traces = _hold(cfg, *tile)
-            for i in range(first, first + len(traces)):
-                trace = run_replication(cfg, i)
-                up_fractions[i] = trace.up_time / cfg.mission_time
-                failures[i] = trace.n_failures
-                yield trace
+        for first, events, counts, up in tiles:
+            _hold(cfg, first, events, counts, up)
+            up_fractions[first:first + len(counts)] = up / cfg.mission_time
+            failures[first:first + len(counts)] = counts
+            for i in range(first, first + len(counts)):
+                yield run_replication(cfg, i)
 
     with contextlib.closing(_forked_tiles(cfg) if _walker_pays(cfg) else _tiles(cfg)) as tiles:
         exposure = build_exposure_table(replications(tiles), cfg)

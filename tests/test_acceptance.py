@@ -25,7 +25,7 @@ from pmurel.markov import (
     StateDistribution,
     build_unified_model,
     interaction_reliability_markov,
-    transient_distribution,
+    transient_grid,
 )
 from pmurel.csvout import write_csv
 from pmurel.simulate import ExposureTable, SimulationConfig, run_simulation
@@ -169,7 +169,7 @@ def test_c5_invariant_suites(tmp_path):
         np.fill_diagonal(m, -m.sum(axis=1))
         gen = GeneratorMatrix(states, m)
         init = StateDistribution(states, rng.dirichlet(np.ones(n)))
-        out = transient_distribution(gen, init, float(rng.uniform(0.0, 10.0)))
+        out = transient_grid(gen, init, [float(rng.uniform(0.0, 10.0))])
         if abs(float(out.probs.sum()) - 1.0) > 1e-9:
             failures.append("probability conservation")
 

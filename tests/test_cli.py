@@ -5,7 +5,7 @@ import pytest
 
 from pmurel import cli, markov
 from pmurel.cli import main
-from pmurel.config import SCHEMA
+from pmurel.config import SCHEMA, load_config
 from pmurel.csvout import write_csv
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
 from pmurel.markov import build_unified_model, interaction_reliability_markov
@@ -140,12 +140,31 @@ class TestMarkovCommand:
         assert calls == [STIFF]
         assert len(read_csv(tmp_path / "out" / "markov.csv")[1]) == 51
 
-    def test_short_poisson_sum_exits_3(self, tmp_path, monkeypatch, capsys):
-        # no truncation budget: the default grid's Poisson sum stalls short of 1
-        monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)
+    def test_solver_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise ArithmeticError("no solution")
+
+        monkeypatch.setattr(cli, "transient_grid", fail)
         assert main(["markov", "--out", str(tmp_path)]) == 3
-        assert "stalled" in capsys.readouterr().err
+        assert "error: no solution" in capsys.readouterr().err
         assert not (tmp_path / "markov.csv").exists()
+
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_r_interaction_is_the_chain_operational_mass(self, tmp_path, stiff):
+        # the column adds the UP..HD3 columns of its own row; and the one-point
+        # solve of interaction_reliability_markov, which steps from 0 rather
+        # than from the previous grid point, agrees within the two bounds
+        grid = {"start": 0.0, "stop": 20.0, "count": 51}
+        sections = {"markov": {"transitions": STIFF, "time_grid": grid}} if stiff else {}
+        path = write_config(tmp_path, **sections)
+        assert main(["markov", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "markov.csv")
+        gen = load_config(path).markov.generator
+        assert len(rows) == 51
+        for row in rows:
+            t, *probs, r = (float(v) for v in row)
+            assert r == 0 + probs[0] + probs[1] + probs[2] + probs[3]
+            assert abs(r - interaction_reliability_markov(gen, t)) <= 2e-10
 
     def test_markov_csv_headers_and_origin(self, tmp_path):
         out = tmp_path / "out"

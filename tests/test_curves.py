@@ -72,6 +72,11 @@ class TestWeibull:
         with pytest.raises(ValueError):
             weibull_reliability(HW, math.nan)
 
+    def test_overflowing_power(self):
+        # 1e200**2 is beyond the float range
+        assert weibull_reliability(HardwareParams(rate=0.6566, shape=2.0), 1e200) == 0.0
+        assert weibull_reliability(HardwareParams(rate=0.0, shape=2.0), 1e200) == 1.0
+
 
 class TestMeanValue:
     def test_zero_at_origin(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import poisson
 
 from pmurel import markov
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
@@ -14,11 +15,11 @@ from pmurel.markov import (
     STATES,
     GeneratorMatrix,
     StateDistribution,
+    TransientSolution,
     build_unified_model,
     interaction_reliability_markov,
     operational_mass,
     parse_transition,
-    transient_distribution,
     transient_grid,
 )
 
@@ -38,6 +39,12 @@ STIFF_RATES = {
     "SD->UP": 500.0,
 }
 ORACLE_TIMES = [0.0, 10.0, 100.0, 500.0, 1000.0, 5000.0]
+
+
+def state_at(g, init, t):
+    """The distribution at time t of the chain started from ``init``."""
+    solution = transient_grid(g, init, [t])
+    return StateDistribution(solution.states, solution.probs[0])
 
 
 def random_generator(rng, max_states=8):
@@ -60,7 +67,7 @@ class TestBuildUnifiedModel:
         g = build_unified_model({})
         init = StateDistribution.point_mass(STATES, "UP")
         for t in [0.0, 1.0, 100.0, 1e4]:
-            assert transient_distribution(g, init, t)["UP"] == pytest.approx(1.0, abs=1e-12)
+            assert state_at(g, init, t)["UP"] == pytest.approx(1.0, abs=1e-12)
 
     def test_reduced_chain_entries(self):
         g = build_unified_model(REDUCED_RATES)
@@ -143,40 +150,51 @@ class TestStateDistribution:
         with pytest.raises(ValueError, match="must sum to 1"):
             StateDistribution(("A", "B"), np.array([math.nan, 0.5]))
 
+    def test_unknown_state_is_named(self):
+        d = StateDistribution.point_mass(("A", "B"), "A")
+        no_up = GeneratorMatrix.from_rates(("A", "B"), {"A->B": 1.0})
+        for lookup in (
+            lambda: StateDistribution.point_mass(("A", "B"), "UP"),
+            lambda: d["UP"],
+            lambda: interaction_reliability_markov(no_up, 1.0),
+        ):
+            with pytest.raises(ValueError, match="^unknown state 'UP'$"):
+                lookup()
+
 
 class TestTransientDistribution:
     def test_identity_at_time_zero(self):
         g = build_unified_model(REDUCED_RATES)
         init = StateDistribution.point_mass(STATES, "HD3")
-        out = transient_distribution(g, init, 0.0)
+        out = state_at(g, init, 0.0)
         assert np.array_equal(out.probs, init.probs)
 
     def test_rejects_negative_time(self):
         g = build_unified_model({})
         init = StateDistribution.point_mass(STATES, "UP")
         with pytest.raises(ValueError):
-            transient_distribution(g, init, -1.0)
+            state_at(g, init, -1.0)
         with pytest.raises(ValueError):
-            transient_distribution(g, init, math.nan)
+            state_at(g, init, math.nan)
 
     def test_rejects_mismatched_states(self):
         g = build_unified_model({})
         other = StateDistribution.point_mass(("A", "B"), "A")
         with pytest.raises(ValueError):
-            transient_distribution(g, other, 1.0)
+            state_at(g, other, 1.0)
 
     def test_two_state_chain_reaches_steady_availability(self):
         # UP <-> HD2 with the crisp failure/repair rates behaves as the
         # two-state repairable component; mu/(lambda+mu) is the limit
         g = build_unified_model({"UP->HD2": 0.6566, "HD2->UP": 22.2898})
         init = StateDistribution.point_mass(STATES, "UP")
-        p_up = transient_distribution(g, init, 5.0)["UP"]
+        p_up = state_at(g, init, 5.0)["UP"]
         assert p_up == pytest.approx(22.2898 / (22.2898 + 0.6566), abs=1e-6)
 
     def test_reduced_chain_matches_closed_form_spot(self):
         g = build_unified_model(REDUCED_RATES)
         init = StateDistribution.point_mass(STATES, "UP")
-        d = transient_distribution(g, init, 100.0)
+        d = state_at(g, init, 100.0)
         assert d["UP"] + d["HD3"] == pytest.approx(0.9850559483317051, abs=1e-8)
 
     def test_probability_conservation_random_generators(self, rng):
@@ -184,7 +202,7 @@ class TestTransientDistribution:
             g = random_generator(rng)
             init = StateDistribution(g.states, rng.dirichlet(np.ones(len(g.states))))
             t = float(rng.uniform(0.0, 10.0))
-            out = transient_distribution(g, init, t)
+            out = state_at(g, init, t)
             assert abs(float(out.probs.sum()) - 1.0) <= 1e-9
 
     def test_matches_matrix_exponential_oracle(self, rng):
@@ -193,7 +211,7 @@ class TestTransientDistribution:
             p0 = rng.dirichlet(np.ones(len(g.states)))
             init = StateDistribution(g.states, p0)
             t = float(rng.uniform(0.0, 10.0))
-            ours = transient_distribution(g, init, t).probs
+            ours = state_at(g, init, t).probs
             oracle = p0 @ expm(g.matrix * t)
             assert np.abs(ours - oracle).max() <= 1e-8
 
@@ -202,8 +220,8 @@ class TestTransientDistribution:
         init = StateDistribution.point_mass(STATES, "UP")
         for _ in range(20):
             s, t = (float(v) for v in rng.uniform(0.0, 2000.0, size=2))
-            via_stop = transient_distribution(g, transient_distribution(g, init, s), t)
-            direct = transient_distribution(g, init, s + t)
+            via_stop = state_at(g, state_at(g, init, s), t)
+            direct = state_at(g, init, s + t)
             assert np.abs(via_stop.probs - direct.probs).max() <= 1e-8
 
     def test_monotone_absorption_without_recovery(self):
@@ -220,7 +238,7 @@ class TestTransientDistribution:
         g = build_unified_model(rates)
         init = StateDistribution.point_mass(STATES, "UP")
         failed_mass = [
-            sum(transient_distribution(g, init, t)[s] for s in FAILURE_STATES)
+            sum(state_at(g, init, t)[s] for s in FAILURE_STATES)
             for t in [0.0, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0]
         ]
         assert failed_mass[0] == 0.0
@@ -231,7 +249,7 @@ class TestTransientDistribution:
         m = np.array([[-500.0, 500.0], [1e-3, -1e-3]])
         g = GeneratorMatrix(("A", "B"), m)
         init = StateDistribution.point_mass(("A", "B"), "A")
-        ours = transient_distribution(g, init, 50.0).probs
+        ours = state_at(g, init, 50.0).probs
         oracle = np.array([1.0, 0.0]) @ expm(m * 50.0)
         assert np.abs(ours - oracle).max() <= 1e-8
 
@@ -271,11 +289,11 @@ class TestInteractionReliability:
     def test_operational_mass_is_not_clamped(self):
         # inside the StateDistribution tolerances the operational sum may
         # exceed 1 by rounding; it is reported as it is
-        probs = np.zeros(len(STATES))
-        probs[[0, 1, 5]] = 0.5, 0.5 + 5e-13, -5e-13
-        dist = StateDistribution(STATES, probs)
-        assert operational_mass(dist) == 0.5 + (0.5 + 5e-13)
-        assert operational_mass(dist) > 1.0
+        probs = np.zeros((1, len(STATES)))
+        probs[0, [0, 1, 5]] = 0.5, 0.5 + 5e-13, -5e-13
+        solution = TransientSolution(STATES, (0.0,), probs, 0.0, 0, 0)
+        assert operational_mass(solution).tolist() == [0.5 + (0.5 + 5e-13)]
+        assert operational_mass(solution)[0] > 1.0
 
     def test_nonincreasing_when_exits_are_absorbing(self):
         g = build_unified_model(REDUCED_RATES)
@@ -306,19 +324,14 @@ class TestTransientGrid:
         init = StateDistribution.point_mass(STATES, start)
         solution = transient_grid(g, init, times)
         assert solution.times == tuple(times)
+        assert solution.states == STATES
+        assert solution.probs.shape == (len(times), len(STATES))
+        assert not solution.probs.flags.writeable
         assert solution.error_bound <= 1e-10
-        for t, dist in zip(times, solution.distributions):
+        for t, probs in zip(times, solution.probs):
             oracle = init.probs @ expm(g.matrix * t)
-            assert np.abs(dist.probs - oracle).max() <= 1e-9
-            assert abs(float(dist.probs.sum()) - 1.0) <= 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(rates=stiff_rates, t=st.floats(0.0, 20.0))
-    def test_one_point_grid_is_transient_distribution(self, rates, t):
-        g = build_unified_model(rates)
-        init = StateDistribution.point_mass(STATES, "UP")
-        (dist,) = transient_grid(g, init, [t]).distributions
-        assert np.array_equal(dist.probs, transient_distribution(g, init, t).probs)
+            assert np.abs(probs - oracle).max() <= 1e-9
+            assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
     def test_chained_solves_conserve_mass(self):
         # each call adds its truncated Poisson tail back, so the sum does not
@@ -327,7 +340,7 @@ class TestTransientGrid:
         init = StateDistribution.point_mass(STATES, "UP")
         dist = init
         for _ in range(100):
-            dist = transient_distribution(g, dist, 0.2)
+            dist = state_at(g, dist, 0.2)
         assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
         assert np.abs(dist.probs - init.probs @ expm(g.matrix * 20.0)).max() <= 1e-9
 
@@ -343,15 +356,15 @@ class TestTransientGrid:
     def test_exact_cases(self):
         init = StateDistribution(STATES, np.full(len(STATES), 1.0 / len(STATES)))
         zero = transient_grid(build_unified_model({}), init, [0.0, 1.0, 1e4])
-        assert all(np.array_equal(d.probs, init.probs) for d in zero.distributions)
+        assert all(np.array_equal(p, init.probs) for p in zero.probs)
         assert (zero.steps, zero.poisson_terms, zero.error_bound) == (0, 0, 0.0)
         g = build_unified_model(STIFF_RATES)
         solution = transient_grid(g, init, [0.0, 0.0, 3.0, 3.0, 3.0])
-        first, again, later, *repeats = solution.distributions
-        assert np.array_equal(first.probs, init.probs)
-        assert np.array_equal(again.probs, init.probs)
-        assert all(np.array_equal(d.probs, later.probs) for d in repeats)
-        assert transient_grid(g, init, []).distributions == ()
+        first, again, later, *repeats = solution.probs
+        assert np.array_equal(first, init.probs)
+        assert np.array_equal(again, init.probs)
+        assert all(np.array_equal(p, later) for p in repeats)
+        assert transient_grid(g, init, []).probs.shape == (0, len(STATES))
 
     @pytest.mark.parametrize("t", [1e-7, 1e-12])
     def test_tiny_poisson_means_take_the_poisson_path(self, t):
@@ -362,9 +375,9 @@ class TestTransientGrid:
         assert solution.poisson_terms >= 2
         assert solution.error_bound <= 1e-10
         oracle = init.probs @ expm(g.matrix * t)
-        assert np.abs(solution.distributions[0].probs - oracle).max() <= 1e-12
+        assert np.abs(solution.probs[0] - oracle).max() <= 1e-12
         zero = transient_grid(build_unified_model({}), init, [t, 2 * t])
-        assert all(np.array_equal(d.probs, init.probs) for d in zero.distributions)
+        assert all(np.array_equal(p, init.probs) for p in zero.probs)
         assert zero.steps == 0
 
     @pytest.mark.parametrize(
@@ -375,10 +388,39 @@ class TestTransientGrid:
         with pytest.raises(ValueError):
             transient_grid(g, StateDistribution.point_mass(STATES, "UP"), times)
 
-    def test_short_poisson_sum_raises(self, monkeypatch):
-        # with no budget the sum must reach exactly 1; at the default grid's
-        # Poisson mean 0.392 it stalls one rounding step short
+    @pytest.mark.parametrize("stop", [2e4, 5e4, 1e5])
+    def test_long_stiff_horizons_meet_the_budget(self, stop):
+        # up to 781266 sub-steps, each with a budget of about 1e-16: below the
+        # rounding of 1 - sum(weights), so only a bound taken from the terms
+        # themselves is met and stays positive
+        g = build_unified_model(STIFF_RATES)
+        init = StateDistribution.point_mass(STATES, "UP")
+        solution = transient_grid(g, init, [0.0, stop])
+        assert 0.0 < solution.error_bound <= 1e-10
+        for t, probs in zip(solution.times, solution.probs):
+            assert np.abs(probs - init.probs @ expm(g.matrix * t)).max() <= 1e-9
+
+    def test_zero_budget_is_met(self, monkeypatch):
+        # the terms fall to 0, so even no budget at all ends the sum
         monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)
         g = build_unified_model(REDUCED_RATES)
-        with pytest.raises(ArithmeticError):
-            transient_grid(g, StateDistribution.point_mass(STATES, "UP"), [0.0, 100.0])
+        init = StateDistribution.point_mass(STATES, "UP")
+        solution = transient_grid(g, init, [0.0, 100.0])
+        assert solution.error_bound == 0.0
+        assert np.abs(solution.probs[1] - init.probs @ expm(g.matrix * 100.0)).max() <= 1e-12
+
+
+class TestPoissonWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mean=st.floats(0.0, 64.0, exclude_min=True),
+        eps=st.floats(-200.0, -6.0).map(lambda e: 10.0**e),
+    )
+    def test_bound_covers_the_omitted_terms_and_k_is_the_first(self, mean, eps):
+        weights, bound = markov._poisson_weights(mean, eps)
+        k = len(weights) - 1
+        assert poisson.sf(k, mean) * (1.0 - 1e-12) <= bound <= eps
+        assert k + 1 > mean
+        for j in range(k):
+            if j + 1 > mean:
+                assert weights[j] * (mean / (j + 1)) / (1.0 - mean / (j + 2)) > eps

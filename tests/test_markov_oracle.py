@@ -6,11 +6,9 @@ in one loop.  ``transient_grid`` shares one table of powers across the grid
 and checks the whole result in one pass; it must reproduce the reference bit
 for bit, so every comparison here is ``==``, never approximate.
 
-Both stop summing once the tail ``1 - sum(weights)``, exact in floating
-point, is at most the per-step budget.  The older test ``sum < 1 - eps``
-compared against a rounded ``1 - eps`` and let a tail exceed the budget by
-up to half an ulp of 1, which broke the 1e-10 grid bound at Poisson means
-near the budget.
+Both stop summing at the first index K past the Poisson mean at which the
+bound B_K = w_K (mean/(K+1)) / (1 - mean/(K+2)) on the omitted terms is at
+most the per-step budget.
 """
 
 import math
@@ -47,21 +45,16 @@ STIFF_RATES = {
 
 def reference_step_matrix(p, mean, eps):
     weight = math.exp(-mean)
-    cumulative = weight
     power = np.eye(p.shape[0])
     m = weight * power
-    k_max = int(mean + 12.0 * math.sqrt(mean) + 60.0)
     k = 0
-    while 1.0 - cumulative > eps:
-        if k == k_max:
-            raise ArithmeticError(f"Poisson weights of mean {mean!r} stalled")
+    while k + 1 <= mean or weight * (mean / (k + 1)) / (1.0 - mean / (k + 2)) > eps:
         k += 1
         power = power @ p
         weight *= mean / k
-        cumulative += weight
         m += weight * power
     m += (1.0 - m.sum(axis=1))[:, np.newaxis] * power
-    return m, 1.0 - cumulative, k + 1
+    return m, weight * (mean / (k + 1)) / (1.0 - mean / (k + 2)), k + 1
 
 
 def reference_transient_grid(g, initial, times):
@@ -77,28 +70,28 @@ def reference_transient_grid(g, initial, times):
     error_bound = 0.0
     poisson_terms = 0
     x = initial.probs
-    distributions = []
+    rows = []
     for dt, n in zip(intervals, splits):
         if n:
             h = dt / n
             if h not in step_matrices:
-                m, tail, terms = reference_step_matrix(p, rate * h, step_eps)
-                step_matrices[h] = m, tail
+                m, bound, terms = reference_step_matrix(p, rate * h, step_eps)
+                step_matrices[h] = m, bound
                 poisson_terms += terms
-            m, tail = step_matrices[h]
+            m, bound = step_matrices[h]
             for _ in range(n):
                 x = x @ m
-            error_bound += n * tail
-        distributions.append(StateDistribution(g.states, x))
-    return TransientSolution(times, tuple(distributions), error_bound, steps, poisson_terms)
+            error_bound += n * bound
+        rows.append(StateDistribution(g.states, x).probs)
+    probs = np.array(rows).reshape(len(times), len(q))
+    return TransientSolution(g.states, times, probs, error_bound, steps, poisson_terms)
 
 
 def assert_same_solution(ours, reference):
+    assert ours.states == reference.states
     assert ours.times == reference.times
-    assert len(ours.distributions) == len(reference.distributions)
-    for a, b in zip(ours.distributions, reference.distributions):
-        assert a.states == b.states
-        assert np.array_equal(a.probs, b.probs)
+    assert ours.probs.shape == reference.probs.shape
+    assert np.array_equal(ours.probs, reference.probs)
     assert ours.error_bound == reference.error_bound
     assert ours.steps == reference.steps
     assert ours.poisson_terms == reference.poisson_terms
