@@ -35,10 +35,9 @@ from .markov import (
     OPERATIONAL_STATES,
     STATES,
     GeneratorMatrix,
-    StateDistribution,
     TransientSolution,
     build_unified_model,
-    interaction_reliability_markov,
+    operational_mass,
     transient_grid,
 )
 from .simulate import (
@@ -68,7 +67,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationSummary",
     "SoftwareParams",
-    "StateDistribution",
     "TransientSolution",
     "TriangularFuzzyNumber",
     "alpha_cut",
@@ -81,8 +79,8 @@ __all__ = [
     "fuzzy_availability",
     "fuzzy_unavailability",
     "interaction_reliability_closed_form",
-    "interaction_reliability_markov",
     "nhpp_mean_value",
+    "operational_mass",
     "pmu_reliability_curve",
     "run_replication",
     "run_simulation",

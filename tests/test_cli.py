@@ -8,7 +8,7 @@ from pmurel.cli import main
 from pmurel.config import SCHEMA, load_config
 from pmurel.csvout import write_csv
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
-from pmurel.markov import build_unified_model, interaction_reliability_markov
+from pmurel.markov import build_unified_model, operational_mass, transient_grid
 from pmurel.simulate import ExposureTable
 
 CRISP_AVAILABILITY = 22.2898 / (22.2898 + 0.6566)
@@ -34,6 +34,21 @@ def write_config(tmp_path, **sections):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of ``markov.<name>`` made through
+    any pmurel module's reference to it; return the list of calls."""
+    original, calls = getattr(markov, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "pmurel" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def small_sim_section(n=1000, seed=42):
@@ -108,10 +123,12 @@ class TestCurveCommand:
         path = write_config(tmp_path, markov={"transitions": rates, "time_grid": grid})
         assert main(["curve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         chain = build_unified_model(rates)
-        for row in read_csv(tmp_path / "out" / "curve.csv")[1]:
-            t, _, _, r_int, _ = (float(v) for v in row)
+        rows = [[float(v) for v in row] for row in read_csv(tmp_path / "out" / "curve.csv")[1]]
+        times = [row[0] for row in rows]
+        transient = operational_mass(transient_grid(chain, chain.point_mass("UP"), times))
+        for (t, _, _, r_int, _), r_chain in zip(rows, transient):
             assert r_int == interaction_reliability_closed_form(InteractionParams(2e-3, 5e-3), t)
-            assert abs(r_int - interaction_reliability_markov(chain, t)) <= 1e-10
+            assert abs(r_int - r_chain) <= 1e-10
 
     def test_chain_without_up_to_hd3_never_fails_by_interaction(self, tmp_path):
         grid = {"start": 0.0, "stop": 10.0, "count": 3}
@@ -124,20 +141,11 @@ class TestMarkovCommand:
     def test_builds_the_generator_once(self, tmp_path, monkeypatch):
         # loading builds the configured generator and no default one, and the
         # command reuses it
-        build, calls = markov.build_unified_model, []
-
-        def spy(rates):
-            calls.append(dict(rates))
-            return build(rates)
-
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.split(".")[0] == "pmurel" and getattr(module, "build_unified_model", None) is build:
-                monkeypatch.setattr(module, "build_unified_model", spy)
+        calls = spy_on(monkeypatch, "build_unified_model")
         grid = {"start": 0.0, "stop": 20.0, "count": 51}
         path = write_config(tmp_path, markov={"transitions": STIFF, "time_grid": grid})
         assert main(["markov", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert calls == [STIFF]
+        assert calls == [(STIFF,)]
         assert len(read_csv(tmp_path / "out" / "markov.csv")[1]) == 51
 
     def test_solver_error_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -151,9 +159,9 @@ class TestMarkovCommand:
 
     @pytest.mark.parametrize("stiff", [False, True])
     def test_r_interaction_is_the_chain_operational_mass(self, tmp_path, stiff):
-        # the column adds the UP..HD3 columns of its own row; and the one-point
-        # solve of interaction_reliability_markov, which steps from 0 rather
-        # than from the previous grid point, agrees within the two bounds
+        # the column adds the UP..HD3 columns of its own row; and a one-point
+        # solve, which steps from 0 rather than from the previous grid point,
+        # agrees within the two bounds
         grid = {"start": 0.0, "stop": 20.0, "count": 51}
         sections = {"markov": {"transitions": STIFF, "time_grid": grid}} if stiff else {}
         path = write_config(tmp_path, **sections)
@@ -164,7 +172,7 @@ class TestMarkovCommand:
         for row in rows:
             t, *probs, r = (float(v) for v in row)
             assert r == 0 + probs[0] + probs[1] + probs[2] + probs[3]
-            assert abs(r - interaction_reliability_markov(gen, t)) <= 2e-10
+            assert abs(r - operational_mass(transient_grid(gen, gen.point_mass("UP"), [t]))[0]) <= 2e-10
 
     def test_markov_csv_headers_and_origin(self, tmp_path):
         out = tmp_path / "out"
@@ -367,8 +375,8 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         report = (out / "report.txt").read_text()
-        assert "chain 0.99982794388940, closed-form R_int 0.99982794388900" in report
-        assert "difference chain - R_int: 4e-13\n" in report
+        assert "at t=5000: chain 0.01496844826424, closed-form R_int 0.01496844826423\n" in report
+        assert "largest |chain - closed-form R_int| over the grid: 6e-14\n" in report
 
     def test_report_says_a_chain_with_other_exits_differs_by_design(self, tmp_path):
         grid = {"start": 0.0, "stop": 20.0, "count": 5}
@@ -378,8 +386,29 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         report = (out / "report.txt").read_text()
         assert "differs from the two-stage closed form by design" in report
-        assert "difference" not in report
+        assert "largest |chain" not in report
         assert len(read_csv(out / "markov.csv")[1]) == 5
+
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_report_quotes_the_one_chain_solve(self, tmp_path, monkeypatch, stiff):
+        # [5] reads its chain numbers from markov.csv's solve, the only one
+        calls = spy_on(monkeypatch, "transient_grid")
+        sections = {"simulation": small_sim_section(n=100)}
+        if stiff:
+            sections["markov"] = {"transitions": STIFF, "time_grid": {"start": 0.0, "stop": 20.0, "count": 51}}
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = (out / "report.txt").read_text()
+        rows = [[float(v) for v in row] for row in read_csv(out / "markov.csv")[1]]
+        assert f"operational mass at t={rows[-1][0]:g}: chain {rows[-1][-1]:.14f}," in report
+        inter = load_config(cfg).markov.interaction()
+        gap = max(abs(row[-1] - interaction_reliability_closed_form(inter, row[0])) for row in rows)
+        if stiff:
+            assert "over the grid" not in report
+        else:
+            assert f"largest |chain - closed-form R_int| over the grid: {gap:.2g}\n" in report
 
     @pytest.mark.parametrize("fail", ["config", "monkeypatch"])
     def test_failed_stage_leaves_the_output_directory_as_found(self, tmp_path, monkeypatch, fail):

@@ -24,7 +24,7 @@ GOLDEN = {
     "failure_rate.csv": "8e9b2f0cc5323d33623fd4fe3c72c0879bf8d6c789a30b494ac936ba7a8f7876",
     "fit.csv": "887bd8df60f2c450aabf84855cebd53cb9041fa0cba2aca169cbe9baad77c21f",
     "repair_rate.csv": "209bdc103dfa9d4bb7e7a9d6dff8d3a3292c435bb0a7dd8b294363fea8895384",
-    "report.txt": "e6804ba37ef5bace2f5aa8598464a0d9b4bbd0e3b3eb89ad5bd4017fd8a7c0c6",
+    "report.txt": "b5de651544de1e55378f82753aaa390b3c711826226ad4a68649d7ac45907103",
     "summary.csv": "0de5b08c34b1d44355bf1bd18042677b35f83d2e43d42bab0671475ebe391d9b",
     "unavailability.csv": "5763e4d7b7165c6daa7a9a84d59b564fe948b40c980649a88a2f47e70979faf2",
 }

@@ -8,16 +8,15 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from pmurel import markov
+from pmurel.config import TimeGrid
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
 from pmurel.markov import (
     ALLOWED_TRANSITIONS,
     FAILURE_STATES,
     STATES,
     GeneratorMatrix,
-    StateDistribution,
     TransientSolution,
     build_unified_model,
-    interaction_reliability_markov,
     operational_mass,
     parse_transition,
     transient_grid,
@@ -38,13 +37,21 @@ STIFF_RATES = {
     "SD->F_SW": 1e-2,
     "SD->UP": 500.0,
 }
+# STIFF_RATES with a software restart of about one minute (525600 per year):
+# 821251 sub-steps per interval of the default grid [0, 5000].
+RESTART_RATES = {**STIFF_RATES, "SD->UP": 525600.0}
 ORACLE_TIMES = [0.0, 10.0, 100.0, 500.0, 1000.0, 5000.0]
+TWO_STATES = GeneratorMatrix.from_rates(("A", "B"), {"A->B": 1.0})
 
 
 def state_at(g, init, t):
     """The distribution at time t of the chain started from ``init``."""
-    solution = transient_grid(g, init, [t])
-    return StateDistribution(solution.states, solution.probs[0])
+    return transient_grid(g, init, [t]).probs[0]
+
+
+def reliability(g, times):
+    """Operational mass at each of ``times`` of the chain started in UP."""
+    return operational_mass(transient_grid(g, g.point_mass("UP"), times))
 
 
 def random_generator(rng, max_states=8):
@@ -65,9 +72,8 @@ class TestBuildUnifiedModel:
 
     def test_zero_generator_stays_in_up(self):
         g = build_unified_model({})
-        init = StateDistribution.point_mass(STATES, "UP")
         for t in [0.0, 1.0, 100.0, 1e4]:
-            assert state_at(g, init, t)["UP"] == pytest.approx(1.0, abs=1e-12)
+            assert state_at(g, g.point_mass("UP"), t)[g.index("UP")] == pytest.approx(1.0, abs=1e-12)
 
     def test_reduced_chain_entries(self):
         g = build_unified_model(REDUCED_RATES)
@@ -133,31 +139,27 @@ class TestGeneratorMatrix:
 
 
 class TestStateDistribution:
+    # the initial distribution: a plain vector, checked by transient_grid
     def test_point_mass(self):
-        d = StateDistribution.point_mass(STATES, "UP")
-        assert d["UP"] == 1.0
-        assert sum(d.as_dict().values()) == 1.0
+        g = build_unified_model(REDUCED_RATES)
+        p = g.point_mass("HD3")
+        assert p.tolist() == [float(s == "HD3") for s in STATES]
+        assert not p.flags.writeable
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            StateDistribution(("A", "B"), np.array([0.6, 0.6]))
+        with pytest.raises(ValueError, match="^initial distribution: probabilities must sum to 1"):
+            transient_grid(TWO_STATES, [0.6, 0.6], [1.0])
 
     def test_rejects_negative_probability(self):
-        with pytest.raises(ValueError):
-            StateDistribution(("A", "B"), np.array([1.2, -0.2]))
+        with pytest.raises(ValueError, match=r"^initial distribution: probabilities must lie in \[0, 1\]"):
+            transient_grid(TWO_STATES, np.array([1.2, -0.2]), [1.0])
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="must sum to 1"):
-            StateDistribution(("A", "B"), np.array([math.nan, 0.5]))
+        with pytest.raises(ValueError, match="^initial distribution: probabilities must sum to 1"):
+            transient_grid(TWO_STATES, [math.nan, 0.5], [1.0])
 
     def test_unknown_state_is_named(self):
-        d = StateDistribution.point_mass(("A", "B"), "A")
-        no_up = GeneratorMatrix.from_rates(("A", "B"), {"A->B": 1.0})
-        for lookup in (
-            lambda: StateDistribution.point_mass(("A", "B"), "UP"),
-            lambda: d["UP"],
-            lambda: interaction_reliability_markov(no_up, 1.0),
-        ):
+        for lookup in (lambda: TWO_STATES.point_mass("UP"), lambda: TWO_STATES.index("UP")):
             with pytest.raises(ValueError, match="^unknown state 'UP'$"):
                 lookup()
 
@@ -165,64 +167,61 @@ class TestStateDistribution:
 class TestTransientDistribution:
     def test_identity_at_time_zero(self):
         g = build_unified_model(REDUCED_RATES)
-        init = StateDistribution.point_mass(STATES, "HD3")
-        out = state_at(g, init, 0.0)
-        assert np.array_equal(out.probs, init.probs)
+        init = g.point_mass("HD3")
+        assert np.array_equal(state_at(g, init, 0.0), init)
 
     def test_rejects_negative_time(self):
         g = build_unified_model({})
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         with pytest.raises(ValueError):
             state_at(g, init, -1.0)
         with pytest.raises(ValueError):
             state_at(g, init, math.nan)
 
     def test_rejects_mismatched_states(self):
+        # one probability per state of the generator, as a flat vector
         g = build_unified_model({})
-        other = StateDistribution.point_mass(("A", "B"), "A")
-        with pytest.raises(ValueError):
-            state_at(g, other, 1.0)
+        for init in ([1.0, 0.0], np.full((1, len(STATES)), 1.0 / len(STATES))):
+            with pytest.raises(ValueError, match="^initial distribution must hold one probability per state"):
+                state_at(g, init, 1.0)
 
     def test_two_state_chain_reaches_steady_availability(self):
         # UP <-> HD2 with the crisp failure/repair rates behaves as the
         # two-state repairable component; mu/(lambda+mu) is the limit
         g = build_unified_model({"UP->HD2": 0.6566, "HD2->UP": 22.2898})
-        init = StateDistribution.point_mass(STATES, "UP")
-        p_up = state_at(g, init, 5.0)["UP"]
+        p_up = state_at(g, g.point_mass("UP"), 5.0)[g.index("UP")]
         assert p_up == pytest.approx(22.2898 / (22.2898 + 0.6566), abs=1e-6)
 
     def test_reduced_chain_matches_closed_form_spot(self):
         g = build_unified_model(REDUCED_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
-        d = state_at(g, init, 100.0)
-        assert d["UP"] + d["HD3"] == pytest.approx(0.9850559483317051, abs=1e-8)
+        d = state_at(g, g.point_mass("UP"), 100.0)
+        assert d[g.index("UP")] + d[g.index("HD3")] == pytest.approx(0.9850559483317051, abs=1e-8)
 
     def test_probability_conservation_random_generators(self, rng):
         for _ in range(50):
             g = random_generator(rng)
-            init = StateDistribution(g.states, rng.dirichlet(np.ones(len(g.states))))
+            init = rng.dirichlet(np.ones(len(g.states)))
             t = float(rng.uniform(0.0, 10.0))
             out = state_at(g, init, t)
-            assert abs(float(out.probs.sum()) - 1.0) <= 1e-9
+            assert abs(float(out.sum()) - 1.0) <= 1e-9
 
     def test_matches_matrix_exponential_oracle(self, rng):
         for _ in range(20):
             g = random_generator(rng)
             p0 = rng.dirichlet(np.ones(len(g.states)))
-            init = StateDistribution(g.states, p0)
             t = float(rng.uniform(0.0, 10.0))
-            ours = state_at(g, init, t).probs
+            ours = state_at(g, p0, t)
             oracle = p0 @ expm(g.matrix * t)
             assert np.abs(ours - oracle).max() <= 1e-8
 
     def test_chapman_kolmogorov_consistency(self, rng):
         g = build_unified_model(REDUCED_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         for _ in range(20):
             s, t = (float(v) for v in rng.uniform(0.0, 2000.0, size=2))
             via_stop = state_at(g, state_at(g, init, s), t)
             direct = state_at(g, init, s + t)
-            assert np.abs(via_stop.probs - direct.probs).max() <= 1e-8
+            assert np.abs(via_stop - direct).max() <= 1e-8
 
     def test_monotone_absorption_without_recovery(self):
         rates = {
@@ -236,9 +235,8 @@ class TestTransientDistribution:
             "SD->F_SW": 0.08,
         }
         g = build_unified_model(rates)
-        init = StateDistribution.point_mass(STATES, "UP")
         failed_mass = [
-            sum(state_at(g, init, t)[s] for s in FAILURE_STATES)
+            sum(state_at(g, g.point_mass("UP"), t)[g.index(s)] for s in FAILURE_STATES)
             for t in [0.0, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0]
         ]
         assert failed_mass[0] == 0.0
@@ -248,8 +246,7 @@ class TestTransientDistribution:
         # rate ratio of 5e5 between the two stages
         m = np.array([[-500.0, 500.0], [1e-3, -1e-3]])
         g = GeneratorMatrix(("A", "B"), m)
-        init = StateDistribution.point_mass(("A", "B"), "A")
-        ours = state_at(g, init, 50.0).probs
+        ours = state_at(g, g.point_mass("A"), 50.0)
         oracle = np.array([1.0, 0.0]) @ expm(m * 50.0)
         assert np.abs(ours - oracle).max() <= 1e-8
 
@@ -257,12 +254,11 @@ class TestTransientDistribution:
 class TestInteractionReliability:
     def test_starts_at_one(self):
         g = build_unified_model(REDUCED_RATES)
-        assert interaction_reliability_markov(g, 0.0) == 1.0
+        assert reliability(g, [0.0]).tolist() == [1.0]
 
     def test_zero_generator_always_one(self):
         g = build_unified_model({})
-        for t in [0.0, 10.0, 1e4]:
-            assert interaction_reliability_markov(g, t) == pytest.approx(1.0, abs=1e-12)
+        assert reliability(g, [0.0, 10.0, 1e4]) == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_oracle_equivalence_with_closed_form(self):
         # the reduced two-rate chain and the hypoexponential survival are the
@@ -270,10 +266,9 @@ class TestInteractionReliability:
         # waiting times, past the last pinned grid point
         g = build_unified_model(REDUCED_RATES)
         p = InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3)
-        for t in ORACLE_TIMES + [2500.0, 5605.0]:
-            markov = interaction_reliability_markov(g, t)
-            closed = interaction_reliability_closed_form(p, t)
-            assert abs(markov - closed) <= 1e-8
+        times = sorted(ORACLE_TIMES + [2500.0, 5605.0])
+        for t, markov in zip(times, reliability(g, times)):
+            assert abs(markov - interaction_reliability_closed_form(p, t)) <= 1e-8
 
     def test_three_state_chain_directly(self):
         g = GeneratorMatrix.from_rates(
@@ -281,13 +276,11 @@ class TestInteractionReliability:
             {"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
         )
         p = InteractionParams(lambda1=8.92e-4, lambda2=3.92e-3)
-        for t in ORACLE_TIMES:
-            assert interaction_reliability_markov(g, t) == pytest.approx(
-                interaction_reliability_closed_form(p, t), abs=1e-8
-            )
+        for t, markov in zip(ORACLE_TIMES, reliability(g, ORACLE_TIMES)):
+            assert markov == pytest.approx(interaction_reliability_closed_form(p, t), abs=1e-8)
 
     def test_operational_mass_is_not_clamped(self):
-        # inside the StateDistribution tolerances the operational sum may
+        # inside the probability rule's tolerances the operational sum may
         # exceed 1 by rounding; it is reported as it is
         probs = np.zeros((1, len(STATES)))
         probs[0, [0, 1, 5]] = 0.5, 0.5 + 5e-13, -5e-13
@@ -297,7 +290,7 @@ class TestInteractionReliability:
 
     def test_nonincreasing_when_exits_are_absorbing(self):
         g = build_unified_model(REDUCED_RATES)
-        values = [interaction_reliability_markov(g, t) for t in ORACLE_TIMES]
+        values = reliability(g, ORACLE_TIMES).tolist()
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -321,7 +314,7 @@ class TestTransientGrid:
     @given(rates=stiff_rates, times=grids, start=st.sampled_from(STATES))
     def test_matches_matrix_exponential_oracle(self, rates, times, start):
         g = build_unified_model(rates)
-        init = StateDistribution.point_mass(STATES, start)
+        init = g.point_mass(start)
         solution = transient_grid(g, init, times)
         assert solution.times == tuple(times)
         assert solution.states == STATES
@@ -329,7 +322,7 @@ class TestTransientGrid:
         assert not solution.probs.flags.writeable
         assert solution.error_bound <= 1e-10
         for t, probs in zip(times, solution.probs):
-            oracle = init.probs @ expm(g.matrix * t)
+            oracle = init @ expm(g.matrix * t)
             assert np.abs(probs - oracle).max() <= 1e-9
             assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
@@ -337,47 +330,46 @@ class TestTransientGrid:
         # each call adds its truncated Poisson tail back, so the sum does not
         # drift; dropping the tail ran out of tolerance after 14 calls
         g = build_unified_model(STIFF_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
-        dist = init
+        init = dist = g.point_mass("UP")
         for _ in range(100):
             dist = state_at(g, dist, 0.2)
-        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
-        assert np.abs(dist.probs - init.probs @ expm(g.matrix * 20.0)).max() <= 1e-9
+        assert abs(float(dist.sum()) - 1.0) <= 1e-9
+        assert np.abs(dist - init @ expm(g.matrix * 20.0)).max() <= 1e-9
 
     def test_stiff_grid_diagnostics(self):
         g = build_unified_model(STIFF_RATES)
         times = [i * (20.0 / 50) for i in range(51)]
-        solution = transient_grid(g, StateDistribution.point_mass(STATES, "UP"), times)
+        solution = transient_grid(g, g.point_mass("UP"), times)
         # rate 500.01 over 50 intervals of 0.4: ceil(200.004 / 64) = 4 sub-steps each
         assert solution.steps == 200
         assert 0.0 < solution.error_bound <= 1e-10
         assert solution.poisson_terms > 0
 
     def test_exact_cases(self):
-        init = StateDistribution(STATES, np.full(len(STATES), 1.0 / len(STATES)))
+        init = np.full(len(STATES), 1.0 / len(STATES))
         zero = transient_grid(build_unified_model({}), init, [0.0, 1.0, 1e4])
-        assert all(np.array_equal(p, init.probs) for p in zero.probs)
+        assert all(np.array_equal(p, init) for p in zero.probs)
         assert (zero.steps, zero.poisson_terms, zero.error_bound) == (0, 0, 0.0)
         g = build_unified_model(STIFF_RATES)
         solution = transient_grid(g, init, [0.0, 0.0, 3.0, 3.0, 3.0])
         first, again, later, *repeats = solution.probs
-        assert np.array_equal(first, init.probs)
-        assert np.array_equal(again, init.probs)
+        assert np.array_equal(first, init)
+        assert np.array_equal(again, init)
         assert all(np.array_equal(p, later) for p in repeats)
         assert transient_grid(g, init, []).probs.shape == (0, len(STATES))
 
     @pytest.mark.parametrize("t", [1e-7, 1e-12])
     def test_tiny_poisson_means_take_the_poisson_path(self, t):
         g = build_unified_model(STIFF_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         solution = transient_grid(g, init, [t])
         assert solution.steps == 1
         assert solution.poisson_terms >= 2
         assert solution.error_bound <= 1e-10
-        oracle = init.probs @ expm(g.matrix * t)
+        oracle = init @ expm(g.matrix * t)
         assert np.abs(solution.probs[0] - oracle).max() <= 1e-12
         zero = transient_grid(build_unified_model({}), init, [t, 2 * t])
-        assert all(np.array_equal(p, init.probs) for p in zero.probs)
+        assert all(np.array_equal(p, init) for p in zero.probs)
         assert zero.steps == 0
 
     @pytest.mark.parametrize(
@@ -386,7 +378,7 @@ class TestTransientGrid:
     def test_rejects_bad_times(self, times):
         g = build_unified_model(STIFF_RATES)
         with pytest.raises(ValueError):
-            transient_grid(g, StateDistribution.point_mass(STATES, "UP"), times)
+            transient_grid(g, g.point_mass("UP"), times)
 
     @pytest.mark.parametrize("stop", [2e4, 5e4, 1e5])
     def test_long_stiff_horizons_meet_the_budget(self, stop):
@@ -394,20 +386,44 @@ class TestTransientGrid:
         # rounding of 1 - sum(weights), so only a bound taken from the terms
         # themselves is met and stays positive
         g = build_unified_model(STIFF_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         solution = transient_grid(g, init, [0.0, stop])
         assert 0.0 < solution.error_bound <= 1e-10
         for t, probs in zip(solution.times, solution.probs):
-            assert np.abs(probs - init.probs @ expm(g.matrix * t)).max() <= 1e-9
+            assert np.abs(probs - init @ expm(g.matrix * t)).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "rates, tol",
+        [
+            (RESTART_RATES, 1e-7),
+            ({"UP->HD3": 1e6, "HD3->F_INT": 1.0}, 1e-12),
+            # expm is the less accurate of the two here
+            ({**STIFF_RATES, "SD->UP": 5.256e7}, 1e-6),
+        ],
+    )
+    def test_fast_rates_take_one_product_per_interval(self, rates, tol):
+        # tens of millions of sub-steps and more over the default grid: each
+        # interval is one product with M_h^n, which repeated squaring forms
+        # in about log2(n) matrix products, so the solve does not take
+        # minutes; its rows are rescaled to sum to 1, so the rounding of
+        # billions of sub-steps does not break the probability rule
+        g = build_unified_model(rates)
+        init = g.point_mass("UP")
+        solution = transient_grid(g, init, TimeGrid(0.0, 5000.0, 51).values())
+        assert solution.steps > 40_000_000
+        assert 0.0 < solution.error_bound <= 1e-10
+        for t, probs in zip(solution.times, solution.probs):
+            assert np.abs(probs - init @ expm(g.matrix * t)).max() <= tol
+            assert abs(float(probs.sum()) - 1.0) <= 1e-9
 
     def test_zero_budget_is_met(self, monkeypatch):
         # the terms fall to 0, so even no budget at all ends the sum
         monkeypatch.setattr(markov, "_POISSON_TRUNCATION_EPS", 0.0)
         g = build_unified_model(REDUCED_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         solution = transient_grid(g, init, [0.0, 100.0])
         assert solution.error_bound == 0.0
-        assert np.abs(solution.probs[1] - init.probs @ expm(g.matrix * 100.0)).max() <= 1e-12
+        assert np.abs(solution.probs[1] - init @ expm(g.matrix * 100.0)).max() <= 1e-12
 
 
 class TestPoissonWeights:

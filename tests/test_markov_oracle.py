@@ -2,9 +2,11 @@
 
 The reference below builds each step matrix from scratch, one power chain
 per distinct sub-step length, with the weights and the products interleaved
-in one loop.  ``transient_grid`` shares one table of powers across the grid
-and checks the whole result in one pass; it must reproduce the reference bit
-for bit, so every comparison here is ``==``, never approximate.
+in one loop, and raises it to each interval's number of sub-steps anew, its
+rows rescaled to sum to 1.  ``transient_grid`` shares one table of powers
+across the grid, forms each distinct interval power once and checks the
+whole result in one pass; it must reproduce the reference bit for bit, so
+every comparison here is ``==``, never approximate.
 
 Both stop summing at the first index K past the Poisson mean at which the
 bound B_K = w_K (mean/(K+1)) / (1 - mean/(K+2)) on the omitted terms is at
@@ -23,7 +25,6 @@ from pmurel.config import TimeGrid
 from pmurel.markov import (
     ALLOWED_TRANSITIONS,
     STATES,
-    StateDistribution,
     TransientSolution,
     build_unified_model,
     transient_grid,
@@ -69,7 +70,7 @@ def reference_transient_grid(g, initial, times):
     step_matrices = {}
     error_bound = 0.0
     poisson_terms = 0
-    x = initial.probs
+    x = initial
     rows = []
     for dt, n in zip(intervals, splits):
         if n:
@@ -79,10 +80,10 @@ def reference_transient_grid(g, initial, times):
                 step_matrices[h] = m, bound
                 poisson_terms += terms
             m, bound = step_matrices[h]
-            for _ in range(n):
-                x = x @ m
+            power = np.linalg.matrix_power(m, n)
+            x = x @ (power / power.sum(axis=1, keepdims=True) if n > 1 else m)
             error_bound += n * bound
-        rows.append(StateDistribution(g.states, x).probs)
+        rows.append(x)
     probs = np.array(rows).reshape(len(times), len(q))
     return TransientSolution(g.states, times, probs, error_bound, steps, poisson_terms)
 
@@ -117,7 +118,7 @@ class TestSharedPowerTable:
     @given(rates=unified_rates, times=grids, start=st.sampled_from(STATES))
     def test_matches_per_step_length_reference(self, rates, times, start):
         g = build_unified_model(rates)
-        init = StateDistribution.point_mass(STATES, start)
+        init = g.point_mass(start)
         assert_same_solution(
             transient_grid(g, init, times), reference_transient_grid(g, init, times)
         )
@@ -128,11 +129,12 @@ class TestSharedPowerTable:
             (STIFF_RATES, TimeGrid(0.0, 20.0, 51)),
             ({"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3}, TimeGrid(0.0, 5000.0, 51)),
             (STIFF_RATES, TimeGrid(0.3, 7.7, 13)),
+            ({**STIFF_RATES, "SD->UP": 525600.0}, TimeGrid(0.0, 5000.0, 51)),
         ],
     )
     def test_matches_reference_on_configured_grids(self, rates, grid):
         g = build_unified_model(rates)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         ours = transient_grid(g, init, grid.values())
         assert_same_solution(ours, reference_transient_grid(g, init, grid.values()))
 
@@ -143,7 +145,7 @@ class TestSharedPowerTable:
         step_matrix = markov._step_matrix
         monkeypatch.setattr(markov, "_step_matrix", lambda *args: factor * step_matrix(*args))
         g = build_unified_model(STIFF_RATES)
-        init = StateDistribution.point_mass(STATES, "UP")
+        init = g.point_mass("UP")
         # one sub-step per interval, so the first wrong step shows at t = 0.1
         with pytest.raises(ValueError, match=rf"at t = 0\.1: probabilities {rule}"):
             transient_grid(g, init, [0.0, 0.0, 0.1, 0.2])

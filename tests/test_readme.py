@@ -10,5 +10,5 @@ def test_readme_library_example_runs_and_its_comments_hold():
     block = re.search(r"```python\n(.*?)\n```", section, re.DOTALL).group(1)
     names = {}
     exec(compile(block, "README.md", "exec"), names)
-    assert names["r100"] == pytest.approx(0.985056, abs=5e-7)
+    assert names["operational_mass"](names["solution"])[1] == pytest.approx(0.985056, abs=5e-7)
     assert names["solution"].error_bound <= 1e-10
