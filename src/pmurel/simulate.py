@@ -65,7 +65,11 @@ per row, but 30 to 40 ns per draw, so their rounds hold just the expected
 draws.  Campaigns of short replications, whose native round would hold at
 most ``ARRAY_STREAM_DRAWS`` draws, take array streams, and never import
 ``numpy.random``; longer ones take native streams.  Both give the same draws,
-so the choice changes no result.
+so the choice changes no result.  Their tiles differ: an array round pays a
+fixed set of numpy calls whatever its rows, so an array tile holds
+``ARRAY_TILE_ROWS`` rows, a divisor of the block; a native round pays a call
+per row, so a native tile holds the rows whose round fits in
+``TILE_ELEMENTS`` draws.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
@@ -95,10 +99,13 @@ EXPOSURE_CHUNK = 16384
 # Cap on the uniforms one replication draws per round of the block engine.
 MAX_ROUND_DRAWS = 4096
 
-# Elements (replications x draws) of each working array of one round; the
-# block engine walks a block in tiles of rows under this budget, which bounds
-# its temporaries without changing any result.
+# Tile sizes of the block engine (_walk_tile), which bound its temporaries
+# without changing any result.  A native-stream round costs a call per row,
+# so its tile keeps the round's arrays (rows x draws) under TILE_ELEMENTS.
+# An array-stream round pays about 120 numpy calls whatever its rows, so its
+# tile holds ARRAY_TILE_ROWS, a divisor of _SUBSTREAM_BLOCK: no runt tiles.
 TILE_ELEMENTS = 8192
+ARRAY_TILE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -439,10 +446,11 @@ class _ArrayStreams:
 
 
 # The widest native round (see _draw_plan) still drawn from array streams:
-# where whole campaigns cost the same on either kind (array streams were
-# faster at native rounds of 54 draws and slower at 60; run_simulation with
-# 400000 / mission_time replications, 2-core Xeon).
-ARRAY_STREAM_DRAWS = 56
+# where whole campaigns cost the same on either kind (run_simulation with
+# 400000 / mission_time replications, 10 alternating pairs, 2-core Xeon:
+# array streams faster at native rounds of 80 draws, even at 88-104, slower
+# from 112).
+ARRAY_STREAM_DRAWS = 96
 
 
 def _draw_plan(failure_rate: float, repair_rate: float, mission_time: float) -> tuple[type, int]:
@@ -606,13 +614,14 @@ def _walk_tile(cfg: SimulationConfig, index: int):
     """Walk the tile of rows holding replication ``index``: returns the
     tile's first index and ``_walk``'s three arrays for it.
 
-    A tile is a run of rows under ``TILE_ELEMENTS`` within the index's
-    aligned block of ``_SUBSTREAM_BLOCK`` indices, which is cut at
-    ``cfg.n_replications`` (the whole block for an index past it).
+    A tile is a run of ``ARRAY_TILE_ROWS`` rows for array streams, of rows
+    whose round holds at most ``TILE_ELEMENTS`` draws for native streams,
+    within the index's aligned block of ``_SUBSTREAM_BLOCK`` indices, which
+    is cut at ``cfg.n_replications`` (the whole block for an index past it).
     """
     rates = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
     kind, width = _draw_plan(*rates)
-    rows = max(1, TILE_ELEMENTS // width)
+    rows = ARRAY_TILE_ROWS if kind is _ArrayStreams else max(1, TILE_ELEMENTS // width)
     block, row = divmod(index, _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
@@ -667,8 +676,9 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     Replications are simulated a tile of rows at a time (``_walk_tile``):
     a call for an index in the held tile of the same rates, mission time and
     seed returns its kept trace, and any other index walks its tile in place
-    of the held one, to the same trace values.  Indices are checked as
-    SeedSequence checks a spawn key.
+    of the held one, to the same trace values.  So calls out of index order
+    may walk a whole tile each, 1024 rows for array streams.  Indices are
+    checked as SeedSequence checks a spawn key.
     """
     index = integer("replication_index", replication_index, 0)
     key, first, traces = _held
@@ -679,12 +689,12 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
 
 # Campaigns of at least this many replications walk in a forked process
 # (_walker_pays).  A first run_simulation in a fresh process at mission 10,
-# forked against in-process (medians of 12 alternating pairs, 2-core Xeon):
-# about even at 4097 replications, 10 ms faster at 6144 (8 of 12 pairs),
-# 31 ms at 8192 (12 of 12) and 46 ms at 10000 (12 of 12).  At 200
-# replications of 2000-year missions the walker gained nothing (2 ms, 7 of
-# 12), and the benchmark's pipeline at that size took 0.177-0.205 s with it
-# against 0.174-0.186 s without (4 pairs).
+# forked against in-process (medians of 12 alternating pairs, 2-core Xeon,
+# 1024-row array tiles): even or slower up to 7168 replications, 6-9 ms
+# faster at 8192 (9 of 12 pairs) and 14-20 ms at 10000 (11-12 of 12).  At
+# 200 replications of 2000-year missions the walker gained nothing (2 ms, 7
+# of 12), and the benchmark's pipeline at that size took 0.177-0.205 s with
+# it against 0.174-0.186 s without (4 pairs).
 WALKER_MIN_REPLICATIONS = 8192
 
 # Requested size of the walker's pipe, enough for several tiles: the calling

@@ -464,6 +464,19 @@ class TestReplicationTrace:
             first.up_time = 1.0
 
 
+def output_bytes(summary, out):
+    """The bytes of the summary and exposure CSVs written for ``summary``
+    into the new directory ``out``."""
+    out.mkdir()
+    write_csv(
+        out / "summary.csv",
+        ["availability", "mean_failures", "availability_se", "mean_failures_se"],
+        [(summary.availability, summary.mean_failures, summary.availability_se, summary.mean_failures_se)],
+    )
+    write_csv(out / "exposure.csv", ["interval", "X_i", "T_i"], summary.exposure.rows())
+    return (out / "summary.csv").read_bytes() + (out / "exposure.csv").read_bytes()
+
+
 class TestRunSimulation:
     def test_reproducible_bit_for_bit(self):
         cfg = base_config(n_replications=2000)
@@ -476,23 +489,10 @@ class TestRunSimulation:
         # buckets
         n = 2 * simulate._SUBSTREAM_BLOCK + 37
         cfg = base_config(n_replications=n)
-
-        def output_bytes(summary, name):
-            path = tmp_path / f"{name}.csv"
-            write_csv(
-                path,
-                ["availability", "mean_failures", "availability_se", "mean_failures_se"],
-                [(summary.availability, summary.mean_failures,
-                  summary.availability_se, summary.mean_failures_se)],
-            )
-            write_csv(tmp_path / f"{name}_exposure.csv", ["interval", "X_i", "T_i"],
-                      summary.exposure.rows())
-            return path.read_bytes() + (tmp_path / f"{name}_exposure.csv").read_bytes()
-
-        default = output_bytes(run_simulation(cfg), "default")
+        default = output_bytes(run_simulation(cfg), tmp_path / "default")
         monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
         summary = run_simulation(cfg)
-        assert output_bytes(summary, f"chunk{chunk}") == default
+        assert output_bytes(summary, tmp_path / f"chunk{chunk}") == default
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
     def test_memory_grows_by_the_per_replication_arrays_only(self, fresh_tiles):
@@ -563,16 +563,60 @@ class TestRunSimulation:
             tiles = [first for first in walked if first // simulate._SUBSTREAM_BLOCK == block]
             assert len(tiles) > len(set(tiles))
 
-    @pytest.mark.parametrize("tile", [1, 75, 4 * simulate.TILE_ELEMENTS])
-    def test_identical_for_any_tile_size(self, tile, monkeypatch, fresh_tiles):
-        cfg = base_config(n_replications=300)
-        default = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+    @staticmethod
+    def bucketed(cfg, monkeypatch):
+        """``run_simulation(cfg)`` in this process, and the trace of each
+        index that it bucketed."""
+        traces = []
+
+        def recording_run_replication(cfg, index, real=simulate.run_replication):
+            traces.append(real(cfg, index))
+            return traces[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_walker_pays", lambda cfg: False)
+            patch.setattr(simulate, "run_replication", recording_run_replication)
+            return run_simulation(cfg), traces
+
+    # Each tile rule at sizes that cut a block into runt tiles and into none,
+    # on a campaign of its stream kind that ends 37 rows into its second
+    # block.  Native rounds hold 108 draws at mission 60, so native sizes of
+    # 1 and 75 elements are tiles of one row.
+    @pytest.mark.parametrize(
+        "mission,rule,tile",
+        [pytest.param(MISSION, "ARRAY_TILE_ROWS", rows, id=f"array_rows_{rows}") for rows in (1, 7, 1024, 4096)]
+        + [pytest.param(60.0, "TILE_ELEMENTS", elements, id=str(elements))
+           for elements in (1, 75, 4 * simulate.TILE_ELEMENTS)],
+    )
+    def test_identical_for_any_tile_size(self, mission, rule, tile, monkeypatch, tmp_path, fresh_tiles):
+        cfg = base_config(mission_time=mission, n_replications=simulate._SUBSTREAM_BLOCK + 37)
+        kind = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)[0]
+        assert kind is (simulate._ArrayStreams if rule == "ARRAY_TILE_ROWS" else simulate._NativeStreams)
+        default, default_traces = self.bucketed(cfg, monkeypatch)
         fresh_tiles()
-        monkeypatch.setattr(simulate, "TILE_ELEMENTS", tile)
-        for i, want in enumerate(default):
-            got = run_replication(cfg, i)
+        monkeypatch.setattr(simulate, rule, tile)
+        summary, traces = self.bucketed(cfg, monkeypatch)
+        assert output_bytes(summary, tmp_path / "tiled") == output_bytes(default, tmp_path / "default")
+        assert len(traces) == len(default_traces) == cfg.n_replications
+        for got, want in zip(traces, default_traces):
             assert np.array_equal(got.events, want.events)
             assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
+
+    def test_full_blocks_of_array_streams_walk_in_equal_tiles(self, monkeypatch):
+        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+        walked = []
+
+        def recording_walk_tile(cfg, index, real=simulate._walk_tile):
+            tile = real(cfg, index)
+            walked.append((tile[0], len(tile[2])))
+            return tile
+
+        monkeypatch.setattr(simulate, "_walk_tile", recording_walk_tile)
+        monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
+        run_simulation(base_config(n_replications=n))
+        rows = simulate.ARRAY_TILE_ROWS
+        full_blocks = [(first, rows) for first in range(0, 2 * simulate._SUBSTREAM_BLOCK, rows)]
+        assert walked == full_blocks + [(2 * simulate._SUBSTREAM_BLOCK, 37)]
 
     def test_threads_interleaving_campaigns_get_their_own_traces(self, fresh_tiles):
         # six threads on two cores, each calling its own campaign in index

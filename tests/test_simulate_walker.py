@@ -89,7 +89,7 @@ class TestSelection:
 
 
 class TestSameResultsWhateverTheLayout:
-    @pytest.mark.parametrize("mission_time,kind", [(10.0, "_ArrayStreams"), (30.0, "_NativeStreams")])
+    @pytest.mark.parametrize("mission_time,kind", [(10.0, "_ArrayStreams"), (60.0, "_NativeStreams")])
     def test_walker_equals_in_process_and_single_calls(self, mission_time, kind, forks, monkeypatch,
                                                        fresh_tiles):
         cfg = config(mission_time=mission_time, master_seed=2**40 + 3)
