@@ -21,16 +21,16 @@ bucketing, or the process that walks the tiles.
 The engine simulates a tile at a time: a ``run_replication`` call walks the
 replications of the tile of rows holding its index, within an aligned block
 of ``_SUBSTREAM_BLOCK`` indices, at once, as arrays.  The module holds the
-one tile walked last, so the calls for the rest of that tile return kept
-traces whose events are views of the tile's one event array; a call for any
-other tile, or for another campaign, walks its tile in place of the held
-one.  Calls from several threads at once therefore stay correct, and
-campaigns interleaved call by call walk their tiles again, to the same
-traces.  ``run_simulation`` streams: it takes the campaign's walked tiles in
-index order, holds each, and buckets the traces a chunk at a time as they
-are drawn, a handful of numpy calls per chunk, keeping only each
+one tile walked last, as its arrays, so a call for the rest of that tile
+cuts its trace from them, the events a view of the tile's one event array;
+a call for any other tile, or for another campaign, walks its tile in place
+of the held one.  Calls from several threads at once therefore stay
+correct, and campaigns interleaved call by call walk their tiles again, to
+the same traces.  ``run_simulation`` streams: it takes the campaign's walked
+tiles in index order, holds each, and buckets the traces a chunk at a time
+as they are drawn, a handful of numpy calls per chunk, keeping only each
 replication's up fraction and failure count.  A campaign of any length or
-mission time therefore holds one tile of traces, one exposure chunk and 16
+mission time therefore holds one walked tile, one exposure chunk and 16
 bytes per replication.  Each replication draws the raw outputs of numpy's
 PCG64 for its substream, times go through the module's own natural log
 (``_log``, a port of fdlibm's in IEEE ``+ - * /`` alone), not the
@@ -41,9 +41,9 @@ scalar one-draw-at-a-time loop over the same log bit for bit
 
 Walking the tiles and bucketing them take about the same time, so a large
 campaign does both at once: ``run_simulation`` forks one walker process
-(``os.fork``), which walks the tiles in index order and writes each tile's
-events, counts and up times to a pipe while the calling process buckets the
-tiles before it.
+(``os.fork``), which walks the tiles in index order and pickles each to a
+pipe that only it writes, while the calling process buckets the tiles
+before it.
 It does so only where the platform can fork, the process may run on at
 least two CPUs and the campaign has at least ``WALKER_MIN_REPLICATIONS``
 replications; there is no option for it.  Everything else, a
@@ -85,6 +85,7 @@ import contextlib
 import functools
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -641,9 +642,10 @@ def _tiles(cfg: SimulationConfig):
         index = first + len(counts)
 
 
-# The one walked tile kept: (key, first index, traces).  _hold replaces the
-# tuple whole, so a reader sees one tile or the other, never a mix.
-_held = (None, 0, ())
+# The one walked tile kept: (key, first index, read-only events, row starts,
+# up times).  _hold replaces the tuple whole, so a reader sees one tile or
+# the other, never a mix.
+_held = (None, 0, None, [0], [])
 
 
 def _tile_key(cfg: SimulationConfig) -> tuple:
@@ -654,17 +656,11 @@ def _tile_key(cfg: SimulationConfig) -> tuple:
 
 def _hold(cfg: SimulationConfig, first: int, events, counts, up) -> tuple:
     """Keep the walked tile whose first index is ``first`` in place of the
-    held one, as traces whose events are views of its read-only event
-    array; returns the new held tuple."""
+    held one: its event array, made read-only, the index of each row's
+    first event and each row's up time.  Returns the new held tuple."""
     global _held
     events.flags.writeable = False
-    ends = np.cumsum(counts).tolist()
-    traces = []
-    for start, end, up_time in zip([0, *ends], ends, up.tolist()):
-        trace = object.__new__(ReplicationTrace)
-        _set_trace(trace, events[start:end], up_time)
-        traces.append(trace)
-    held = _held = _tile_key(cfg), first, traces
+    held = _held = _tile_key(cfg), first, events, [0, *np.cumsum(counts).tolist()], up.tolist()
     return held
 
 
@@ -675,16 +671,20 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
 
     Replications are simulated a tile of rows at a time (``_walk_tile``):
     a call for an index in the held tile of the same rates, mission time and
-    seed returns its kept trace, and any other index walks its tile in place
+    seed cuts its trace from that tile's arrays, its events a read-only view
+    of the tile's event array, and any other index walks its tile in place
     of the held one, to the same trace values.  So calls out of index order
     may walk a whole tile each, 1024 rows for array streams.  Indices are
     checked as SeedSequence checks a spawn key.
     """
     index = integer("replication_index", replication_index, 0)
-    key, first, traces = _held
-    if key != _tile_key(cfg) or not first <= index < first + len(traces):
-        _, first, traces = _hold(cfg, *_walk_tile(cfg, index))
-    return traces[index - first]
+    key, first, events, starts, up = _held
+    if key != _tile_key(cfg) or not first <= index < first + len(up):
+        _, first, events, starts, up = _hold(cfg, *_walk_tile(cfg, index))
+    row = index - first
+    trace = object.__new__(ReplicationTrace)
+    _set_trace(trace, events[starts[row]:starts[row + 1]], up[row])
+    return trace
 
 
 # Campaigns of at least this many replications walk in a forked process
@@ -715,24 +715,19 @@ def _walker_pays(cfg: SimulationConfig) -> bool:
     )
 
 
-def _read_array(pipe, shape, dtype) -> np.ndarray | None:
-    """The next array of ``shape`` from ``pipe``, or None at an early end."""
-    out = np.empty(shape, dtype)
-    return out if pipe.readinto(out) == out.nbytes else None
-
-
 def _forked_tiles(cfg: SimulationConfig):
-    """``_tiles(cfg)`` walked in a forked process, the walker, which writes
-    each tile's arrays to a pipe as the caller reads the ones before.
+    """``_tiles(cfg)`` walked in a forked process, the walker, which pickles
+    each tile to a pipe as the caller reads the ones before.
 
     The walker ends with ``os._exit`` whatever happens, so it never runs
     the caller's exit handlers or flushes its buffers; a failure's text
     goes to file descriptor 2.  The walker is reaped before the generator
     ends, and killed first unless every tile was read: closing the
     generator early, or an error while reading, never leaves it running
-    or waits on one blocked on a full pipe.  A walker that ends early
-    raises RuntimeError with its exit status.  Where the fork itself fails,
-    the tiles are walked in this process.
+    or waits on one blocked on a full pipe.  Only whole tiles are yielded;
+    a walker that ends early, or leaves a tile cut short, raises
+    RuntimeError with its exit status and the replications received.
+    Where the fork itself fails, the tiles are walked in this process.
     """
     # Unix-only modules that only a forked campaign needs
     import fcntl
@@ -755,10 +750,9 @@ def _forked_tiles(cfg: SimulationConfig):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                for first, events, counts, up in _tiles(cfg):
-                    sizes = np.array([len(counts), len(events)], dtype=np.intp)
-                    for array in (sizes, events, counts, up):
-                        pipe.write(array)
+                for tile in _tiles(cfg):
+                    pickle.dump(tile, pipe, protocol=5)
+                    pipe.flush()  # a small tile would wait in the buffer
             code = 0
         except BaseException:
             import traceback
@@ -769,30 +763,26 @@ def _forked_tiles(cfg: SimulationConfig):
 
     os.close(write_fd)
     status = None
+    received = 0
     try:
         with open(read_fd, "rb") as pipe:
-            first = 0
-            while first < cfg.n_replications:
-                sizes = _read_array(pipe, 2, np.intp)
-                if sizes is None:
+            while received < cfg.n_replications:
+                try:
+                    first, events, counts, up = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
                     break
-                rows, n_events = sizes.tolist()
-                layout = ((n_events, 3), float), (rows, np.intp), (rows, float)
-                tile = [_read_array(pipe, shape, dtype) for shape, dtype in layout]
-                if any(array is None for array in tile):
-                    break
-                yield first, *tile
-                first += rows
+                yield first, events, counts, up
+                received = first + len(counts)
         _, status = os.waitpid(pid, 0)
     finally:
         if status is None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
-    if first < cfg.n_replications or code:
+    if received < cfg.n_replications or code:
         ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise RuntimeError(
-            f"the Monte Carlo walker process {ended} after sending {first} of "
+            f"the Monte Carlo walker process {ended} after sending {received} of "
             f"{cfg.n_replications} replications"
         )
 

@@ -50,12 +50,12 @@ def rng():
 
 @pytest.fixture
 def fresh_tiles():
-    """Start and end with no tile of traces held and no block of seed words
+    """Start and end with no walked tile held and no block of seed words
     kept by the Monte Carlo engine; call the fixture's value to drop them
     mid-test."""
 
     def forget():
-        simulate._held = (None, 0, ())
+        simulate._held = (None, 0, None, [0], [])
         simulate._substream_block.cache_clear()
 
     forget()

@@ -496,7 +496,7 @@ class TestRunSimulation:
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
     def test_memory_grows_by_the_per_replication_arrays_only(self, fresh_tiles):
-        # Whatever its length, the streamed campaign holds one tile of traces,
+        # Whatever its length, the streamed campaign holds one walked tile,
         # one block of seed words and one exposure chunk, plus 16 bytes per
         # replication for the up fractions and failure counts; holding every
         # trace costs hundreds.  Both sizes hold the same tile and block
@@ -562,6 +562,32 @@ class TestRunSimulation:
         for block in (0, 1):
             tiles = [first for first in walked if first // simulate._SUBSTREAM_BLOCK == block]
             assert len(tiles) > len(set(tiles))
+
+    def test_the_last_tile_stays_held_as_one_event_array(self, monkeypatch, fresh_tiles):
+        # after an in-process campaign, calls for its last tile's indices walk
+        # nothing: they cut their traces from the held tile's one event array
+        n = simulate._SUBSTREAM_BLOCK + 37
+        cfg = base_config(n_replications=n)
+        monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
+        run_simulation(cfg)
+        walked = []
+
+        def recording_walk_tile(cfg, index, real=simulate._walk_tile):
+            walked.append(index)
+            return real(cfg, index)
+
+        monkeypatch.setattr(simulate, "_walk_tile", recording_walk_tile)
+        last = range(simulate._SUBSTREAM_BLOCK, n)
+        traces = [run_replication(cfg, i) for i in last]
+        assert walked == []
+        events = simulate._held[2]
+        assert all(trace.events.base is events and not trace.events.flags.writeable for trace in traces)
+        fresh_tiles()
+        for i, trace in zip(last, traces):
+            want = run_replication(cfg, i)
+            assert np.array_equal(trace.events, want.events)
+            assert trace.up_time == want.up_time
+        assert walked == [last[0]]
 
     @staticmethod
     def bucketed(cfg, monkeypatch):

@@ -3,11 +3,13 @@ and no process or file descriptor left behind on any path."""
 
 import functools
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from pmurel import simulate
@@ -141,18 +143,67 @@ class TestProcessHygiene:
         assert open_fds() == before
         assert_no_children()
 
-    @pytest.mark.parametrize("how,ended", [("raise", "exited with status 1"),
-                                           ("kill", "was killed by signal 9")])
-    def test_failed_walker_raises_with_its_status(self, how, ended, forks, deadline, monkeypatch):
+    @pytest.mark.parametrize("how,ended,tiles_sent", [
+        pytest.param(how, ended, tiles, id=f"{how}-{ended}" + ("-after_two_tiles" if tiles else ""))
+        for how, ended in (("raise", "exited with status 1"), ("kill", "was killed by signal 9"))
+        for tiles in (0, 2)
+    ])
+    def test_failed_walker_raises_with_its_status(self, how, ended, tiles_sent, forks, deadline, monkeypatch):
+        # each tile is flushed to the pipe before the next is walked, so a
+        # walker that fails in a walk has sent every tile before it
+        real_walk = simulate._walk
+        walks = []
+
         def failing_walk(*args):
+            walks.append(None)
+            if len(walks) <= tiles_sent:
+                return real_walk(*args)
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("walk failed")
 
         monkeypatch.setattr(simulate, "_walk", failing_walk)
         before = open_fds()
-        with pytest.raises(RuntimeError, match=f"walker process {ended} after sending 0 of"):
+        sent = tiles_sent * simulate.ARRAY_TILE_ROWS
+        with pytest.raises(RuntimeError, match=f"walker process {ended} after sending {sent} of {N_WALKED} "):
             run_simulation(config())
+        assert len(forks) == 1
+        assert open_fds() == before
+        assert_no_children()
+
+    def test_a_tile_cut_short_never_reaches_the_bucketing(self, forks, deadline, monkeypatch):
+        # the walker writes half of its third tile's pickle and exits: the
+        # caller buckets the two whole tiles before it, then raises
+        real_dump = pickle.dump
+        dumps = []
+
+        def dump_half_of_the_third(tile, pipe, protocol):
+            dumps.append(None)
+            if len(dumps) < 3:
+                return real_dump(tile, pipe, protocol=protocol)
+            data = pickle.dumps(tile, protocol=protocol)
+            pipe.write(data[: len(data) // 2])
+            pipe.flush()
+            os._exit(1)
+
+        real_hold = simulate._hold
+        held = []
+
+        def recording_hold(cfg, first, events, counts, up):
+            held.append((first, events.copy(), counts.copy(), up.copy()))
+            return real_hold(cfg, first, events, counts, up)
+
+        monkeypatch.setattr(pickle, "dump", dump_half_of_the_third)
+        monkeypatch.setattr(simulate, "_hold", recording_hold)
+        cfg = config()
+        rows = simulate.ARRAY_TILE_ROWS
+        before = open_fds()
+        with pytest.raises(RuntimeError, match=f"exited with status 1 after sending {2 * rows} of"):
+            run_simulation(cfg)
+        assert [first for first, *_ in held] == [0, rows]
+        for first, *arrays in held:
+            for got, want in zip(arrays, simulate._walk_tile(cfg, first)[1:], strict=True):
+                assert np.array_equal(got, want)
         assert open_fds() == before
         assert_no_children()
 
