@@ -15,8 +15,8 @@ Reproducibility contract: replication i draws from its own substream, the
 PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
 every reduction (the summary statistics and each exposure-table bin) adds in
 replication order.  The same configuration therefore produces bit-identical
-results, whatever the tile size of the block engine, the chunk size of the
-bucketing, or the process that walks the tiles.
+results, whatever the tile size of the block engine, the chunk size and
+pair budget of the bucketing, or the process that walks the tiles.
 
 The engine simulates a tile at a time: a ``run_replication`` call walks the
 replications of the tile of rows holding its index, within an aligned block
@@ -28,13 +28,15 @@ of the held one.  Calls from several threads at once therefore stay
 correct, and campaigns interleaved call by call walk their tiles again, to
 the same traces.  ``run_simulation`` streams: it takes the campaign's walked
 tiles in index order, holds each, and buckets the traces a chunk at a time
-as they are drawn, a handful of numpy calls per chunk, keeping only each
-replication's up fraction and failure count.  A campaign of any length or
-mission time therefore holds one walked tile, one exposure chunk and 16
-bytes per replication.  Each replication draws the raw outputs of numpy's
-PCG64 for its substream, times go through the module's own natural log
-(``_log``, a port of fdlibm's in IEEE ``+ - * /`` alone), not the
-platform's libm, and every clock and bin adds in event order.  So the
+as they are drawn, a handful of numpy calls per chunk and per slice of its
+(interval, overlap) pairs, keeping only each replication's up fraction and
+failure count.  A campaign of any length, mission time or number of
+intervals therefore holds one walked tile, one chunk of up periods, one
+slice of their pairs, the interval totals and 16 bytes per replication.
+Each replication draws the raw outputs of numpy's PCG64 for its substream,
+times go through the module's own natural log (``_log``, a port of fdlibm's
+in IEEE ``+ - * /`` alone), not the platform's libm, and every clock and bin
+adds in event order.  So the
 results depend on the seed alone, not on the platform, and equal those of a
 scalar one-draw-at-a-time loop over the same log bit for bit
 (``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
@@ -67,9 +69,9 @@ most ``ARRAY_STREAM_DRAWS`` draws, take array streams, and never import
 ``numpy.random``; longer ones take native streams.  Both give the same draws,
 so the choice changes no result.  Their tiles differ: an array round pays a
 fixed set of numpy calls whatever its rows, so an array tile holds
-``ARRAY_TILE_ROWS`` rows, a divisor of the block; a native round pays a call
-per row, so a native tile holds the rows whose round fits in
-``TILE_ELEMENTS`` draws.
+``ARRAY_TILE_ROWS`` rows, halved while a round's states exceed 16 per row of
+that, so each a divisor of the block; a native round pays a call per row, so
+a native tile holds the rows whose round fits in ``TILE_ELEMENTS`` draws.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
@@ -93,9 +95,10 @@ import numpy as np
 from ._checks import integer, nonnegative, positive
 
 # Up periods bucketed per numpy pass in build_exposure_table (whole traces,
-# at least this many periods); bounds its temporaries without changing any
-# result.
-EXPOSURE_CHUNK = 16384
+# at least this many periods), and (interval, overlap) pairs expanded per
+# slice of a pass; they bound its temporaries without changing any result.
+EXPOSURE_CHUNK = 4096
+EXPOSURE_PAIRS = 8192
 
 # Cap on the uniforms one replication draws per round of the block engine.
 MAX_ROUND_DRAWS = 4096
@@ -104,7 +107,9 @@ MAX_ROUND_DRAWS = 4096
 # without changing any result.  A native-stream round costs a call per row,
 # so its tile keeps the round's arrays (rows x draws) under TILE_ELEMENTS.
 # An array-stream round pays about 120 numpy calls whatever its rows, so its
-# tile holds ARRAY_TILE_ROWS, a divisor of _SUBSTREAM_BLOCK: no runt tiles.
+# tile holds ARRAY_TILE_ROWS, a divisor of _SUBSTREAM_BLOCK (no runt tiles),
+# halved while the round's rows x (draws + 1) states exceed ARRAY_TILE_ROWS x
+# 16, so that wide rounds keep to the temporaries of a 15-draw round.
 TILE_ELEMENTS = 8192
 ARRAY_TILE_ROWS = 1024
 
@@ -448,10 +453,11 @@ class _ArrayStreams:
 
 # The widest native round (see _draw_plan) still drawn from array streams:
 # where whole campaigns cost the same on either kind (run_simulation with
-# 400000 / mission_time replications, 10 alternating pairs, 2-core Xeon:
-# array streams faster at native rounds of 80 draws, even at 88-104, slower
-# from 112).
-ARRAY_STREAM_DRAWS = 96
+# 400000 / mission_time replications, median CPU time of 7 runs per process,
+# 10 alternating pairs per point, 2-core Xeon, with array tiles halved for
+# wide rounds: array streams faster at native rounds of 80 draws in 8 of 10
+# pairs, even at 88 (7 of 10), slower at 90-96 (2-3 of 10)).
+ARRAY_STREAM_DRAWS = 88
 
 
 def _draw_plan(failure_rate: float, repair_rate: float, mission_time: float) -> tuple[type, int]:
@@ -615,14 +621,20 @@ def _walk_tile(cfg: SimulationConfig, index: int):
     """Walk the tile of rows holding replication ``index``: returns the
     tile's first index and ``_walk``'s three arrays for it.
 
-    A tile is a run of ``ARRAY_TILE_ROWS`` rows for array streams, of rows
+    A tile is a run of ``ARRAY_TILE_ROWS`` rows for array streams, halved
+    while ``rows * (width + 1)`` exceeds ``ARRAY_TILE_ROWS * 16``, and of rows
     whose round holds at most ``TILE_ELEMENTS`` draws for native streams,
     within the index's aligned block of ``_SUBSTREAM_BLOCK`` indices, which
     is cut at ``cfg.n_replications`` (the whole block for an index past it).
     """
     rates = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
     kind, width = _draw_plan(*rates)
-    rows = ARRAY_TILE_ROWS if kind is _ArrayStreams else max(1, TILE_ELEMENTS // width)
+    if kind is _ArrayStreams:
+        rows = ARRAY_TILE_ROWS
+        while rows > 1 and rows * (width + 1) > ARRAY_TILE_ROWS * 16:
+            rows //= 2
+    else:
+        rows = max(1, TILE_ELEMENTS // width)
     block, row = divmod(index, _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
@@ -674,8 +686,8 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     seed cuts its trace from that tile's arrays, its events a read-only view
     of the tile's event array, and any other index walks its tile in place
     of the held one, to the same trace values.  So calls out of index order
-    may walk a whole tile each, 1024 rows for array streams.  Indices are
-    checked as SeedSequence checks a spawn key.
+    may walk a whole tile each, up to 1024 rows for array streams.  Indices
+    are checked as SeedSequence checks a spawn key.
     """
     index = integer("replication_index", replication_index, 0)
     key, first, events, starts, up = _held
@@ -818,47 +830,66 @@ class ExposureTable:
         return [(i + 1, x, t) for i, (x, t) in enumerate(zip(self.counts, self.times))]
 
 
-def _up_periods(chunk, events: np.ndarray, mission_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the chunk's up periods, in trace order and, within a
-    trace, cycle order with the tail period last, as ``up_periods`` has
-    them.  Every trace gets a tail (start, mission_time); one that starts at
-    or after the horizon is empty and overlaps no interval."""
-    lengths = np.fromiter((len(t.events) for t in chunk), dtype=np.intp, count=len(chunk))
-    row_ends = np.cumsum(lengths)
-    starts = np.insert(events[:, 2] + events[:, 1], row_ends - lengths, 0.0)
-    ends = np.insert(events[:, 2], row_ends, mission_time)
+def _chunks(traces, mission_time: float):
+    """Consecutive runs of traces holding at least EXPOSURE_CHUNK up periods
+    each (the last run may hold fewer), each as one array of rows and its
+    number of traces.  A trace's rows are its events and then a tail row
+    (0, -mission_time, mission_time): the failure-time column holds the ends
+    of the run's up periods, tails included, and failure time plus repair
+    the start of the next period, +0.0 after a tail."""
+    tail = np.array([[0.0, -mission_time, mission_time]])
+    rows, periods = [], 0
+    for trace in traces:
+        rows += trace.events, tail
+        periods += len(trace.events) + 1
+        if periods >= EXPOSURE_CHUNK:
+            yield np.concatenate(rows), len(rows) // 2
+            rows, periods = [], 0
+    if rows:
+        yield np.concatenate(rows), len(rows) // 2
+
+
+def _up_periods(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the up periods of a run of ``_chunks`` rows, in
+    trace order and, within a trace, cycle order with the tail period last,
+    as ``up_periods`` has them.  Every trace gets a tail (start,
+    mission_time); one that starts at or after the horizon is empty and
+    overlaps no interval."""
+    ends = rows[:, 2]
+    starts = np.empty(len(rows))
+    starts[0] = 0.0
+    np.add(ends[:-1], rows[:-1, 1], out=starts[1:])
     return starts, ends
 
 
-def _overlaps(starts: np.ndarray, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _overlaps(starts: np.ndarray, ends: np.ndarray, ends_at: np.ndarray, edges: np.ndarray):
     """(interval, overlap) pairs of up periods with the intervals they cover,
-    period by period in order and by increasing interval within a period.
+    period by period in order and by increasing interval within a period,
+    in consecutive slices of at most EXPOSURE_PAIRS pairs; a period whose
+    pairs straddle a slice boundary continues in the next slice.  So the
+    pairs alive at once take O(EXPOSURE_PAIRS) memory, whatever the number
+    of intervals a period covers.
 
     Period [s, e] covers interval i from the one holding s (the last edge
     <= s) up to the last whose left edge lies below e, and none if e <= s.
+    ``ends_at`` is ``searchsorted(edges, ends, side="left")``.
     """
     n = len(edges) - 1
     first = np.maximum(np.searchsorted(edges, starts, side="right") - 1, 0)
-    last = np.minimum(np.searchsorted(edges, ends, side="left"), n)
-    n_pairs = np.where(ends > starts, last - first, 0)
-    period = np.repeat(np.arange(len(starts)), n_pairs)
-    interval = first[period] + np.arange(len(period)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    overlap = np.minimum(ends[period], edges[interval + 1]) - np.maximum(starts[period], edges[interval])
-    return interval, overlap
-
-
-def _chunks(traces):
-    """Consecutive runs of traces holding at least EXPOSURE_CHUNK up periods
-    each (the last run may hold fewer)."""
-    chunk, periods = [], 0
-    for trace in traces:
-        chunk.append(trace)
-        periods += len(trace.events) + 1
-        if periods >= EXPOSURE_CHUNK:
-            yield chunk
-            chunk, periods = [], 0
-    if chunk:
-        yield chunk
+    n_pairs = np.where(ends > starts, np.minimum(ends_at, n) - first, 0)
+    done = np.cumsum(n_pairs)
+    # pair j of the run, in period p, covers interval base[p] + j
+    base = first + n_pairs - done
+    total = int(done[-1])
+    for lo in range(0, total, EXPOSURE_PAIRS):
+        hi = min(lo + EXPOSURE_PAIRS, total)
+        p_lo, p_hi = np.searchsorted(done, [lo, hi - 1], side="right")
+        upto = done[p_lo:p_hi + 1]
+        taken = np.minimum(upto, hi) - np.maximum(upto - n_pairs[p_lo:p_hi + 1], lo)
+        period = np.repeat(np.arange(p_lo, p_hi + 1), taken)
+        interval = base[period] + np.arange(lo, hi)
+        overlap = np.minimum(ends[period], edges[interval + 1]) - np.maximum(starts[period], edges[interval])
+        yield interval, overlap
 
 
 def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
@@ -867,26 +898,31 @@ def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
     A failure landing exactly on an interior boundary belongs to the earlier
     (right-closed) interval; the final interval is closed at the horizon.
     Each interval's time adds its overlaps in trace order and, within a
-    trace, period order: the running totals lead each chunk's weights, so
-    every bin is summed in the same order whatever the chunk size.
-    ``traces`` may be any iterable, a one-shot generator too: it is read once,
-    a chunk at a time, so only the current chunk's traces are held.
+    trace, period order: the running totals lead each slice's weights, so
+    every bin is summed in the same order whatever the chunk size or the
+    pair budget.  ``traces`` may be any iterable, a one-shot generator too:
+    it is read once, a chunk of at least ``EXPOSURE_CHUNK`` up periods at a
+    time, whose (interval, overlap) pairs are expanded ``EXPOSURE_PAIRS`` at
+    a time.  So the pass holds one chunk of traces, one slice of pairs and
+    the totals: O(EXPOSURE_CHUNK + EXPOSURE_PAIRS + n_intervals) memory,
+    whatever the mission length or the number of intervals.
     """
     n = cfg.n_intervals
     edges = np.linspace(0.0, cfg.mission_time, n + 1)
     bins = np.arange(n)
     counts = np.zeros(n, dtype=np.int64)
     times = np.zeros(n)
-    chunk = None
-    for chunk in _chunks(traces):
-        events = np.concatenate([t.events for t in chunk])
-        failed_in = np.clip(np.searchsorted(edges, events[:, 2], side="left"), 1, n) - 1
-        counts += np.bincount(failed_in, minlength=n)
-        interval, overlap = _overlaps(*_up_periods(chunk, events, cfg.mission_time), edges)
-        times = np.bincount(
-            np.concatenate((bins, interval)), weights=np.concatenate((times, overlap)), minlength=n
-        )
-    if chunk is None:
+    rows = None
+    for rows, n_traces in _chunks(traces, cfg.mission_time):
+        starts, ends = _up_periods(rows)
+        ends_at = np.searchsorted(edges, ends, side="left")
+        counts += np.bincount(np.clip(ends_at, 1, n) - 1, minlength=n)
+        counts[-1] -= n_traces  # the tails end at the horizon, not in a failure
+        for interval, overlap in _overlaps(starts, ends, ends_at, edges):
+            times = np.bincount(
+                np.concatenate((bins, interval)), weights=np.concatenate((times, overlap)), minlength=n
+            )
+    if rows is None:
         raise ValueError("need at least one replication trace")
     return ExposureTable(tuple(counts), tuple(times))
 

@@ -482,25 +482,34 @@ class TestRunSimulation:
         cfg = base_config(n_replications=2000)
         assert run_simulation(cfg) == run_simulation(cfg)
 
-    @pytest.mark.parametrize("chunk", [1, 7, simulate.EXPOSURE_CHUNK])
-    def test_identical_for_any_chunk_size(self, chunk, monkeypatch, tmp_path):
+    # Chunk sizes at the default pair budget (id: the chunk size), and pair
+    # budgets of 1 and 7 at chunks of one trace and the default chunk.
+    @pytest.mark.parametrize(
+        "chunk,pairs",
+        [pytest.param(chunk, simulate.EXPOSURE_PAIRS, id=str(chunk)) for chunk in (1, 7, simulate.EXPOSURE_CHUNK)]
+        + [pytest.param(chunk, pairs, id=f"{chunk}-pairs_{pairs}")
+           for chunk in (1, simulate.EXPOSURE_CHUNK) for pairs in (1, 7)],
+    )
+    def test_identical_for_any_chunk_size(self, chunk, pairs, monkeypatch, tmp_path):
         # two whole substream blocks and part of a third, so the streamed run
         # replaces the held tile and the kept seed words while it still
-        # buckets
+        # buckets; a pair budget of 1 cuts every period of several intervals
+        # across slices
         n = 2 * simulate._SUBSTREAM_BLOCK + 37
         cfg = base_config(n_replications=n)
         default = output_bytes(run_simulation(cfg), tmp_path / "default")
         monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "EXPOSURE_PAIRS", pairs)
         summary = run_simulation(cfg)
-        assert output_bytes(summary, tmp_path / f"chunk{chunk}") == default
+        assert output_bytes(summary, tmp_path / f"chunk{chunk}_pairs{pairs}") == default
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
     def test_memory_grows_by_the_per_replication_arrays_only(self, fresh_tiles):
         # Whatever its length, the streamed campaign holds one walked tile,
-        # one block of seed words and one exposure chunk, plus 16 bytes per
-        # replication for the up fractions and failure counts; holding every
-        # trace costs hundreds.  Both sizes hold the same tile and block
-        # sizes, so those cancel.
+        # one block of seed words, one exposure chunk and one slice of its
+        # pairs, plus 16 bytes per replication for the up fractions and
+        # failure counts; holding every trace costs hundreds.  Both sizes hold
+        # the same tile and block sizes, so those cancel.
         def peak(blocks):
             cfg = base_config(n_replications=blocks * simulate._SUBSTREAM_BLOCK)
             fresh_tiles()
@@ -534,6 +543,26 @@ class TestRunSimulation:
 
         run_simulation(base_config(n_replications=10))  # fills the module's other caches
         assert peak(400.0) - peak(40.0) <= 2**20
+
+    def test_memory_does_not_grow_with_interval_count(self, fresh_tiles):
+        # A period expands into one (interval, overlap) pair per interval it
+        # covers: about 130 per period at a thousand intervals over ten
+        # years, against 2 at eight.  They are expanded EXPOSURE_PAIRS at a
+        # time, so the peak stays put; expanding a chunk's pairs at once
+        # grows it by about 100 MiB here.
+        def peak(n_intervals):
+            cfg = base_config(n_replications=3000, n_intervals=n_intervals)
+            fresh_tiles()
+            tracemalloc.start()
+            try:
+                run_simulation(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                fresh_tiles()
+
+        run_simulation(base_config(n_replications=10))  # fills the module's other caches
+        assert peak(1000) - peak(8) <= 2**20
 
     def test_revisited_tiles_are_walked_again_to_the_same_traces(self, monkeypatch, fresh_tiles):
         # runs of 101 consecutive indices in shuffled order, over two whole
