@@ -1,8 +1,10 @@
 """Reliability toolkit for phasor measurement units.
 
 Models a repairable PMU whose hardware and software fail both independently
-and through their interaction: triangular fuzzy numbers carry the uncertainty
-in failure/repair rates, a continuous-time Markov chain captures the coupled
+and through their interaction.  Triangular fuzzy numbers carry the
+uncertainty in failure/repair rates, and the alpha-cut bands of the rates
+and of the availability are read-only (levels, 3) arrays of (alpha, lo, hi)
+rows.  A continuous-time Markov chain captures the coupled
 hardware-software degradation paths, closed-form Weibull/fault-detection
 curves give the component reliabilities, a sequential Monte Carlo engine
 generates synthetic failure histories, and a closed-form least-squares fit
@@ -22,8 +24,6 @@ from .curves import (
 )
 from .fitting import FitResult, effective_rate, fit_lambda1, fit_scan, sse
 from .fuzzy import (
-    AlphaCutInterval,
-    FuzzyIndex,
     TriangularFuzzyNumber,
     alpha_cut,
     defuzzify,
@@ -54,10 +54,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALLOWED_TRANSITIONS",
-    "AlphaCutInterval",
     "ExposureTable",
     "FitResult",
-    "FuzzyIndex",
     "GeneratorMatrix",
     "HardwareParams",
     "InteractionParams",

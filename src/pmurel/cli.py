@@ -39,13 +39,7 @@ from .config import (
 from .csvout import write_csv
 from .curves import InteractionParams, interaction_reliability_closed_form, pmu_reliability_curve
 from .fitting import FitResult, effective_rate, fit_scan
-from .fuzzy import (
-    FuzzyIndex,
-    alpha_cut,
-    fuzzy_availability,
-    fuzzy_unavailability,
-    uniform_alpha_grid,
-)
+from .fuzzy import alpha_cut, fuzzy_availability, fuzzy_unavailability, uniform_alpha_grid
 from .markov import operational_mass, transient_grid
 from .simulate import ExposureTable, SimulationConfig, SimulationSummary, run_simulation
 
@@ -120,14 +114,14 @@ def _fuzzy(fz: FuzzySection, files: dict) -> tuple[float, float]:
     failure, repair = fz.failure_number(), fz.repair_number()
     grid = uniform_alpha_grid(fz.alpha_levels)
     bands = {
-        "failure_rate.csv": FuzzyIndex("failure-rate", tuple(alpha_cut(failure, a) for a in grid)),
-        "repair_rate.csv": FuzzyIndex("repair-rate", tuple(alpha_cut(repair, a) for a in grid)),
+        "failure_rate.csv": alpha_cut(failure, grid),
+        "repair_rate.csv": alpha_cut(repair, grid),
         "availability.csv": fuzzy_availability(failure, repair, grid),
         "unavailability.csv": fuzzy_unavailability(failure, repair, grid),
     }
     lam, mu = fz.crisp_rates()
     for name, band in bands.items():
-        files[name] = (["alpha", "lo", "hi"], band.rows())
+        files[name] = (["alpha", "lo", "hi"], band.tolist())
     files["crisp.csv"] = (["quantity", "value"], [("failure_rate", lam), ("repair_rate", mu)])
     return lam, mu
 

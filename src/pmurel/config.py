@@ -50,7 +50,7 @@ from pathlib import Path
 
 from ._checks import finite, integer, nonnegative, positive
 from .curves import HardwareParams, InteractionParams, SoftwareParams
-from .fuzzy import TriangularFuzzyNumber, defuzzify
+from .fuzzy import TriangularFuzzyNumber, defuzzify, uniform_alpha_grid
 from .markov import GeneratorMatrix, build_unified_model
 from .simulate import SimulationConfig
 
@@ -186,7 +186,7 @@ class FuzzySection:
         if not fraction < 1.0:
             raise ValueError(f"halfwidth_fraction must lie in [0, 1), got {fraction}")
         object.__setattr__(self, "halfwidth_fraction", fraction)
-        integer("alpha_levels", self.alpha_levels, 1)
+        uniform_alpha_grid(self.alpha_levels)  # the grid checks alpha_levels
         # a support that overflows is rejected here, on load, not on first use
         self.failure_number()
         self.repair_number()

@@ -12,8 +12,9 @@ membership level alpha is attained at corners of the (lambda, mu) box:
 
 which avoids the spurious widening of naive interval division.
 
-All functions here are pure; the value types are frozen dataclasses and safe
-to share across threads.
+A band is a read-only float64 array of shape (levels, 3) whose rows are
+``(alpha, lo, hi)``, one per membership level, as in the band CSVs; one rule
+checks every band.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import finite, nonnegative
+import numpy as np
 
-# Quantities a FuzzyIndex may carry.  Availability-like quantities are
-# additionally constrained to [0, 1].
-QUANTITIES = ("availability", "unavailability", "failure-rate", "repair-rate")
-_UNIT_INTERVAL_QUANTITIES = frozenset({"availability", "unavailability"})
+from ._checks import finite, integer, nonnegative
 
 # Slack for the nesting check; endpoint formulas are monotone in alpha but
 # may wobble by a few ulps.
@@ -68,76 +66,52 @@ class TriangularFuzzyNumber:
         return max(0.0, 1.0 - abs(x - self.center) / self.halfwidth)
 
 
-@dataclass(frozen=True)
-class AlphaCutInterval:
-    """Crisp interval of values whose membership is at least ``alpha``."""
-
-    alpha: float
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "lo", "hi"):
-            object.__setattr__(self, name, finite(name, getattr(self, name)))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+def _check(ok: np.ndarray, message, first: int = 0) -> None:
+    """A ValueError with ``message(i)``, ``i`` the first failing level; ``ok[0]`` is level ``first``."""
+    if not ok.all():
+        i = first + int(ok.argmin())
+        raise ValueError(f"level {i}: {message(i)}")
 
 
-@dataclass(frozen=True)
-class FuzzyIndex:
-    """A fuzzy-valued reliability quantity as a stack of alpha-cut intervals.
-
-    ``cuts`` are ordered by strictly increasing alpha and must be nested:
-    a higher membership level never widens the interval.
-    """
-
-    quantity: str
-    cuts: tuple[AlphaCutInterval, ...]
-
-    def __post_init__(self) -> None:
-        if self.quantity not in QUANTITIES:
-            raise ValueError(
-                f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}"
-            )
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-        if not self.cuts:
-            raise ValueError("a FuzzyIndex needs at least one alpha-cut interval")
-        prev = None
-        for cut in self.cuts:
-            if prev is not None:
-                if cut.alpha <= prev.alpha:
-                    raise ValueError("alpha levels must be strictly increasing")
-                if cut.lo < prev.lo - _NESTING_TOL or cut.hi > prev.hi + _NESTING_TOL:
-                    raise ValueError(
-                        f"alpha-cuts are not nested at alpha={cut.alpha}"
-                    )
-            prev = cut
-        if self.quantity in _UNIT_INTERVAL_QUANTITIES:
-            for cut in self.cuts:
-                if cut.lo < 0.0 or cut.hi > 1.0:
-                    raise ValueError(
-                        f"{self.quantity} values must lie in [0, 1], "
-                        f"got [{cut.lo}, {cut.hi}] at alpha={cut.alpha}"
-                    )
-
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(cut.alpha for cut in self.cuts)
-
-    def rows(self) -> list[tuple[float, float, float]]:
-        """(alpha, lo, hi) triples, one per grid level, for CSV export."""
-        return [(cut.alpha, cut.lo, cut.hi) for cut in self.cuts]
+def _band(rows, unit_interval: str = "") -> np.ndarray:
+    """``rows`` as a band, a read-only (levels, 3) float64 copy, if they make
+    one: at least one level; each alpha in [0, 1], strictly increasing; each
+    ``lo <= hi``, both finite; each cut nested in the one before it within
+    ``_NESTING_TOL``; and, where ``unit_interval`` names the quantity, every
+    endpoint in [0, 1].  A ValueError names the first level that breaks a
+    rule, and a TypeError says that ``rows`` are not (alpha, lo, hi) rows."""
+    try:
+        band = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        # an int too large for a float, named by the scalar rule
+        for i, row in enumerate(rows):
+            for name, v in zip(("alpha", "lo", "hi"), row):
+                finite(f"level {i}: {name}", v)
+        raise
+    if band.ndim != 2 or band.shape[1] != 3:
+        raise TypeError(f"a band is a (levels, 3) array of (alpha, lo, hi) rows, got shape {band.shape}")
+    if not len(band):
+        raise ValueError("a band needs at least one alpha level")
+    alpha, lo, hi = band.T
+    _check((alpha >= 0.0) & (alpha <= 1.0), lambda i: f"alpha must lie in [0, 1], got {alpha[i]}")
+    _check(alpha[1:] > alpha[:-1],
+           lambda i: f"alpha levels must be strictly increasing, got {alpha[i]} after {alpha[i - 1]}", 1)
+    for name, column in (("lo", lo), ("hi", hi)):
+        _check(np.isfinite(column), lambda i: f"{name} must be finite, got {column[i]}")
+    _check(lo <= hi, lambda i: f"interval endpoints out of order: [{lo[i]}, {hi[i]}]")
+    _check((lo[1:] >= lo[:-1] - _NESTING_TOL) & (hi[1:] <= hi[:-1] + _NESTING_TOL),
+           lambda i: f"alpha-cuts are not nested at alpha={alpha[i]}", 1)
+    if unit_interval:
+        _check((lo >= 0.0) & (hi <= 1.0), lambda i: (
+            f"{unit_interval} values must lie in [0, 1], got [{lo[i]}, {hi[i]}] at alpha={alpha[i]}"))
+    band.flags.writeable = False
+    return band
 
 
 def uniform_alpha_grid(levels: int) -> tuple[float, ...]:
     """``levels`` evenly spaced membership levels from 0 to 1; a single level
     is the core, 1.0, alone."""
+    levels = integer("alpha_levels", levels, 1)
     if levels == 1:
         return (1.0,)
     return tuple(i / (levels - 1) for i in range(levels))
@@ -146,77 +120,52 @@ def uniform_alpha_grid(levels: int) -> tuple[float, ...]:
 DEFAULT_ALPHA_GRID = uniform_alpha_grid(11)
 
 
-def alpha_cut(f: TriangularFuzzyNumber, alpha: float) -> AlphaCutInterval:
-    """Alpha-cut of a symmetric triangular number.
+def alpha_cut(f: TriangularFuzzyNumber, alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
+    """Band of a symmetric triangular number over ``alpha_grid``: the cut at
+    each alpha is ``center -/+ (1 - alpha) * halfwidth``, which collapses to
+    the core at alpha = 1."""
+    alpha = np.asarray(alpha_grid, dtype=np.float64)
+    # a bad alpha may overflow here; the band rule then names it
+    with np.errstate(all="ignore"):
+        spread = (1.0 - alpha) * f.halfwidth
+    return _band(np.column_stack((alpha, f.center - spread, f.center + spread)))
 
-    Returns ``[center - (1 - alpha) * halfwidth, center + (1 - alpha) * halfwidth]``;
-    at alpha = 1 this collapses to the core.
-    """
-    spread = (1.0 - alpha) * f.halfwidth
-    return AlphaCutInterval(alpha, f.center - spread, f.center + spread)
 
-
-def _availability_endpoints(lam: AlphaCutInterval, mu: AlphaCutInterval) -> tuple[float, float]:
-    """The hull of A at the two corners (mu_lo, lambda_hi) and (mu_hi,
-    lambda_lo).  In exact arithmetic the first corner is the lower end, but
-    where lambda/mu is below about 1e-15 both round to within an ulp of 1,
-    and the rounding can put them in either order; taking their min and max
-    changes nothing where they come out in order."""
-    if lam.hi == 0.0 and mu.hi == 0.0:
-        raise ValueError(
-            "availability undefined: failure and repair rates are both "
-            f"identically zero at alpha={lam.alpha}"
-        )
+def fuzzy_availability(failure: TriangularFuzzyNumber, repair: TriangularFuzzyNumber,
+                       alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
+    """Availability band of a two-state repairable component: at each alpha,
+    the hull of A = mu / (lambda + mu) at the corners (mu_lo, lambda_hi) and
+    (mu_hi, lambda_lo) of the rate cuts (see module docstring).  The first
+    corner is the lower end in exact arithmetic, but where lambda/mu is below
+    about 1e-15 both round to within an ulp of 1, in either order."""
+    lam, mu = alpha_cut(failure, alpha_grid), alpha_cut(repair, alpha_grid)
+    (alpha, lam_lo, lam_hi), (_, mu_lo, mu_hi) = lam.T, mu.T
+    _check((lam_hi > 0.0) | (mu_hi > 0.0), lambda i: (
+        f"availability undefined: failure and repair rates are both identically zero at alpha={alpha[i]}"))
     # 0/0 corners only occur when one rate is identically zero; the limits
     # are then 1 (failure rate zero) and 0 (repair rate zero).
-    lo = mu.lo / (mu.lo + lam.hi) if mu.lo + lam.hi > 0.0 else 1.0
-    hi = mu.hi / (mu.hi + lam.lo) if mu.hi + lam.lo > 0.0 else 0.0
-    return min(lo, hi), max(lo, hi)
+    with np.errstate(all="ignore"):
+        lo = np.where(mu_lo + lam_hi > 0.0, mu_lo / (mu_lo + lam_hi), 1.0)
+        hi = np.where(mu_hi + lam_lo > 0.0, mu_hi / (mu_hi + lam_lo), 0.0)
+    return _band(np.column_stack((alpha, np.minimum(lo, hi), np.maximum(lo, hi))), "availability")
 
 
-def fuzzy_availability(
-    failure: TriangularFuzzyNumber,
-    repair: TriangularFuzzyNumber,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-) -> FuzzyIndex:
-    """Availability band of a two-state repairable component.
-
-    For each alpha the failure/repair alpha-cuts are mapped to the exact
-    interval image of A = mu / (lambda + mu) via the monotone-endpoint
-    formula (see module docstring).  ``AlphaCutInterval`` and ``FuzzyIndex``
-    check the grid.
-    """
-    cuts = []
-    for a in alpha_grid:
-        lo, hi = _availability_endpoints(alpha_cut(failure, a), alpha_cut(repair, a))
-        cuts.append(AlphaCutInterval(a, lo, hi))
-    return FuzzyIndex("availability", tuple(cuts))
-
-
-def fuzzy_unavailability(
-    failure: TriangularFuzzyNumber,
-    repair: TriangularFuzzyNumber,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-) -> FuzzyIndex:
+def fuzzy_unavailability(failure: TriangularFuzzyNumber, repair: TriangularFuzzyNumber,
+                         alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
     """Unavailability band: the complement image [1 - A_hi, 1 - A_lo] per alpha."""
-    avail = fuzzy_availability(failure, repair, alpha_grid)
-    cuts = tuple(
-        AlphaCutInterval(cut.alpha, 1.0 - cut.hi, 1.0 - cut.lo) for cut in avail.cuts
-    )
-    return FuzzyIndex("unavailability", cuts)
+    alpha, lo, hi = fuzzy_availability(failure, repair, alpha_grid).T
+    return _band(np.column_stack((alpha, 1.0 - hi, 1.0 - lo)), "unavailability")
 
 
-def defuzzify(value: TriangularFuzzyNumber | FuzzyIndex) -> float:
+def defuzzify(value) -> float:
     """Map a fuzzy quantity to a single crisp value.
 
     For a symmetric triangular number the centroid is its center, returned
-    exactly.  For a FuzzyIndex the result is the mean of the interval
-    midpoints across the alpha grid, a deterministic discrete centroid that
-    reduces to the crisp value when every interval is degenerate.
-    """
+    exactly.  For a band, or rows that make one, checked by the band rule,
+    it is the mean of the interval midpoints across the alpha grid, a
+    deterministic discrete centroid that is the crisp value when every
+    interval is degenerate."""
     if isinstance(value, TriangularFuzzyNumber):
         return value.center
-    if isinstance(value, FuzzyIndex):
-        mids = [cut.midpoint for cut in value.cuts]
-        return math.fsum(mids) / len(mids)
-    raise TypeError(f"cannot defuzzify {type(value).__name__}")
+    band = _band(value)
+    return math.fsum(0.5 * (band[:, 1] + band[:, 2])) / len(band)

@@ -13,7 +13,6 @@ import pytest
 
 from pmurel import (
     STATES,
-    AlphaCutInterval,
     ExposureTable,
     FitResult,
     GeneratorMatrix,
@@ -23,6 +22,7 @@ from pmurel import (
     SimulationConfig,
     SoftwareParams,
     TriangularFuzzyNumber,
+    defuzzify,
     fit_lambda1,
     interaction_reliability_closed_form,
     nhpp_mean_value,
@@ -33,6 +33,7 @@ from pmurel import (
 )
 from pmurel._checks import finite, integer, nonnegative, positive
 from pmurel.config import FitSection, FuzzySection, TimeGrid
+from pmurel.fuzzy import uniform_alpha_grid
 
 NAN, INF = math.nan, math.inf
 FINITE = (NAN, INF, -INF)
@@ -105,9 +106,10 @@ SCALAR_FIELDS = [
     ("center", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(v, 0.0)),
     ("halfwidth", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(1.0, v)),
     ("x", -1.0, FINITE, lambda v: TriangularFuzzyNumber(1.0, 0.1).membership(v)),
-    ("alpha", 0.0, NONNEGATIVE, lambda v: AlphaCutInterval(v, 0.0, 1.0)),
-    ("lo", -1.0, FINITE, lambda v: AlphaCutInterval(0.5, v, 1.0)),
-    ("hi", 1.0, FINITE, lambda v: AlphaCutInterval(0.5, 0.0, v)),
+    # one level of a band, as the band rule meets it
+    ("alpha", 0.0, NONNEGATIVE, lambda v: defuzzify([(v, 0.0, 1.0)])),
+    ("lo", -1.0, FINITE, lambda v: defuzzify([(0.5, v, 1.0)])),
+    ("hi", 1.0, FINITE, lambda v: defuzzify([(0.5, 0.0, v)])),
 ]
 
 # (field as its error names it, its minimum, build); non-integers, even
@@ -119,8 +121,15 @@ INTEGER_FIELDS = [
     ("replication_index", 0, lambda v: run_replication(SIM, v)),
     ("time grid count", 2, lambda v: TimeGrid(0.0, 1.0, v)),
     ("alpha_levels", 1, lambda v: fuzzy(alpha_levels=v)),
+    ("alpha_levels", 1, uniform_alpha_grid),
 ]
 NON_INTEGERS = (2.5, 3.0, np.float64(3.0), NAN, INF)
+
+
+def _integer_id(name, build) -> str:
+    """A row's field name, with the function it calls where that is not a
+    lambda, so two rows of one field keep distinct ids."""
+    return name if build.__name__ == "<lambda>" else f"{name}-{build.__name__}"
 
 
 def _cases(fields):
@@ -153,13 +162,13 @@ def test_int_too_large_for_a_float_names_its_field(name, build, sign):
 @pytest.mark.parametrize(
     "build,value",
     [pytest.param(build, v, id=name) for name, v, _, build in SCALAR_FIELDS]
-    + [pytest.param(build, minimum, id=name) for name, minimum, build in INTEGER_FIELDS],
+    + [pytest.param(build, minimum, id=_integer_id(name, build)) for name, minimum, build in INTEGER_FIELDS],
 )
 def test_accepted_value_builds(build, value):
     build(value)
 
 
-@pytest.mark.parametrize("name,minimum,build", INTEGER_FIELDS, ids=[f[0] for f in INTEGER_FIELDS])
+@pytest.mark.parametrize("name,minimum,build", INTEGER_FIELDS, ids=[_integer_id(f[0], f[2]) for f in INTEGER_FIELDS])
 def test_integer_field_below_minimum_names_it(name, minimum, build):
     for value in {minimum - 1, -1}:
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= {minimum}, got {value}$"):
@@ -168,7 +177,8 @@ def test_integer_field_below_minimum_names_it(name, minimum, build):
 
 @pytest.mark.parametrize(
     "name,value,build",
-    [pytest.param(name, v, build, id=f"{name}={v!r}") for name, _, build in INTEGER_FIELDS for v in NON_INTEGERS],
+    [pytest.param(name, v, build, id=f"{_integer_id(name, build)}={v!r}")
+     for name, _, build in INTEGER_FIELDS for v in NON_INTEGERS],
 )
 def test_non_integer_raises_type_error_naming_the_field(name, value, build):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):

@@ -1,17 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmurel.fuzzy import (
-    AlphaCutInterval,
-    FuzzyIndex,
+    DEFAULT_ALPHA_GRID,
     TriangularFuzzyNumber,
     alpha_cut,
     defuzzify,
     fuzzy_availability,
     fuzzy_unavailability,
+    _band,
     uniform_alpha_grid,
 )
 
@@ -23,6 +24,14 @@ CRISP_REPAIR = TriangularFuzzyNumber(22.2898)
 CRISP_AVAILABILITY = 22.2898 / (22.2898 + 0.6566)
 
 GRID_11 = tuple(i / 10.0 for i in range(11))
+
+# each grid the band rule rejects, and its message
+BAD_GRIDS = {
+    (): "a band needs at least one alpha level",
+    (0.5, 0.2): r"level 1: alpha levels must be strictly increasing, got 0.2 after 0.5",
+    (0.0, 1.5): r"level 1: alpha must lie in \[0, 1\], got 1.5",
+    (0.1, 0.1): r"level 1: alpha levels must be strictly increasing, got 0.1 after 0.1",
+}
 
 
 class TestTriangularFuzzyNumber:
@@ -56,108 +65,122 @@ class TestTriangularFuzzyNumber:
 
 class TestAlphaCut:
     def test_core_collapses_at_alpha_one(self):
-        cut = alpha_cut(FAILURE, 1.0)
-        assert cut.lo == cut.hi == 0.6566
+        assert alpha_cut(FAILURE, (1.0,)).tolist() == [[1.0, 0.6566, 0.6566]]
 
     def test_support_at_alpha_zero(self):
-        cut = alpha_cut(FAILURE, 0.0)
-        assert cut.lo == pytest.approx(0.59094, abs=1e-12)
-        assert cut.hi == pytest.approx(0.72226, abs=1e-12)
+        (alpha, lo, hi), = alpha_cut(FAILURE, (0.0,))
+        assert alpha == 0.0
+        assert lo == pytest.approx(0.59094, abs=1e-12)
+        assert hi == pytest.approx(0.72226, abs=1e-12)
 
     def test_midlevel(self):
-        cut = alpha_cut(FAILURE, 0.5)
-        assert cut.lo == pytest.approx(0.62377, abs=1e-12)
-        assert cut.hi == pytest.approx(0.68943, abs=1e-12)
+        (_, lo, hi), = alpha_cut(FAILURE, (0.5,))
+        assert lo == pytest.approx(0.62377, abs=1e-12)
+        assert hi == pytest.approx(0.68943, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, math.nan])
     def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match=rf"^level 1: alpha must lie in \[0, 1\], got {alpha}$"):
+            alpha_cut(FAILURE, (0.0, alpha))
+
+    def test_is_a_read_only_array_of_alpha_lo_hi_rows(self):
+        band = alpha_cut(FAILURE)
+        assert band.dtype == np.float64 and band.shape == (11, 3)
+        assert band[:, 0].tolist() == list(DEFAULT_ALPHA_GRID) == list(GRID_11)
         with pytest.raises(ValueError):
-            alpha_cut(FAILURE, alpha)
+            band[0, 1] = 0.0
 
     def test_nesting_random(self, rng):
         # 50 random fuzzy numbers, 11 alpha levels: higher alpha never widens
         for _ in range(50):
             center = rng.uniform(0.1, 50.0)
-            f = TriangularFuzzyNumber(center, rng.uniform(0.0, 1.0) * center)
-            outer = alpha_cut(f, 0.0)
-            for a_lo, a_hi in zip(GRID_11, GRID_11[1:]):
-                lo_cut, hi_cut = alpha_cut(f, a_lo), alpha_cut(f, a_hi)
-                assert hi_cut.lo >= lo_cut.lo
-                assert hi_cut.hi <= lo_cut.hi
-                assert lo_cut.lo >= outer.lo and lo_cut.hi <= outer.hi
+            _, lo, hi = alpha_cut(TriangularFuzzyNumber(center, rng.uniform(0.0, 1.0) * center), GRID_11).T
+            assert np.all(lo[1:] >= lo[:-1]) and np.all(hi[1:] <= hi[:-1])
+            assert np.all(lo >= lo[0]) and np.all(hi <= hi[0])
 
 
 class TestAvailability:
     def test_crisp_rates_reproduce_closed_form(self):
         band = fuzzy_availability(CRISP_FAILURE, CRISP_REPAIR, GRID_11)
-        for cut in band.cuts:
-            assert cut.lo == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
-            assert cut.hi == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
+        assert band[:, 1:] == pytest.approx(np.full((11, 2), CRISP_AVAILABILITY), rel=1e-15)
         assert CRISP_AVAILABILITY == pytest.approx(0.971385, abs=1e-6)
 
     def test_equal_rates_give_half(self):
         band = fuzzy_availability(
             TriangularFuzzyNumber(3.7), TriangularFuzzyNumber(3.7), GRID_11
         )
-        for cut in band.cuts:
-            assert cut.lo == 0.5 and cut.hi == 0.5
+        assert np.all(band[:, 1:] == 0.5)
 
     def test_band_straddles_crisp_value(self):
         band = fuzzy_availability(FAILURE, REPAIR, GRID_11)
-        cut0 = band.cuts[0]
-        assert cut0.alpha == 0.0
-        assert cut0.lo < CRISP_AVAILABILITY < cut0.hi
-        core = band.cuts[-1]
-        assert core.lo == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
+        alpha, lo, hi = band[0]
+        assert alpha == 0.0
+        assert lo < CRISP_AVAILABILITY < hi
+        assert band[-1, 1] == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
 
     @pytest.mark.parametrize("alpha_index", [0, 5])
     def test_brute_force_grid_containment(self, alpha_index):
         # exact interval image: 100x100 sampling of the rate box stays inside
         # the returned interval and the endpoints sit on box corners
         alpha = GRID_11[alpha_index]
-        band = fuzzy_availability(FAILURE, REPAIR, GRID_11)
-        cut = band.cuts[alpha_index]
-        lam, mu = alpha_cut(FAILURE, alpha), alpha_cut(REPAIR, alpha)
+        _, cut_lo, cut_hi = fuzzy_availability(FAILURE, REPAIR, GRID_11)[alpha_index]
+        (_, lam_lo, lam_hi), = alpha_cut(FAILURE, (alpha,)).tolist()
+        (_, mu_lo, mu_hi), = alpha_cut(REPAIR, (alpha,)).tolist()
         seen_lo, seen_hi = math.inf, -math.inf
         for i in range(100):
-            l = lam.lo + (lam.hi - lam.lo) * i / 99.0
+            l = lam_lo + (lam_hi - lam_lo) * i / 99.0
             for j in range(100):
-                m = mu.lo + (mu.hi - mu.lo) * j / 99.0
+                m = mu_lo + (mu_hi - mu_lo) * j / 99.0
                 a = m / (l + m)
                 seen_lo, seen_hi = min(seen_lo, a), max(seen_hi, a)
-                assert cut.lo - 1e-12 <= a <= cut.hi + 1e-12
-        assert seen_lo == pytest.approx(cut.lo, rel=1e-12)
-        assert seen_hi == pytest.approx(cut.hi, rel=1e-12)
-        assert mu.lo / (mu.lo + lam.hi) == cut.lo
-        assert mu.hi / (mu.hi + lam.lo) == cut.hi
+                assert cut_lo - 1e-12 <= a <= cut_hi + 1e-12
+        assert seen_lo == pytest.approx(cut_lo, rel=1e-12)
+        assert seen_hi == pytest.approx(cut_hi, rel=1e-12)
+        assert mu_lo / (mu_lo + lam_hi) == cut_lo
+        assert mu_hi / (mu_hi + lam_lo) == cut_hi
 
     def test_rejects_identically_zero_rates(self):
         zero = TriangularFuzzyNumber(0.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^level 0: availability undefined: failure and repair rates "
+                                             "are both identically zero at alpha=0.0$"):
             fuzzy_availability(zero, zero, GRID_11)
 
     def test_zero_failure_rate_gives_certain_availability(self):
         band = fuzzy_availability(
             TriangularFuzzyNumber(0.0, 0.0), REPAIR, GRID_11
         )
-        for cut in band.cuts:
-            assert cut.lo == 1.0 and cut.hi == 1.0
+        assert np.all(band[:, 1:] == 1.0)
 
     def test_zero_repair_rate_gives_zero_availability(self):
         band = fuzzy_availability(
             FAILURE, TriangularFuzzyNumber(0.0, 0.0), GRID_11
         )
-        for cut in band.cuts:
-            assert cut.lo == 0.0 and cut.hi == 0.0
+        assert np.all(band[:, 1:] == 0.0)
 
-    @pytest.mark.parametrize("grid", [(), (0.5, 0.2), (0.0, 1.5), (0.1, 0.1)])
+    @pytest.mark.parametrize("grid", list(BAD_GRIDS))
     def test_rejects_bad_grids(self, grid):
-        with pytest.raises(ValueError):
-            fuzzy_availability(FAILURE, REPAIR, grid)
+        for band in (
+            lambda: alpha_cut(FAILURE, grid),
+            lambda: fuzzy_availability(FAILURE, REPAIR, grid),
+            lambda: fuzzy_unavailability(FAILURE, REPAIR, grid),
+        ):
+            with pytest.raises(ValueError, match=f"^{BAD_GRIDS[grid]}$"):
+                band()
 
 
 # rates log-uniform over [1e-12, 1e12]
 RATES = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+def assert_ordered_and_nested(band, grid):
+    """``band`` is a read-only (levels, 3) float64 array over ``grid``, each
+    cut in order and nested in the one before it within the band rule's
+    few ulps."""
+    assert band.dtype == np.float64 and not band.flags.writeable
+    alpha, lo, hi = band.T
+    assert alpha.tolist() == list(grid)
+    assert np.all(lo <= hi)
+    assert np.all(lo[1:] >= lo[:-1] - 1e-12) and np.all(hi[1:] <= hi[:-1] + 1e-12)
 
 
 class TestBandsOverAllRates:
@@ -173,36 +196,74 @@ class TestBandsOverAllRates:
         crisp = mu / (lam + mu)
         for band, value in ((fuzzy_availability(failure, repair, grid), crisp),
                             (fuzzy_unavailability(failure, repair, grid), 1.0 - crisp)):
-            assert band.alphas == grid
-            for cut in band.cuts:
-                assert cut.lo <= cut.hi
-            # nested within the few ulps FuzzyIndex allows
-            for outer, inner in zip(band.cuts, band.cuts[1:]):
-                assert inner.lo >= outer.lo - 1e-12 and inner.hi <= outer.hi + 1e-12
-            core = band.cuts[-1]
-            assert core.alpha == 1.0 and core.lo <= value <= core.hi
+            assert_ordered_and_nested(band, grid)
+            alpha, lo, hi = band[-1]
+            assert alpha == 1.0 and lo <= value <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(rate=RATES, fraction=st.floats(0.0, 1.0), levels=st.integers(1, 40))
+    # a support that reaches zero
+    @example(rate=1e-12, fraction=1.0, levels=40)
+    def test_rate_cuts_are_ordered_nested_and_hold_the_center(self, rate, fraction, levels):
+        grid = uniform_alpha_grid(levels)
+        band = alpha_cut(TriangularFuzzyNumber(rate, fraction * rate), grid)
+        assert_ordered_and_nested(band, grid)
+        assert band[0, 1] >= 0.0
+        assert band[-1].tolist() == [1.0, rate, rate]
+
+
+def scalar_bands(failure, repair, grid):
+    """The four bands of ``failure`` and ``repair`` as (alpha, lo, hi) rows,
+    level by level in plain floats: the reference the numpy bands equal."""
+    bands = ([], [], [], [])
+    for a in grid:
+        spreads = [(1.0 - a) * f.halfwidth for f in (failure, repair)]
+        cuts = [(f.center - s, f.center + s) for f, s in zip((failure, repair), spreads)]
+        (lam_lo, lam_hi), (mu_lo, mu_hi) = cuts
+        lo = mu_lo / (mu_lo + lam_hi) if mu_lo + lam_hi > 0.0 else 1.0
+        hi = mu_hi / (mu_hi + lam_lo) if mu_hi + lam_lo > 0.0 else 0.0
+        lo, hi = min(lo, hi), max(lo, hi)
+        for band, (band_lo, band_hi) in zip(bands, cuts + [(lo, hi), (1.0 - hi, 1.0 - lo)]):
+            band.append([a, band_lo, band_hi])
+    return list(bands)
+
+
+class TestScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.one_of(st.just(0.0), RATES), mu=RATES, fraction=st.floats(0.0, 1.0),
+           levels=st.integers(1, 40), repair_first=st.booleans())
+    def test_bands_equal_the_per_level_loop(self, lam, mu, fraction, levels, repair_first):
+        if repair_first:
+            # the zero rate is the repair rate
+            lam, mu = mu, lam
+        failure = TriangularFuzzyNumber(lam, fraction * lam)
+        repair = TriangularFuzzyNumber(mu, fraction * mu)
+        grid = uniform_alpha_grid(levels)
+        bands = [alpha_cut(failure, grid), alpha_cut(repair, grid),
+                 fuzzy_availability(failure, repair, grid), fuzzy_unavailability(failure, repair, grid)]
+        assert [band.tolist() for band in bands] == scalar_bands(failure, repair, grid)
+        mids = [[0.5 * (lo + hi) for _, lo, hi in rows] for rows in scalar_bands(failure, repair, grid)]
+        assert [defuzzify(band) for band in bands] == [math.fsum(m) / len(m) for m in mids]
 
 
 class TestUnavailability:
     def test_crisp_value(self):
         band = fuzzy_unavailability(CRISP_FAILURE, CRISP_REPAIR, GRID_11)
-        for cut in band.cuts:
-            assert cut.lo == pytest.approx(1.0 - CRISP_AVAILABILITY, rel=1e-12)
-        assert band.cuts[0].lo == pytest.approx(0.028615, abs=1e-6)
+        assert band[:, 1] == pytest.approx(np.full(11, 1.0 - CRISP_AVAILABILITY), rel=1e-12)
+        assert band[0, 1] == pytest.approx(0.028615, abs=1e-6)
 
     def test_equal_rates(self):
         band = fuzzy_unavailability(
             TriangularFuzzyNumber(1.0), TriangularFuzzyNumber(1.0), GRID_11
         )
-        for cut in band.cuts:
-            assert cut.lo == 0.5 and cut.hi == 0.5
+        assert np.all(band[:, 1:] == 0.5)
 
     def test_complement_identity_exact(self):
         avail = fuzzy_availability(FAILURE, REPAIR, GRID_11)
         unavail = fuzzy_unavailability(FAILURE, REPAIR, GRID_11)
-        for a_cut, u_cut in zip(avail.cuts, unavail.cuts):
-            assert u_cut.lo == 1.0 - a_cut.hi
-            assert u_cut.hi == 1.0 - a_cut.lo
+        assert np.array_equal(unavail[:, 0], avail[:, 0])
+        assert np.array_equal(unavail[:, 1], 1.0 - avail[:, 2])
+        assert np.array_equal(unavail[:, 2], 1.0 - avail[:, 1])
 
 
 class TestDefuzzify:
@@ -215,60 +276,64 @@ class TestDefuzzify:
         assert defuzzify(band) == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
 
     def test_symmetric_rate_band(self):
-        band = FuzzyIndex(
-            "failure-rate", tuple(alpha_cut(FAILURE, a) for a in GRID_11)
-        )
+        band = alpha_cut(FAILURE, GRID_11)
         assert defuzzify(band) == pytest.approx(0.6566, rel=1e-15)
+        # rows that make a band are the band
+        assert defuzzify(band.tolist()) == defuzzify(band)
 
     def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            defuzzify(0.5)
+        for value in (0.5, [0.0, 0.1, 0.2], [[0.0, 0.1]]):
+            with pytest.raises(TypeError, match=r"^a band is a \(levels, 3\) array of \(alpha, lo, hi\) rows, "):
+                defuzzify(value)
 
 
 class TestFuzzyIndex:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FuzzyIndex("availability", ())
+    """The band rule over a whole band, as defuzzify meets it: what the
+    FuzzyIndex type checked before bands were arrays."""
 
-    def test_rejects_unknown_quantity(self):
-        cut = AlphaCutInterval(0.0, 0.1, 0.2)
-        with pytest.raises(ValueError):
-            FuzzyIndex("volatility", (cut,))
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^a band needs at least one alpha level$"):
+            defuzzify(np.empty((0, 3)))
 
     def test_rejects_non_nested_cuts(self):
-        cuts = (
-            AlphaCutInterval(0.0, 0.4, 0.6),
-            AlphaCutInterval(1.0, 0.3, 0.5),
-        )
-        with pytest.raises(ValueError):
-            FuzzyIndex("failure-rate", cuts)
+        # the first level that breaks the rule is named
+        with pytest.raises(ValueError, match=r"^level 2: alpha-cuts are not nested at alpha=1.0$"):
+            defuzzify([(0.0, 0.4, 0.6), (0.5, 0.45, 0.55), (1.0, 0.3, 0.5)])
 
     def test_rejects_unsorted_alphas(self):
-        cuts = (
-            AlphaCutInterval(0.5, 0.4, 0.6),
-            AlphaCutInterval(0.5, 0.45, 0.55),
-        )
-        with pytest.raises(ValueError):
-            FuzzyIndex("failure-rate", cuts)
+        message = "^level 1: alpha levels must be strictly increasing, got 0.5 after 0.5$"
+        with pytest.raises(ValueError, match=message):
+            defuzzify([(0.5, 0.4, 0.6), (0.5, 0.45, 0.55)])
+
+    def test_nesting_allows_a_few_ulps(self):
+        assert defuzzify([(0.0, 0.4, 0.6), (1.0, 0.4 - 1e-13, 0.6 + 1e-13)]) == pytest.approx(0.5)
 
     def test_rejects_availability_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            FuzzyIndex("availability", (AlphaCutInterval(0.0, 0.5, 1.2),))
+        # the corner formulas stay in [0, 1], so the rule is met directly
+        for quantity in ("availability", "unavailability"):
+            message = rf"^level 0: {quantity} values must lie in \[0, 1\], got \[0.0, 1.5\] at alpha=0.0$"
+            with pytest.raises(ValueError, match=message):
+                _band([(0.0, 0.0, 1.5), (1.0, 0.5, 0.5)], quantity)
+        # a rate band may leave [0, 1]
+        assert _band([(1.0, -0.5, 1.5)]).tolist() == [[1.0, -0.5, 1.5]]
 
     def test_rows_roundtrip(self):
         band = fuzzy_availability(FAILURE, REPAIR, GRID_11)
-        rows = band.rows()
+        rows = band.tolist()
         assert len(rows) == 11
         assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
-        for (alpha, lo, hi), cut in zip(rows, band.cuts):
-            assert (alpha, lo, hi) == (cut.alpha, cut.lo, cut.hi)
+        for (alpha, lo, hi), row in zip(rows, band):
+            assert (alpha, lo, hi) == tuple(row)
 
 
 class TestAlphaCutInterval:
+    """The band rule on one level: what the AlphaCutInterval type checked
+    before bands were arrays."""
+
     def test_rejects_reversed_endpoints(self):
-        with pytest.raises(ValueError):
-            AlphaCutInterval(0.5, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^level 0: interval endpoints out of order: \[1.0, 0.5\]$"):
+            defuzzify([(0.5, 1.0, 0.5)])
 
     def test_rejects_alpha_outside_unit(self):
-        with pytest.raises(ValueError):
-            AlphaCutInterval(1.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^level 0: alpha must lie in \[0, 1\], got 1.5$"):
+            defuzzify([(1.5, 0.0, 1.0)])

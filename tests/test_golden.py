@@ -1,5 +1,6 @@
-"""Golden digests of `pmurel pipeline --seed 42` on the default config, and
-of `pmurel simulate --seed 42` on long missions.
+"""Golden digests of `pmurel pipeline --seed 42` on the default config, of
+`pmurel simulate --seed 42` on long missions, and of `pmurel fuzzy` on three
+edge configs.
 
 Every file these runs write must keep these sha256 digests, so a change that
 means to keep the outputs byte-identical is checked here.  The default config
@@ -9,10 +10,14 @@ go through the package's own log, not libm's, so those outputs hold on any
 IEEE-754 platform; CI checks the long missions off glibc.  ``markov.csv``
 is not pinned, since its last bits come from BLAS matrix products, which may
 differ between CPUs; the pipeline's must equal that of ``pmurel markov``.
+The fuzzy bands use IEEE ``+ - * /`` alone, so CI checks their bytes off
+glibc too.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from pmurel.cli import main
 
@@ -62,3 +67,57 @@ def test_long_mission_simulation_matches_golden_digests(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--seed", "42"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GOLDEN_WIDE_ROUNDS
+
+
+EVENTS_PER_YEAR = {"failure_rate_center": 0.6566, "repair_rate_center": 22.2898,
+                   "repair_rate_unit": "events_per_year"}
+
+# fuzzy section -> digest of each file `pmurel fuzzy` writes
+EDGE_BANDS = {
+    # lambda/mu below 1e-15: both availability corners round to within an ulp
+    # of 1, in either order
+    "ratio": (
+        {"failure_rate_center": 1.11e-9, "repair_rate_center": 8.5e6, "repair_rate_unit": "events_per_year"},
+        {
+            "availability.csv": "19de4187fbfa565ffa653c18e39685511903c50975cb88219264f93535e198b7",
+            "crisp.csv": "c8aea0b1be70d90c2025852738e6ba73206c04bceb4eef348b5e4174404616a9",
+            "failure_rate.csv": "2abd23b13c029b2b599c461fa0e8d6b1195398d294fe7d391f5bfc3fecdf27b8",
+            "repair_rate.csv": "01196b79010eecbc8d5966e189a3697ff10114f60ab8fa4bc1ba75f9be3c7193",
+            "unavailability.csv": "60e8fa697f1f9de93b7dd5af059889b5761239cdae1fe2b98b3aa056c59d25e2",
+        },
+    ),
+    # a mean repair time in hours, a 90% half-width and 37 levels
+    "hours": (
+        {**EVENTS_PER_YEAR, "repair_rate_center": 9.5, "repair_rate_unit": "hours_per_repair",
+         "halfwidth_fraction": 0.9, "alpha_levels": 37},
+        {
+            "availability.csv": "382c9a862fd2fdfa94ad72f2aa4ec6827e138ab5c69261fe42b8363809f5cd66",
+            "crisp.csv": "c72a39ce9a55ca38867eaed473b5e64d873d0d28301315fc966113269a9c6849",
+            "failure_rate.csv": "eea145d0915702a26ec8dcef5abb32503bbc21407adb81b38638a95d944b5a11",
+            "repair_rate.csv": "5b4f230938d2647020a35279d2da7e16f1cd5cc360046c400c43968f48df9f3e",
+            "unavailability.csv": "51e1de0d38df49fd2145bb68ce822bb404c02ff484efb585ab98a254f1b84f33",
+        },
+    ),
+    # the core alone
+    "core": (
+        {**EVENTS_PER_YEAR, "alpha_levels": 1},
+        {
+            "availability.csv": "44ab8c5fb19736965211052b34f3fabc0d1486c385d765782a927c96f9036a8a",
+            "crisp.csv": "b4239a8d4e57cdfc69a92d5aa1ef1e6f1307e9309e43bd7b34b78b81a0cd06c0",
+            "failure_rate.csv": "4651f6b41e362b2e197c3b98c1a3df2ad34731dc7093b0ab51f7e976385ba7d5",
+            "repair_rate.csv": "e5d0ff67abbc180b40d3f9de985fcff6c2d85b237d993a94be1fbcb953f2bba6",
+            "unavailability.csv": "fcc719cc4cf7b6c9a8bd8a1fe712b91210ac5f6307e88c0639b41613a04e5b20",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_BANDS))
+def test_fuzzy_edge_bands_match_golden_digests(tmp_path, name):
+    section, golden = EDGE_BANDS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema": "pmu-reliability/3", "fuzzy": section}))
+    out = tmp_path / "out"
+    assert main(["fuzzy", "--config", str(config), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == golden
