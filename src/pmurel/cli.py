@@ -168,10 +168,7 @@ def _markov(mk: MarkovSection, files: dict) -> list[tuple[float, float]]:
 def _read_exposure_csv(path: Path) -> ExposureTable:
     lines = path.read_text().splitlines()
     if not lines or lines[0].split(",") != EXPOSURE_HEADER:
-        raise ValueError(
-            f"{path} is not an exposure table; expected header "
-            f"'{','.join(EXPOSURE_HEADER)}'"
-        )
+        raise ValueError(f"not an exposure table; expected header '{','.join(EXPOSURE_HEADER)}'")
     counts, times = [], []
     for line in lines[1:]:
         if not line.strip():
@@ -187,9 +184,12 @@ def _read_exposure_csv(path: Path) -> ExposureTable:
 
 
 def _fit_command(cfg: RunConfig, files: dict, args) -> None:
-    out = Path(cfg.output_dir)
-    table = _read_exposure_csv(Path(args.exposure) if args.exposure else out / "exposure.csv")
-    _fit(table, cfg.fit.ratios(), files)
+    """Fit the table in ``--exposure`` or ``<out>/exposure.csv``, naming it in an error."""
+    path = Path(args.exposure) if args.exposure else Path(cfg.output_dir) / "exposure.csv"
+    try:
+        _fit(_read_exposure_csv(path), cfg.fit.grid, files)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _pipeline(cfg: RunConfig, files: dict, args) -> None:
@@ -205,7 +205,7 @@ def _pipeline(cfg: RunConfig, files: dict, args) -> None:
     lam, mu = stage("fuzzy", _fuzzy, cfg.fuzzy)
     sim = cfg.simulation
     summary = stage("simulate", _simulate, sim)
-    results = stage("fit", _fit, summary.exposure, cfg.fit.ratios())
+    results = stage("fit", _fit, summary.exposure, cfg.fit.grid)
     inter = cfg.markov.interaction()
     curve = stage("curve", _curve, cfg.curves, inter)
     chain = stage("markov", _markov, cfg.markov)

@@ -19,12 +19,13 @@ rates, and ``RunConfig`` rejects a ``SimulationConfig`` at any other rates.
 The rest of the document is read by one generic loader, ``_build``, that
 follows the field types of ``RunConfig`` down to its sections.  Each default
 is declared once: a section's default on ``RunConfig`` and a key's default
-on its section type, and a document may omit either.  This
-module checks only the JSON shape (objects, numbers, integers, required
-keys) and the rules of the types it defines itself.  The engine types and
-the section types reject a value with a ValueError, which ``checked`` turns
-into a ConfigError naming where the value came from: a section path or a
-flag.
+on its section type, and a document may omit either.  This module checks
+only the JSON shape (objects, numbers, integers, required keys) and the
+rules of the types it defines itself; a rule the engine holds, the section
+calls (``fitting.ratio_grid``, ``fuzzy.alpha_level_count``).  The engine
+types and the section types reject a value with a ValueError, which
+``checked`` turns into a ConfigError naming where the value came from: a
+section path or a flag.
 
 The repair rate's unit is deliberately an explicit required field:
 ``repair_rate_unit`` is either ``"events_per_year"`` (the value is a rate,
@@ -50,7 +51,8 @@ from pathlib import Path
 
 from ._checks import finite, integer, nonnegative, positive
 from .curves import HardwareParams, InteractionParams, SoftwareParams
-from .fuzzy import TriangularFuzzyNumber, defuzzify, uniform_alpha_grid
+from .fitting import ratio_grid
+from .fuzzy import DEFAULT_ALPHA_GRID, TriangularFuzzyNumber, alpha_level_count, defuzzify
 from .markov import GeneratorMatrix, build_unified_model
 from .simulate import SimulationConfig
 
@@ -172,7 +174,7 @@ class FuzzySection:
     repair_rate_center: float
     repair_rate_unit: str
     halfwidth_fraction: float = 0.1
-    alpha_levels: int = 11
+    alpha_levels: int = len(DEFAULT_ALPHA_GRID)
 
     def __post_init__(self) -> None:
         if self.repair_rate_unit not in REPAIR_RATE_UNITS:
@@ -186,7 +188,7 @@ class FuzzySection:
         if not fraction < 1.0:
             raise ValueError(f"halfwidth_fraction must lie in [0, 1), got {fraction}")
         object.__setattr__(self, "halfwidth_fraction", fraction)
-        uniform_alpha_grid(self.alpha_levels)  # the grid checks alpha_levels
+        alpha_level_count(self.alpha_levels)
         # a support that overflows is rejected here, on load, not on first use
         self.failure_number()
         self.repair_number()
@@ -246,19 +248,13 @@ class MarkovSection:
 
 @dataclass(frozen=True)
 class FitSection:
-    """The rate ratios G to fit at, at least one, each finite and > 0 (the
-    rule of ``fit_lambda1``); ``fit.csv`` lists them in ascending order."""
+    """The rate ratios G to fit at, held in ascending order as ``fit.csv``
+    lists them, and checked by ``ratio_grid``, as ``fit_scan`` checks them."""
 
     grid: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
-        if not self.grid:
-            raise ValueError("ratio grid must not be empty")
-        for g in self.grid:
-            positive("ratio G", g)
-
-    def ratios(self) -> list[float]:
-        return list(self.grid)
+        object.__setattr__(self, "grid", ratio_grid(self.grid))
 
     @classmethod
     def from_dict(cls, d) -> "FitSection":
@@ -268,7 +264,7 @@ class FitSection:
         if "g" in d and "g_grid" in d:
             raise ConfigError("section 'fit' must not set both 'g' and 'g_grid'")
         if "g_grid" not in d:
-            return checked("section 'fit'", cls, (_number(d.get("g", 2.0), "g", "fit"),))
+            return checked("section 'fit'", cls, (_number(d["g"], "g", "fit"),)) if "g" in d else cls()
         grid = d["g_grid"]
         if not isinstance(grid, list):
             raise ConfigError(f"'g_grid' must be a list of numbers, got {grid!r}")

@@ -53,9 +53,10 @@ def effective_rate(lambda1: float, lambda2: float) -> float:
 
 
 def sse(table: ExposureTable, lambda1: float, lambda2: float) -> float:
-    """Squared-residual sum of the exposure table against the model mean."""
-    positive("lambda1", lambda1)
-    positive("lambda2", lambda2)
+    """Squared-residual sum of the exposure table against the model mean; a
+    rate of 0 gives the mean 0, the limit ``effective_rate`` takes there."""
+    nonnegative("lambda1", lambda1)
+    nonnegative("lambda2", lambda2)
     rate = effective_rate(lambda1, lambda2)
     return math.fsum((x - t * rate) ** 2 for x, t in zip(table.counts, table.times))
 
@@ -69,16 +70,17 @@ def fit_lambda1(table: ExposureTable, g: float) -> FitResult:
         raise ValueError("cannot fit: every interval has zero exposure time")
     lambda1 = (1.0 + 1.0 / g) * sum_xt / sum_tt
     lambda2 = g * lambda1
-    if lambda1 > 0.0:
-        residual = sse(table, lambda1, lambda2)
-    else:
-        residual = math.fsum(float(x) ** 2 for x in table.counts)
-    return FitResult(lambda1=lambda1, lambda2=lambda2, g=g, sse=residual)
+    return FitResult(lambda1=lambda1, lambda2=lambda2, g=g, sse=sse(table, lambda1, lambda2))
+
+
+def ratio_grid(g_grid) -> tuple[float, ...]:
+    """``g_grid`` in ascending order: at least one ratio G, each finite and > 0."""
+    grid = tuple(sorted(positive("ratio G", g) for g in g_grid))
+    if not grid:
+        raise ValueError("ratio grid must not be empty")
+    return grid
 
 
 def fit_scan(table: ExposureTable, g_grid) -> list[FitResult]:
     """Fits across a grid of ratios, returned in ascending ratio order."""
-    grid = sorted(float(g) for g in g_grid)
-    if not grid:
-        raise ValueError("ratio grid must not be empty")
-    return [fit_lambda1(table, g) for g in grid]
+    return [fit_lambda1(table, g) for g in ratio_grid(g_grid)]

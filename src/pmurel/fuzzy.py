@@ -54,10 +54,6 @@ class TriangularFuzzyNumber:
                 f"center={self.center}, halfwidth={self.halfwidth}"
             )
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.center - self.halfwidth, self.center + self.halfwidth)
-
     def membership(self, x: float) -> float:
         """Degree of membership of ``x``, in [0, 1]."""
         x = finite("x", x)
@@ -108,10 +104,15 @@ def _band(rows, unit_interval: str = "") -> np.ndarray:
     return band
 
 
+def alpha_level_count(levels: int) -> int:
+    """``levels`` if it can count the membership levels of a grid: an integer >= 1."""
+    return integer("alpha_levels", levels, 1)
+
+
 def uniform_alpha_grid(levels: int) -> tuple[float, ...]:
     """``levels`` evenly spaced membership levels from 0 to 1; a single level
     is the core, 1.0, alone."""
-    levels = integer("alpha_levels", levels, 1)
+    levels = alpha_level_count(levels)
     if levels == 1:
         return (1.0,)
     return tuple(i / (levels - 1) for i in range(levels))

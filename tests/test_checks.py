@@ -93,8 +93,8 @@ SCALAR_FIELDS = [
     ("lambda2", 2.0, NONNEGATIVE, lambda v: fit_result(lambda2=v)),
     ("g", 2.0, POSITIVE, lambda v: fit_result(g=v)),
     ("sse", 0.0, NONNEGATIVE, lambda v: fit_result(sse=v)),
-    ("lambda1", 1.0, POSITIVE, lambda v: sse(TABLE, v, 1.0)),
-    ("lambda2", 1.0, POSITIVE, lambda v: sse(TABLE, 1.0, v)),
+    ("lambda1", 0.0, NONNEGATIVE, lambda v: sse(TABLE, v, 1.0)),
+    ("lambda2", 0.0, NONNEGATIVE, lambda v: sse(TABLE, 1.0, v)),
     ("g", 2.0, POSITIVE, lambda v: fit_lambda1(TABLE, v)),
     ("time grid start", 0.0, NONNEGATIVE, lambda v: TimeGrid(v, 10.0, 3)),
     ("time grid stop", 1.0, POSITIVE, lambda v: TimeGrid(0.0, v, 3)),

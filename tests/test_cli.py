@@ -334,6 +334,18 @@ class TestFitCommand:
         exposure.write_text("wrong,header,here\n1,2,3\n")
         assert main(["fit", "--out", str(tmp_path), "--exposure", str(exposure)]) == 3
 
+    @pytest.mark.parametrize("rows,message", [
+        ("", "counts and times must be equally sized and nonempty"),
+        ("1,nan,2.5\n", "counts[0] must be finite and >= 0, got nan"),
+        ("1,1,0\n", "cannot fit: every interval has zero exposure time"),
+        ("1,1e308,1\n2,1e308,1\n", "intermediate overflow in fsum"),
+    ], ids=["header-only", "nan-count", "no-exposure", "overflow"])
+    def test_exposure_errors_name_the_file(self, tmp_path, capsys, rows, message):
+        exposure = tmp_path / "exposure.csv"
+        exposure.write_text("interval,X_i,T_i\n" + rows)
+        assert main(["fit", "--out", str(tmp_path), "--exposure", str(exposure)]) == 3
+        assert capsys.readouterr().err == f"error: {exposure}: {message}\n"
+
 
 class TestPipelineCommand:
     def test_full_pipeline_with_defaults(self, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,9 +24,10 @@ from pmurel.config import (
     load_config,
 )
 from pmurel.curves import InteractionParams
+from pmurel.fitting import fit_scan
 from pmurel.fuzzy import uniform_alpha_grid
 from pmurel.markov import build_unified_model
-from pmurel.simulate import SimulationConfig
+from pmurel.simulate import ExposureTable, SimulationConfig
 
 
 # a curves section of a schema 2 or 3 document
@@ -50,7 +52,7 @@ class TestDefaults:
         assert cfg.fuzzy.repair_rate_unit == "events_per_year"
         assert cfg.simulation.mission_time == 10.0
         assert cfg.simulation.n_replications == 10000
-        assert cfg.fit.ratios() == [2.0]
+        assert cfg.fit.grid == (2.0,)
         assert cfg.time_unit == "years"
 
     def test_defaults_live_on_the_run_config_fields(self):
@@ -236,6 +238,16 @@ class TestFuzzySection:
         section = FuzzySection.from_dict(self.base(alpha_levels=1))
         assert uniform_alpha_grid(section.alpha_levels) == (1.0,)
 
+    def test_alpha_levels_are_checked_without_building_the_grid(self):
+        # the grid of 10**6 levels takes about 31 MiB; only the fuzzy stage builds it
+        tracemalloc.start()
+        try:
+            FuzzySection(**self.base(alpha_levels=10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestRunConfig:
     @pytest.mark.parametrize("field", ["time_unit", "output_dir"])
@@ -282,8 +294,21 @@ class TestRunConfig:
 
 class TestFitSection:
     def test_grid_variant(self):
-        section = FitSection.from_dict({"g_grid": [1.0, 2.0, 4.0]})
-        assert section.ratios() == [1.0, 2.0, 4.0]
+        # held in ascending order, as fit.csv lists the ratios
+        assert FitSection.from_dict({"g_grid": [4, 1, 2]}).grid == (1.0, 2.0, 4.0)
+
+    def test_default_ratio_is_the_section_default(self):
+        assert FitSection.from_dict({}) == FitSection() == FitSection((2.0,))
+
+    @pytest.mark.parametrize("grid,message", [
+        ([], "ratio grid must not be empty"),
+        ([1, -2], "ratio G must be finite and > 0, got -2"),
+    ], ids=["empty", "negative"])
+    def test_fit_scan_and_section_share_the_ratio_rule(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_scan(ExposureTable((1.0,), (1.0,)), grid)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitSection(grid)
 
     def test_rejects_both(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pmurel.fitting import FitResult, effective_rate, fit_lambda1, fit_scan, sse
@@ -29,11 +31,11 @@ class TestSse:
         table = ExposureTable((2.0,), (1500.0,))
         assert sse(table, 1e-3, 2e-3) == pytest.approx(1.0, rel=1e-12)
 
-    def test_rejects_nonpositive_rates(self):
+    def test_accepts_zero_and_rejects_negative_rates(self):
+        # a zero rate is the limit effective_rate defines: the model mean is 0
         table = exact_fit_table()
-        with pytest.raises(ValueError):
-            sse(table, 0.0, 1e-3)
-        with pytest.raises(ValueError):
+        assert sse(table, 0.0, 1e-3) == sse(table, 0.0, 0.0) == math.fsum(x**2 for x in table.counts)
+        with pytest.raises(ValueError, match="^lambda2 must be finite and >= 0, got -0.001$"):
             sse(table, 1e-3, -1e-3)
 
 
@@ -79,6 +81,11 @@ class TestFitLambda1:
         result = fit_lambda1(table, 2.0)
         assert result.lambda1 == 0.0
         assert result.sse == 0.0
+        # the zero rates go through sse like any other
+        assert result == FitResult(lambda1=0.0, lambda2=0.0, g=2.0, sse=0.0)
+        # failures only where there is no exposure fit 0 too, and leave them all as residual
+        table = ExposureTable((3.0, 0.0, 2.0), (0.0, 5.0, 0.0))
+        assert fit_lambda1(table, 2.0) == FitResult(lambda1=0.0, lambda2=0.0, g=2.0, sse=13.0)
 
     def test_zero_rates_have_zero_effective_rate(self):
         # an all-zero table fits lambda1 = lambda2 = 0; the effective rate is

@@ -49,9 +49,8 @@ def markov_digest(out):
 
 # 20 missions of 2000 years: about 2700 draws per replication and round
 WIDE_ROUNDS = {
-    "schema": "pmu-reliability/1",
-    "simulation": {"failure_rate": 0.6566, "repair_rate": 22.2898, "mission_time": 2000.0,
-                   "n_replications": 20, "n_intervals": 8},
+    "schema": "pmu-reliability/3",
+    "simulation": {"mission_time": 2000.0, "n_replications": 20, "n_intervals": 8},
 }
 
 GOLDEN_WIDE_ROUNDS = {
