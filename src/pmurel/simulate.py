@@ -67,11 +67,10 @@ per row, but 30 to 40 ns per draw, so their rounds hold just the expected
 draws.  Campaigns of short replications, whose native round would hold at
 most ``ARRAY_STREAM_DRAWS`` draws, take array streams, and never import
 ``numpy.random``; longer ones take native streams.  Both give the same draws,
-so the choice changes no result.  Their tiles differ: an array round pays a
-fixed set of numpy calls whatever its rows, so an array tile holds
-``ARRAY_TILE_ROWS`` rows, halved while a round's states exceed 16 per row of
-that, so each a divisor of the block; a native round pays a call per row, so
-a native tile holds the rows whose round fits in ``TILE_ELEMENTS`` draws.
+so the choice changes no result.  One budget of ``TILE_ROWS * 16`` states
+bounds every round of either kind: a tile holds ``TILE_ROWS`` rows, halved
+while its rows times the round's draws plus one exceed the budget, so each a
+divisor of the block, and a native round is capped at the budget less one.
 
 Substreams are built without a SeedSequence object per replication:
 SeedSequence's algorithm is evaluated in numpy ``uint32`` arithmetic for a
@@ -100,18 +99,12 @@ from ._checks import integer, nonnegative, positive
 EXPOSURE_CHUNK = 4096
 EXPOSURE_PAIRS = 8192
 
-# Cap on the uniforms one replication draws per round of the block engine.
-MAX_ROUND_DRAWS = 4096
-
-# Tile sizes of the block engine (_walk_tile), which bound its temporaries
-# without changing any result.  A native-stream round costs a call per row,
-# so its tile keeps the round's arrays (rows x draws) under TILE_ELEMENTS.
-# An array-stream round pays about 120 numpy calls whatever its rows, so its
-# tile holds ARRAY_TILE_ROWS, a divisor of _SUBSTREAM_BLOCK (no runt tiles),
-# halved while the round's rows x (draws + 1) states exceed ARRAY_TILE_ROWS x
-# 16, so that wide rounds keep to the temporaries of a 15-draw round.
-TILE_ELEMENTS = 8192
-ARRAY_TILE_ROWS = 1024
+# Rows of a tile of the block engine (_walk_tile), a divisor of
+# _SUBSTREAM_BLOCK (no runt tiles).  A round's rows x (draws + 1) states keep
+# within the budget of TILE_ROWS x 16, the temporaries of a 15-draw round of
+# a full tile: a wide round halves its tile's rows, and no round holds more
+# than the budget less one draws (_draw_plan).  None of it changes a result.
+TILE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -454,9 +447,9 @@ class _ArrayStreams:
 # The widest native round (see _draw_plan) still drawn from array streams:
 # where whole campaigns cost the same on either kind (run_simulation with
 # 400000 / mission_time replications, median CPU time of 7 runs per process,
-# 10 alternating pairs per point, 2-core Xeon, with array tiles halved for
-# wide rounds: array streams faster at native rounds of 80 draws in 8 of 10
-# pairs, even at 88 (7 of 10), slower at 90-96 (2-3 of 10)).
+# alternating pairs, 2-core Xeon, tiles of both kinds within one round
+# budget: array streams faster at native rounds of 80-88 draws in 8-9 of 10
+# pairs, even at 90 (13 of 20), slower at 92 (6 of 20) and 96 (0 of 10)).
 ARRAY_STREAM_DRAWS = 88
 
 
@@ -466,17 +459,18 @@ def _draw_plan(failure_rate: float, repair_rate: float, mission_time: float) -> 
 
     A native round costs a call per row, so it holds the expected number of
     draws (two per renewal cycle) plus slack, so that most replications
-    finish in one round, capped at ``MAX_ROUND_DRAWS``.  Array streams step
-    every row at a cost per draw, so up to a native round of
-    ``ARRAY_STREAM_DRAWS`` they serve instead, with rounds of just the
-    expected draws.
+    finish in one round.  Array streams step every row at a cost per draw,
+    so up to a native round of ``ARRAY_STREAM_DRAWS`` they serve instead,
+    with rounds of just the expected draws.  The kind is chosen from the
+    native round as it comes; only then is a native round capped at the
+    round budget less one (``TILE_ROWS * 16 - 1``), so one row of it keeps
+    within the budget.
     """
     cycles = mission_time / (1.0 / failure_rate + 1.0 / repair_rate)
-    draws = min(2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0, MAX_ROUND_DRAWS)
-    width = 2 * int(draws / 2.0)
-    if width > ARRAY_STREAM_DRAWS:
-        return _NativeStreams, width
-    return _ArrayStreams, max(2, 2 * math.ceil(cycles))
+    draws = 2.0 * cycles + 4.0 * math.sqrt(cycles) + 8.0
+    if draws < ARRAY_STREAM_DRAWS + 2:  # made even, at most ARRAY_STREAM_DRAWS
+        return _ArrayStreams, max(2, 2 * math.ceil(cycles))
+    return _NativeStreams, 2 * int(min(draws, TILE_ROWS * 16 - 1) / 2.0)
 
 
 # fdlibm's e_log.c (Sun Microsystems, 1993): ln 2 split in two, and the
@@ -621,20 +615,17 @@ def _walk_tile(cfg: SimulationConfig, index: int):
     """Walk the tile of rows holding replication ``index``: returns the
     tile's first index and ``_walk``'s three arrays for it.
 
-    A tile is a run of ``ARRAY_TILE_ROWS`` rows for array streams, halved
-    while ``rows * (width + 1)`` exceeds ``ARRAY_TILE_ROWS * 16``, and of rows
-    whose round holds at most ``TILE_ELEMENTS`` draws for native streams,
-    within the index's aligned block of ``_SUBSTREAM_BLOCK`` indices, which
-    is cut at ``cfg.n_replications`` (the whole block for an index past it).
+    A tile is a run of ``TILE_ROWS`` rows, halved while ``rows * (width +
+    1)`` exceeds the round budget of ``TILE_ROWS * 16`` states, whatever the
+    stream kind, within the index's aligned block of ``_SUBSTREAM_BLOCK``
+    indices, which is cut at ``cfg.n_replications`` (the whole block for an
+    index past it).
     """
     rates = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
     kind, width = _draw_plan(*rates)
-    if kind is _ArrayStreams:
-        rows = ARRAY_TILE_ROWS
-        while rows > 1 and rows * (width + 1) > ARRAY_TILE_ROWS * 16:
-            rows //= 2
-    else:
-        rows = max(1, TILE_ELEMENTS // width)
+    rows = TILE_ROWS
+    while rows > 1 and rows * (width + 1) > TILE_ROWS * 16:
+        rows //= 2
     block, row = divmod(index, _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
@@ -686,8 +677,8 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     seed cuts its trace from that tile's arrays, its events a read-only view
     of the tile's event array, and any other index walks its tile in place
     of the held one, to the same trace values.  So calls out of index order
-    may walk a whole tile each, up to 1024 rows for array streams.  Indices
-    are checked as SeedSequence checks a spawn key.
+    may walk a whole tile each, up to ``TILE_ROWS`` rows.  Indices are
+    checked as SeedSequence checks a spawn key.
     """
     index = integer("replication_index", replication_index, 0)
     key, first, events, starts, up = _held

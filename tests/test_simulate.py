@@ -338,12 +338,20 @@ class TestDrawPath:
         monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (lambda words: stream, width))
         return stream
 
-    def test_block_size_is_capped(self):
+    def test_block_size_is_capped(self, monkeypatch):
         # draws per replication and round: array streams take two per
         # expected cycle (6.4 here); native ones, past ARRAY_STREAM_DRAWS,
-        # add slack, and are capped for huge expected counts
+        # add slack, and are capped at the round budget of TILE_ROWS * 16
+        # states less one, made even, for huge expected counts
         assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, MISSION) == (simulate._ArrayStreams, 14)
-        assert simulate._draw_plan(1e300, 1e300, 1e10) == (simulate._NativeStreams, simulate.MAX_ROUND_DRAWS)
+        assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, 60.0) == (simulate._NativeStreams, 108)
+        assert simulate._draw_plan(1e300, 1e300, 1e10) == (simulate._NativeStreams, 16382)
+        assert simulate.TILE_ROWS * 16 == 16384
+        # the budget is read at call time, and the kind comes from the round
+        # before its cap: with one-row tiles a native round holds 14 draws
+        monkeypatch.setattr(simulate, "TILE_ROWS", 1)
+        assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, 60.0) == (simulate._NativeStreams, 14)
+        assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, MISSION) == (simulate._ArrayStreams, 14)
 
     def test_zero_inside_a_block_is_skipped(self, monkeypatch):
         # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
@@ -633,23 +641,22 @@ class TestRunSimulation:
             patch.setattr(simulate, "run_replication", recording_run_replication)
             return run_simulation(cfg), traces
 
-    # Each tile rule at sizes that cut a block into runt tiles and into none,
-    # on a campaign of its stream kind that ends 37 rows into its second
-    # block.  Native rounds hold 108 draws at mission 60, so native sizes of
-    # 1 and 75 elements are tiles of one row.
+    # TILE_ROWS at sizes that cut a block into runt tiles and into none, on a
+    # campaign of each stream kind that ends 37 rows into its second block.
+    # Array rounds hold 14 draws at mission 10, so 7 rows are tiles of 7.
+    # Native rounds hold 108 draws at mission 60: one row caps them at 14,
+    # 100 rows are tiles of 12 and 4096 rows tiles of 512.
     @pytest.mark.parametrize(
-        "mission,rule,tile",
-        [pytest.param(MISSION, "ARRAY_TILE_ROWS", rows, id=f"array_rows_{rows}") for rows in (1, 7, 1024, 4096)]
-        + [pytest.param(60.0, "TILE_ELEMENTS", elements, id=str(elements))
-           for elements in (1, 75, 4 * simulate.TILE_ELEMENTS)],
+        "mission,kind,rows",
+        [pytest.param(MISSION, "_ArrayStreams", rows, id=f"array_rows_{rows}") for rows in (1, 7, 1024, 4096)]
+        + [pytest.param(60.0, "_NativeStreams", rows, id=f"native_rows_{rows}") for rows in (1, 100, 4096)],
     )
-    def test_identical_for_any_tile_size(self, mission, rule, tile, monkeypatch, tmp_path, fresh_tiles):
+    def test_identical_for_any_tile_size(self, mission, kind, rows, monkeypatch, tmp_path, fresh_tiles):
         cfg = base_config(mission_time=mission, n_replications=simulate._SUBSTREAM_BLOCK + 37)
-        kind = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)[0]
-        assert kind is (simulate._ArrayStreams if rule == "ARRAY_TILE_ROWS" else simulate._NativeStreams)
+        assert simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)[0] is getattr(simulate, kind)
         default, default_traces = self.bucketed(cfg, monkeypatch)
         fresh_tiles()
-        monkeypatch.setattr(simulate, rule, tile)
+        monkeypatch.setattr(simulate, "TILE_ROWS", rows)
         summary, traces = self.bucketed(cfg, monkeypatch)
         assert output_bytes(summary, tmp_path / "tiled") == output_bytes(default, tmp_path / "default")
         assert len(traces) == len(default_traces) == cfg.n_replications
@@ -657,8 +664,10 @@ class TestRunSimulation:
             assert np.array_equal(got.events, want.events)
             assert (got.up_time, got.down_time) == (want.up_time, want.down_time)
 
-    def test_full_blocks_of_array_streams_walk_in_equal_tiles(self, monkeypatch):
-        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+    @staticmethod
+    def walked_tiles(cfg, monkeypatch):
+        """The (first index, rows) of each tile that an in-process
+        ``run_simulation(cfg)`` walked, in order."""
         walked = []
 
         def recording_walk_tile(cfg, index, real=simulate._walk_tile):
@@ -668,10 +677,46 @@ class TestRunSimulation:
 
         monkeypatch.setattr(simulate, "_walk_tile", recording_walk_tile)
         monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
-        run_simulation(base_config(n_replications=n))
-        rows = simulate.ARRAY_TILE_ROWS
+        run_simulation(cfg)
+        return walked
+
+    def test_full_blocks_of_array_streams_walk_in_equal_tiles(self, monkeypatch):
+        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+        walked = self.walked_tiles(base_config(n_replications=n), monkeypatch)
+        rows = simulate.TILE_ROWS
         full_blocks = [(first, rows) for first in range(0, 2 * simulate._SUBSTREAM_BLOCK, rows)]
         assert walked == full_blocks + [(2 * simulate._SUBSTREAM_BLOCK, 37)]
+
+    def test_full_blocks_of_native_streams_walk_in_equal_tiles(self, monkeypatch):
+        # rounds of 108 draws at mission 60: 128 rows of 109 states fit the
+        # budget of 1024 x 16, 256 would not
+        n = 2 * simulate._SUBSTREAM_BLOCK + 37
+        walked = self.walked_tiles(base_config(mission_time=60.0, n_replications=n), monkeypatch)
+        full_blocks = [(first, 128) for first in range(0, 2 * simulate._SUBSTREAM_BLOCK, 128)]
+        assert walked == full_blocks + [(2 * simulate._SUBSTREAM_BLOCK, 37)]
+
+    @pytest.mark.parametrize(
+        "mission,n_replications,kind,widest",
+        [pytest.param(MISSION, simulate._SUBSTREAM_BLOCK + 37, "_ArrayStreams", 14, id="array"),
+         pytest.param(60.0, 300, "_NativeStreams", 108, id="native"),
+         pytest.param(2000.0, 9, "_NativeStreams", 2702, id="native_wide"),
+         pytest.param(20000.0, 3, "_NativeStreams", 16382, id="capped")],
+    )
+    def test_every_round_keeps_within_the_budget(self, mission, n_replications, kind, widest, monkeypatch):
+        # every draw(rows, width) of a campaign holds at most TILE_ROWS * 16
+        # states, rows x (width + 1); at mission 20000 the rounds are capped
+        streams = getattr(simulate, kind)
+        rounds = []
+
+        def recording_draw(self, rows, width, real=streams.draw):
+            rounds.append((len(rows), width))
+            return real(self, rows, width)
+
+        monkeypatch.setattr(streams, "draw", recording_draw)
+        monkeypatch.setattr(simulate, "_walker_pays", lambda cfg: False)
+        run_simulation(base_config(mission_time=mission, n_replications=n_replications))
+        assert max(width for _, width in rounds) == widest
+        assert all(rows * (width + 1) <= simulate.TILE_ROWS * 16 for rows, width in rounds)
 
     def test_threads_interleaving_campaigns_get_their_own_traces(self, fresh_tiles):
         # six threads on two cores, each calling its own campaign in index

@@ -222,6 +222,20 @@ def test_stream_kinds_at_the_threshold_match_scalar_reference(offset):
     assert_same_table(traces, references, cfg)
 
 
+def test_capped_rounds_match_scalar_reference():
+    # about 12800 cycles per mission: each row needs more draws than the
+    # capped round of 16382 holds, so it carries its clock across rounds
+    cfg = config(mission_time=20000.0, n_replications=3, master_seed=20000)
+    assert simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time) == (
+        simulate._NativeStreams, 16382)
+    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+    references = [reference_run_replication(cfg, i) for i in range(cfg.n_replications)]
+    for trace, ref in zip(traces, references):
+        assert 2 * trace.n_failures > 16382
+        assert_same_trace(trace, ref, cfg.mission_time)
+    assert_same_table(traces, references, cfg)
+
+
 @pytest.mark.parametrize("kind", ["_ArrayStreams", "_NativeStreams"])
 @pytest.mark.parametrize("mission_time", [0.3, 10.0, 40.0])
 def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch):

@@ -164,7 +164,7 @@ class TestProcessHygiene:
 
         monkeypatch.setattr(simulate, "_walk", failing_walk)
         before = open_fds()
-        sent = tiles_sent * simulate.ARRAY_TILE_ROWS
+        sent = tiles_sent * simulate.TILE_ROWS
         with pytest.raises(RuntimeError, match=f"walker process {ended} after sending {sent} of {N_WALKED} "):
             run_simulation(config())
         assert len(forks) == 1
@@ -196,7 +196,7 @@ class TestProcessHygiene:
         monkeypatch.setattr(pickle, "dump", dump_half_of_the_third)
         monkeypatch.setattr(simulate, "_hold", recording_hold)
         cfg = config()
-        rows = simulate.ARRAY_TILE_ROWS
+        rows = simulate.TILE_ROWS
         before = open_fds()
         with pytest.raises(RuntimeError, match=f"exited with status 1 after sending {2 * rows} of"):
             run_simulation(cfg)
