@@ -125,7 +125,16 @@ def alpha_cut(f: TriangularFuzzyNumber, alpha_grid=DEFAULT_ALPHA_GRID) -> np.nda
     """Band of a symmetric triangular number over ``alpha_grid``: the cut at
     each alpha is ``center -/+ (1 - alpha) * halfwidth``, which collapses to
     the core at alpha = 1."""
-    alpha = np.asarray(alpha_grid, dtype=np.float64)
+    shape = np.shape(alpha_grid)
+    if len(shape) != 1:
+        raise TypeError(f"an alpha grid is a 1-D sequence of levels, got shape {shape}")
+    try:
+        alpha = np.asarray(alpha_grid, dtype=np.float64)
+    except OverflowError:
+        # an int too large for a float, named as the band rule names it
+        for i, a in enumerate(alpha_grid):
+            finite(f"level {i}: alpha", a)
+        raise
     # a bad alpha may overflow here; the band rule then names it
     with np.errstate(all="ignore"):
         spread = (1.0 - alpha) * f.halfwidth

@@ -227,11 +227,11 @@ class TransientSolution:
 
     ``probs`` is a read-only (len(times) x len(states)) array: row i is the
     distribution at ``times[i]``, column j the probability of ``states[j]``.
-    ``error_bound`` is the achieved Poisson truncation bound, and covers
-    that truncation only: no entry is further than this from the exact
-    solution, apart from floating-point rounding.  That rounding, in the
-    interval powers, grows with the number of sub-steps and may exceed the
-    bound on fast chains: 8.9e-12 at 4.1e7 sub-steps, 8.0e-9 at 4.1e10.
+    ``error_bound`` is the achieved Poisson truncation bound: no entry is
+    further than this from the exact solution, apart from the rounding in
+    the interval powers.  That rounding grows with the number of sub-steps
+    and may exceed the bound on fast chains: 8.9e-12 at 4.1e7 sub-steps,
+    8.0e-9 at 4.1e10, 1.6e-7 at 7.8e13 and 9.6e-5 at 7.8e16.
     ``steps`` counts the uniformization sub-steps and ``poisson_terms`` the
     Poisson terms summed into the step matrices.
     """

@@ -235,43 +235,24 @@ def _seed_words_class() -> type:
 
 
 class ReplicationTrace:
-    """Failure/repair history of one replication, truncated at the mission end.
+    """Failure/repair history of one replication, truncated at the mission
+    end, as ``run_replication`` returns it; nothing else makes one.
 
     ``events`` holds one row (time_to_failure, repair_time, failure_time)
     per failure before the mission horizon, on the one clock of the module
     docstring; the last repair is clipped at the horizon if the mission
     ended mid-repair.  A final up period that ran out the mission clock
-    appears in ``up_time`` only.
-
-    The constructor takes the (time_to_failure, repair_time) pairs;
-    ``run_replication`` returns traces whose ``events`` are read-only views
-    of their tile's one event array.  The up time must be finite and >= 0.
-    Instances are immutable.
+    appears in ``up_time`` only.  ``events`` is a read-only view of the
+    walked tile's one event array, and instances are immutable.
     """
 
     __slots__ = ("events", "up_time")
 
-    def __init__(self, cycles, up_time: float) -> None:
-        nonnegative("up_time", up_time)
-        rows = []
-        clock = 0.0
-        for i, (ttf, ttr) in enumerate(cycles):
-            positive(f"time_to_failure of cycle {i}", ttf)
-            nonnegative(f"repair_time of cycle {i}", ttr)
-            clock += ttf
-            rows += (ttf, ttr, clock)
-            clock += ttr
-        events = np.array(rows, dtype=float).reshape(-1, 3)
-        events.flags.writeable = False
-        _set_trace(self, events, up_time)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__} has no public constructor: run_replication makes every trace")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def cycles(self) -> tuple[tuple[float, float], ...]:
-        """(time_to_failure, repair_time) per failure, in order."""
-        return tuple(map(tuple, self.events[:, :2].tolist()))
 
     @property
     def n_failures(self) -> int:
@@ -282,10 +263,6 @@ class ReplicationTrace:
         """The repair times added one after another in cycle order (a
         sequential sum, not numpy's pairwise one)."""
         return float(np.add.accumulate(np.append(0.0, self.events[:, 1]))[-1])
-
-    def failure_times(self) -> list[float]:
-        """Absolute occurrence time of each failure, in order."""
-        return self.events[:, 2].tolist()
 
     def up_periods(self, mission_time: float) -> list[tuple[float, float]]:
         """Operating intervals [start, end] within [0, mission_time]: each
@@ -811,10 +788,6 @@ class ExposureTable:
             raise ValueError("counts and times must be equally sized and nonempty")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "times", times)
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.counts)
 
     def rows(self) -> list[tuple[int, float, float]]:
         """(interval, X_i, T_i) rows, interval numbered from 1."""

@@ -18,7 +18,6 @@ from pmurel import (
     GeneratorMatrix,
     HardwareParams,
     InteractionParams,
-    ReplicationTrace,
     SimulationConfig,
     SoftwareParams,
     TriangularFuzzyNumber,
@@ -62,18 +61,11 @@ def fit_result(**values):
     return FitResult(**{"lambda1": 1.0, "lambda2": 2.0, "g": 2.0, "sse": 0.0, **values})
 
 
-def trace(ttf=1.0, ttr=0.5, up_time=1.0):
-    return ReplicationTrace([(ttf, ttr)], up_time)
-
-
 # (field as its error names it, an accepted value, rejected values, build)
 SCALAR_FIELDS = [
     ("failure_rate", 0.5, POSITIVE, lambda v: sim(failure_rate=v)),
     ("repair_rate", 5.0, POSITIVE, lambda v: sim(repair_rate=v)),
     ("mission_time", 1.0, POSITIVE, lambda v: sim(mission_time=v)),
-    ("up_time", 1.0, NONNEGATIVE, lambda v: trace(up_time=v)),
-    ("time_to_failure of cycle 0", 1.0, POSITIVE, lambda v: trace(ttf=v)),
-    ("repair_time of cycle 0", 0.0, NONNEGATIVE, lambda v: trace(ttr=v)),
     ("counts[1]", 0.5, NONNEGATIVE, lambda v: ExposureTable((1.0, v), (1.0, 1.0))),
     ("times[0]", 0.0, NONNEGATIVE, lambda v: ExposureTable((1.0, 1.0), (v, 1.0))),
     ("rate", 0.0, NONNEGATIVE, lambda v: HardwareParams(rate=v, shape=1.0)),

@@ -27,10 +27,14 @@ GRID_11 = tuple(i / 10.0 for i in range(11))
 
 # each grid the band rule rejects, and its message
 BAD_GRIDS = {
-    (): "a band needs at least one alpha level",
-    (0.5, 0.2): r"level 1: alpha levels must be strictly increasing, got 0.2 after 0.5",
-    (0.0, 1.5): r"level 1: alpha must lie in \[0, 1\], got 1.5",
-    (0.1, 0.1): r"level 1: alpha levels must be strictly increasing, got 0.1 after 0.1",
+    (): (ValueError, "a band needs at least one alpha level"),
+    (0.5, 0.2): (ValueError, r"level 1: alpha levels must be strictly increasing, got 0.2 after 0.5"),
+    (0.0, 1.5): (ValueError, r"level 1: alpha must lie in \[0, 1\], got 1.5"),
+    (0.1, 0.1): (ValueError, r"level 1: alpha levels must be strictly increasing, got 0.1 after 0.1"),
+    # a scalar is not a grid of one level, nor are rows a grid
+    0.5: (TypeError, r"an alpha grid is a 1-D sequence of levels, got shape \(\)"),
+    ((0.0, 1.0),): (TypeError, r"an alpha grid is a 1-D sequence of levels, got shape \(1, 2\)"),
+    (10**400,): (ValueError, "level 0: alpha must be finite, got an integer too large for a float"),
 }
 
 
@@ -164,7 +168,8 @@ class TestAvailability:
             lambda: fuzzy_availability(FAILURE, REPAIR, grid),
             lambda: fuzzy_unavailability(FAILURE, REPAIR, grid),
         ):
-            with pytest.raises(ValueError, match=f"^{BAD_GRIDS[grid]}$"):
+            error, message = BAD_GRIDS[grid]
+            with pytest.raises(error, match=f"^{message}$"):
                 band()
 
 

@@ -21,6 +21,14 @@ from pmurel.simulate import (
     run_replication,
     run_simulation,
 )
+from test_simulate_oracle import (
+    ReferenceTrace,
+    assert_same_events,
+    assert_same_trace,
+    engine_trace,
+    reference_events,
+    reference_run_replication,
+)
 
 FAILURE_RATE = 0.6566
 REPAIR_RATE = 22.2898
@@ -114,7 +122,7 @@ class TestSampleExponential:
 
     def test_different_replications_differ(self):
         cfg = base_config(n_replications=2)
-        assert run_replication(cfg, 0).cycles != run_replication(cfg, 1).cycles
+        assert not np.array_equal(run_replication(cfg, 0).events, run_replication(cfg, 1).events)
 
 
 def port_log(u):
@@ -244,7 +252,7 @@ class TestRunReplication:
         cfg = base_config(failure_rate=1e-12, n_replications=1)
         trace = run_replication(cfg, 0)
         assert trace.n_failures == 0
-        assert trace.cycles == ()
+        assert_same_events(trace.events, reference_events(()))
         assert trace.up_time == MISSION
         assert trace.down_time == 0.0
 
@@ -258,13 +266,12 @@ class TestRunReplication:
         for i in range(50):
             trace = run_replication(cfg, i)
             assert trace.up_time + trace.down_time == pytest.approx(MISSION, abs=1e-9)
-            assert trace.n_failures == len(trace.cycles)
-            assert all(ttf > 0.0 and ttr > 0.0 for ttf, ttr in trace.cycles)
+            assert (trace.events[:, :2] > 0.0).all()
 
     def test_failure_times_ordered_and_within_mission(self):
         cfg = base_config(n_replications=1)
         trace = run_replication(cfg, 11)
-        times = trace.failure_times()
+        times = trace.events[:, 2].tolist()
         assert times == sorted(times)
         assert all(0.0 < ft < MISSION for ft in times)
 
@@ -284,7 +291,7 @@ class TestRunReplication:
         for i in range(cfg.n_replications):
             trace = run_replication(cfg, i)
             periods = trace.up_periods(MISSION)
-            assert [end for _, end in periods[: trace.n_failures]] == trace.failure_times()
+            assert [end for _, end in periods[: trace.n_failures]] == trace.events[:, 2].tolist()
             if trace.n_failures and trace.events[-1, 2] + trace.events[-1, 1] >= MISSION:
                 clipped += 1
                 assert len(periods) == trace.n_failures
@@ -357,7 +364,8 @@ class TestDrawPath:
         # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
         self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, TINY, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(n_replications=1), 0)
-        assert trace.cycles == ((-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),)
+        assert_same_events(trace.events, reference_events(
+            ((-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),)))
 
     def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch, fresh_tiles):
         cfg = base_config(mission_time=100.0, n_replications=5)
@@ -384,10 +392,10 @@ class TestDrawPath:
         stream = self.scripted(monkeypatch, 4, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
         trace = run_replication(base_config(n_replications=1), 0)
         assert stream.draws == [(0, 4), (2, 4)]
-        assert trace.cycles == (
+        assert_same_events(trace.events, reference_events((
             (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
             (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),
-        )
+        )))
 
     def test_window_without_two_nonzero_draws_widens(self, monkeypatch):
         # two draws per round: the second round holds 0.25 and a zero, too few
@@ -395,10 +403,10 @@ class TestDrawPath:
         stream = self.scripted(monkeypatch, 2, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
         trace = run_replication(base_config(n_replications=1), 0)
         assert stream.draws == [(0, 2), (2, 2), (2, 4)]
-        assert trace.cycles == (
+        assert_same_events(trace.events, reference_events((
             (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
             (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),
-        )
+        )))
 
     def test_failure_exactly_at_the_horizon_ends_the_walk(self, monkeypatch):
         # a first failure time equal to the horizon counts as reaching it,
@@ -408,7 +416,7 @@ class TestDrawPath:
         horizon = -port_log(u) / FAILURE_RATE
         stream = self.scripted(monkeypatch, 8, u, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(mission_time=horizon, n_replications=1), 0)
-        assert trace.cycles == ()
+        assert_same_events(trace.events, reference_events(()))
         assert (trace.up_time, trace.down_time) == (horizon, 0.0)
         assert stream.draws == [(0, 8)]
 
@@ -426,41 +434,32 @@ class TestDrawPath:
         # u's failure time is below 50 unless u < 6e-15; TINY's is above 50
         self.scripted(monkeypatch, 8, u, 0.5, TINY, 0.5, 0.5, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(mission_time=50.0, n_replications=1), 0)
-        assert trace.cycles[0][0] == want
-        assert trace.failure_times()[0] == want
+        assert trace.events[0, 0] == want == trace.events[0, 2]
 
 
 class TestReplicationTrace:
-    def test_rejects_inconsistent_cycles(self):
-        with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((0.0, 0.5),), up_time=9.5)
-        with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((1.0, -0.5),), up_time=9.5)
-
     def test_is_immutable(self):
-        trace = ReplicationTrace(cycles=((1.0, 0.5),), up_time=9.5)
+        # run_replication is the one maker of traces, and what they hold
+        # cannot change
+        for args in ((), ((), 0.0)):
+            with pytest.raises(TypeError, match="run_replication"):
+                ReplicationTrace(*args)
+        cfg = base_config(n_replications=1)
+        trace = run_replication(cfg, 0)
+        assert_same_trace(trace, reference_run_replication(cfg, 0), MISSION)
         with pytest.raises(AttributeError):
             trace.up_time = 1.0
+        with pytest.raises(AttributeError):
+            trace.events = trace.events.copy()
         with pytest.raises(ValueError):
             trace.events[0, 0] = 2.0
-        assert trace.cycles == ((1.0, 0.5),)
 
     def test_down_time_adds_the_repairs_in_cycle_order(self):
         # sixteen repairs whose running sum, as the walk's clock adds, differs
         # from numpy's pairwise one
         repairs = [1.0] + [2.0**-53] * 15
-        trace = ReplicationTrace(cycles=[(1.0, r) for r in repairs], up_time=0.0)
+        trace = engine_trace(ReferenceTrace(tuple((1.0, r) for r in repairs), 16, 0.0, 1.0))
         assert trace.down_time == 1.0 != float(np.sum(repairs))
-
-    @pytest.mark.parametrize(
-        "up_time,repair_time",
-        [(math.nan, -3.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan), (0.0, math.inf), (9.0, -1e-9)],
-    )
-    def test_rejects_impossible_totals(self, up_time, repair_time):
-        # the down time is the repairs' sum, so an impossible one comes from
-        # an impossible repair time
-        with pytest.raises(ValueError):
-            ReplicationTrace(cycles=((1.0, repair_time),), up_time=up_time)
 
     def test_simulated_traces_are_read_only_views_of_their_tile(self):
         cfg = base_config(n_replications=20)
@@ -860,7 +859,7 @@ class TestBuildExposureTable:
         # t = 2.5 lands in interval 2 (boundary belongs to the earlier,
         # right-closed interval)
         cfg = base_config(n_replications=1)
-        trace = ReplicationTrace(cycles=((2.5, 0.5),), up_time=9.5)
+        trace = engine_trace(ReferenceTrace(((2.5, 0.5),), 1, 9.5, 0.5))
         table = build_exposure_table([trace], cfg)
         assert table.counts == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         # up periods [0, 2.5] and [3.0, 10]: interval 3 loses the repair time
@@ -868,7 +867,7 @@ class TestBuildExposureTable:
 
     def test_interior_failure_bucketing(self):
         cfg = base_config(n_replications=1)
-        trace = ReplicationTrace(cycles=((9.99, 0.01),), up_time=9.99)
+        trace = engine_trace(ReferenceTrace(((9.99, 0.01),), 1, 9.99, 0.01))
         table = build_exposure_table([trace], cfg)
         assert table.counts[7] == 1.0
 

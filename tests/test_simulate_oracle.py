@@ -61,6 +61,25 @@ def reference_sample_exponential(rate, rng):
     return -reference_log(u) / rate
 
 
+def reference_events(cycles):
+    """The (ttf, ttr, failure time) rows of ``cycles`` as a read-only
+    (n_failures x 3) array, each failure time on the one clock."""
+    rows = []
+    clock = 0.0
+    for ttf, ttr in cycles:
+        clock += ttf
+        rows.append((ttf, ttr, clock))
+        clock += ttr
+    events = np.array(rows, dtype=float).reshape(-1, 3)
+    events.flags.writeable = False
+    return events
+
+
+def assert_same_events(events, reference):
+    assert events.shape == reference.shape
+    assert (events == reference).all()
+
+
 @dataclass(frozen=True)
 class ReferenceTrace:
     cycles: tuple
@@ -68,14 +87,9 @@ class ReferenceTrace:
     up_time: float
     down_time: float
 
-    def failure_times(self):
-        times = []
-        clock = 0.0
-        for ttf, ttr in self.cycles:
-            clock += ttf
-            times.append(clock)
-            clock += ttr
-        return times
+    @property
+    def events(self):
+        return reference_events(self.cycles)
 
     def up_periods(self, mission_time):
         # each period ends at its failure time and the next starts where the
@@ -118,6 +132,13 @@ def reference_run_replication(cfg, replication_index):
     return ReferenceTrace(tuple(cycles), len(cycles), up_time, down_time)
 
 
+def engine_trace(ref):
+    """``ref`` as an engine trace, made as ``run_replication`` makes one."""
+    trace = object.__new__(ReplicationTrace)
+    simulate._set_trace(trace, ref.events, ref.up_time)
+    return trace
+
+
 def reference_build_exposure_table(traces, cfg):
     """(counts, times) as the scalar engine summed them."""
     n = cfg.n_intervals
@@ -125,7 +146,7 @@ def reference_build_exposure_table(traces, cfg):
     counts = [0] * n
     times = [0.0] * n
     for trace in traces:
-        for ft in trace.failure_times():
+        for ft in trace.events[:, 2].tolist():
             idx = int(np.searchsorted(edges, ft, side="left"))
             idx = min(max(idx, 1), n)
             counts[idx - 1] += 1
@@ -140,10 +161,9 @@ def reference_build_exposure_table(traces, cfg):
 
 
 def assert_same_trace(trace, ref, mission_time):
-    assert trace.cycles == ref.cycles
+    assert_same_events(trace.events, ref.events)
     assert trace.n_failures == ref.n_failures
     assert (trace.up_time, trace.down_time) == (ref.up_time, ref.down_time)
-    assert trace.failure_times() == ref.failure_times()
     assert trace.up_periods(mission_time) == ref.up_periods(mission_time)
 
 
@@ -303,10 +323,8 @@ def test_hand_built_trace_matches_reference(name):
     cfg = config(n_replications=1)
     cycles = HAND_BUILT[name]
     up = cfg.mission_time - sum(ttr for _, ttr in cycles)
-    trace = ReplicationTrace(cycles=cycles, up_time=up)
     ref = ReferenceTrace(cycles, len(cycles), up, 0.0)
-    assert trace.cycles == cycles
-    assert trace.failure_times() == ref.failure_times()
+    trace = engine_trace(ref)
     assert trace.up_periods(cfg.mission_time) == ref.up_periods(cfg.mission_time)
     assert_same_table([trace], [ref], cfg)
 
@@ -314,9 +332,8 @@ def test_hand_built_trace_matches_reference(name):
 def test_hand_built_traces_together_match_reference():
     cfg = config(n_replications=len(HAND_BUILT))
     names = sorted(HAND_BUILT)
-    traces = [ReplicationTrace(HAND_BUILT[k], 0.0) for k in names]
     references = [ReferenceTrace(HAND_BUILT[k], len(HAND_BUILT[k]), 0.0, 0.0) for k in names]
-    assert_same_table(traces, references, cfg)
+    assert_same_table(map(engine_trace, references), references, cfg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,10 +352,9 @@ def test_edge_aligned_traces_match_reference(quarters, n_intervals, mission_time
     cfg = config(mission_time=mission_time, n_intervals=n_intervals, n_replications=len(quarters))
     width = mission_time / n_intervals
     cycle_lists = [tuple((a * width / 4, b * width / 4) for a, b in q) for q in quarters]
-    traces = [ReplicationTrace(c, 0.0) for c in cycle_lists]
     references = [ReferenceTrace(c, len(c), 0.0, 0.0) for c in cycle_lists]
+    traces = [engine_trace(ref) for ref in references]
     for trace, ref in zip(traces, references):
-        assert trace.failure_times() == ref.failure_times()
         assert trace.up_periods(mission_time) == ref.up_periods(mission_time)
     assert_same_table(traces, references, cfg)
 
