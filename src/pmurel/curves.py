@@ -98,11 +98,10 @@ def software_reliability(p: SoftwareParams, t: float) -> float:
 
     Probability that no fault surfaces during t further units of operation,
     exp(-[m(t + T) - m(T)]).  Equals 1 at t = 0 and increases with T (more
-    prior testing leaves fewer faults to find).
+    prior testing leaves fewer faults to find).  The difference is taken in
+    its direct form m(t) e^{-bT}, so no digits cancel.
     """
-    t = nonnegative("time", t)
-    expected = nhpp_mean_value(p, t + p.startup_time) - nhpp_mean_value(p, p.startup_time)
-    return math.exp(-expected)
+    return math.exp(-nhpp_mean_value(p, t) * math.exp(-p.detection_rate * p.startup_time))
 
 
 def interaction_reliability_closed_form(p: InteractionParams, t: float) -> float:

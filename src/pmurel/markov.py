@@ -258,13 +258,17 @@ def transient_grid(g: GeneratorMatrix, initial, times) -> TransientSolution:
     if x.shape != (len(g.states),):
         raise ValueError(f"initial distribution must hold one probability per state, got shape {x.shape}")
     _check_probabilities(x[np.newaxis], lambda i: "initial distribution: ")
+    q = g.matrix
+    rate = float(np.max(-np.diag(q)))
     times = tuple(float(t) for t in times)
     for a, b in zip((0.0,) + times, times):
         if not math.isfinite(b) or b < a:
             raise ValueError(f"times must be finite, >= 0 and nondecreasing, got {b} after {a}")
+        if math.isinf(rate * (b - a)):
+            raise ValueError(
+                f"the Poisson mean of the interval [{a:g}, {b:g}] at uniformization rate {rate:g} overflows"
+            )
 
-    q = g.matrix
-    rate = float(np.max(-np.diag(q)))
     intervals = [b - a for a, b in zip((0.0,) + times, times)]
     # Sub-steps per interval: 0 for an empty interval or a zero generator.
     splits = [math.ceil(rate * dt / _MAX_STEP_MEAN) for dt in intervals]

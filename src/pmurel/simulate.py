@@ -15,8 +15,8 @@ Reproducibility contract: replication i draws from its own substream, the
 PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
 every reduction (the summary statistics and each exposure-table bin) adds in
 replication order.  The same configuration therefore produces bit-identical
-results, whatever the tile size of the block engine, the chunk size and
-pair budget of the bucketing, or the process that walks the tiles.
+results, whatever the tile size of the block engine, the budget of the
+bucketing, or the process that walks the tiles.
 
 The engine simulates a tile at a time: a ``run_replication`` call walks the
 replications of the tile of rows holding its index, within an aligned block
@@ -27,12 +27,12 @@ a call for any other tile, or for another campaign, walks its tile in place
 of the held one.  Calls from several threads at once therefore stay
 correct, and campaigns interleaved call by call walk their tiles again, to
 the same traces.  ``run_simulation`` streams: it takes the campaign's walked
-tiles in index order, holds each, and buckets the traces a chunk at a time
-as they are drawn, a handful of numpy calls per chunk and per slice of its
-(interval, overlap) pairs, keeping only each replication's up fraction and
-failure count.  A campaign of any length, mission time or number of
-intervals therefore holds one walked tile, one chunk of up periods, one
-slice of their pairs, the interval totals and 16 bytes per replication.
+tiles in index order, holds each, and buckets the traces a run at a time as
+they are drawn, a handful of numpy calls per run, keeping only each
+replication's up fraction and failure count.  A campaign of any length,
+mission time or number of intervals therefore holds one walked tile, one
+run of traces and its (interval, overlap) pairs, the interval totals and 16
+bytes per replication.
 Each replication draws the raw outputs of numpy's PCG64 for its substream,
 times go through the module's own natural log (``_log``, a port of fdlibm's
 in IEEE ``+ - * /`` alone), not the platform's libm, and every clock and bin
@@ -93,11 +93,9 @@ import numpy as np
 
 from ._checks import integer, nonnegative, positive
 
-# Up periods bucketed per numpy pass in build_exposure_table (whole traces,
-# at least this many periods), and (interval, overlap) pairs expanded per
-# slice of a pass; they bound its temporaries without changing any result.
-EXPOSURE_CHUNK = 4096
-EXPOSURE_PAIRS = 8192
+# (interval, overlap) pairs per numpy pass of build_exposure_table (_chunks);
+# it bounds the pass's temporaries without changing any result.
+EXPOSURE_CHUNK = 8192
 
 # Rows of a tile of the block engine (_walk_tile), a divisor of
 # _SUBSTREAM_BLOCK (no runt tiles).  A round's rows x (draws + 1) states keep
@@ -794,21 +792,23 @@ class ExposureTable:
         return [(i + 1, x, t) for i, (x, t) in enumerate(zip(self.counts, self.times))]
 
 
-def _chunks(traces, mission_time: float):
-    """Consecutive runs of traces holding at least EXPOSURE_CHUNK up periods
-    each (the last run may hold fewer), each as one array of rows and its
-    number of traces.  A trace's rows are its events and then a tail row
-    (0, -mission_time, mission_time): the failure-time column holds the ends
-    of the run's up periods, tails included, and failure time plus repair
-    the start of the next period, +0.0 after a tail."""
+def _chunks(traces, mission_time: float, n_intervals: int):
+    """Consecutive runs of traces, each as one array of rows and its number
+    of traces, cut before a trace whose pair bound ``len(events) +
+    n_intervals`` (``_cover``) would take the run past EXPOSURE_CHUNK.  A
+    trace's rows are its events and then a tail row (0, -mission_time,
+    mission_time): the failure-time column holds the ends of the run's up
+    periods, tails included, and failure time plus repair the start of the
+    next period, +0.0 after a tail."""
     tail = np.array([[0.0, -mission_time, mission_time]])
-    rows, periods = [], 0
+    rows, pairs = [], 0
     for trace in traces:
-        rows += trace.events, tail
-        periods += len(trace.events) + 1
-        if periods >= EXPOSURE_CHUNK:
+        bound = len(trace.events) + n_intervals
+        if rows and pairs + bound > EXPOSURE_CHUNK:
             yield np.concatenate(rows), len(rows) // 2
-            rows, periods = [], 0
+            rows, pairs = [], 0
+        rows += trace.events, tail
+        pairs += bound
     if rows:
         yield np.concatenate(rows), len(rows) // 2
 
@@ -826,34 +826,14 @@ def _up_periods(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _overlaps(starts: np.ndarray, ends: np.ndarray, ends_at: np.ndarray, edges: np.ndarray):
-    """(interval, overlap) pairs of up periods with the intervals they cover,
-    period by period in order and by increasing interval within a period,
-    in consecutive slices of at most EXPOSURE_PAIRS pairs; a period whose
-    pairs straddle a slice boundary continues in the next slice.  So the
-    pairs alive at once take O(EXPOSURE_PAIRS) memory, whatever the number
-    of intervals a period covers.
-
-    Period [s, e] covers interval i from the one holding s (the last edge
-    <= s) up to the last whose left edge lies below e, and none if e <= s.
-    ``ends_at`` is ``searchsorted(edges, ends, side="left")``.
-    """
-    n = len(edges) - 1
+def _cover(starts: np.ndarray, ends: np.ndarray, ends_at: np.ndarray, edges: np.ndarray):
+    """The first interval each up period covers and its number of pairs:
+    [s, e] covers the interval holding s (the last edge <= s) up to the one
+    before ``ends_at``, the first edge >= e, and none if e <= s.  A trace's
+    periods are disjoint and in order, so each interior edge splits at most
+    one: they cover at most ``len(events) + n_intervals`` pairs."""
     first = np.maximum(np.searchsorted(edges, starts, side="right") - 1, 0)
-    n_pairs = np.where(ends > starts, np.minimum(ends_at, n) - first, 0)
-    done = np.cumsum(n_pairs)
-    # pair j of the run, in period p, covers interval base[p] + j
-    base = first + n_pairs - done
-    total = int(done[-1])
-    for lo in range(0, total, EXPOSURE_PAIRS):
-        hi = min(lo + EXPOSURE_PAIRS, total)
-        p_lo, p_hi = np.searchsorted(done, [lo, hi - 1], side="right")
-        upto = done[p_lo:p_hi + 1]
-        taken = np.minimum(upto, hi) - np.maximum(upto - n_pairs[p_lo:p_hi + 1], lo)
-        period = np.repeat(np.arange(p_lo, p_hi + 1), taken)
-        interval = base[period] + np.arange(lo, hi)
-        overlap = np.minimum(ends[period], edges[interval + 1]) - np.maximum(starts[period], edges[interval])
-        yield interval, overlap
+    return first, np.where(ends > starts, np.minimum(ends_at, len(edges) - 1) - first, 0)
 
 
 def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
@@ -862,14 +842,11 @@ def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
     A failure landing exactly on an interior boundary belongs to the earlier
     (right-closed) interval; the final interval is closed at the horizon.
     Each interval's time adds its overlaps in trace order and, within a
-    trace, period order: the running totals lead each slice's weights, so
-    every bin is summed in the same order whatever the chunk size or the
-    pair budget.  ``traces`` may be any iterable, a one-shot generator too:
-    it is read once, a chunk of at least ``EXPOSURE_CHUNK`` up periods at a
-    time, whose (interval, overlap) pairs are expanded ``EXPOSURE_PAIRS`` at
-    a time.  So the pass holds one chunk of traces, one slice of pairs and
-    the totals: O(EXPOSURE_CHUNK + EXPOSURE_PAIRS + n_intervals) memory,
-    whatever the mission length or the number of intervals.
+    trace, period order, the running totals first, so every bin is summed in
+    the same order whatever the budget.  ``traces`` may be any iterable, a
+    one-shot generator too: it is read once, a run (``_chunks``) at a time,
+    so the pass holds O(EXPOSURE_CHUNK + n_intervals) memory, or a longest
+    trace's, whatever the number of replications.
     """
     n = cfg.n_intervals
     edges = np.linspace(0.0, cfg.mission_time, n + 1)
@@ -877,15 +854,18 @@ def build_exposure_table(traces, cfg: SimulationConfig) -> ExposureTable:
     counts = np.zeros(n, dtype=np.int64)
     times = np.zeros(n)
     rows = None
-    for rows, n_traces in _chunks(traces, cfg.mission_time):
+    for rows, n_traces in _chunks(traces, cfg.mission_time, n):
         starts, ends = _up_periods(rows)
         ends_at = np.searchsorted(edges, ends, side="left")
         counts += np.bincount(np.clip(ends_at, 1, n) - 1, minlength=n)
         counts[-1] -= n_traces  # the tails end at the horizon, not in a failure
-        for interval, overlap in _overlaps(starts, ends, ends_at, edges):
-            times = np.bincount(
-                np.concatenate((bins, interval)), weights=np.concatenate((times, overlap)), minlength=n
-            )
+        first, n_pairs = _cover(starts, ends, ends_at, edges)
+        period = np.repeat(np.arange(len(rows)), n_pairs)
+        # the k-th pair of period p covers interval first[p] + k
+        interval = np.repeat(first + n_pairs - np.cumsum(n_pairs), n_pairs) + np.arange(len(period))
+        overlap = np.minimum(ends[period], edges[interval + 1]) - np.maximum(starts[period], edges[interval])
+        weights = np.concatenate((times, overlap))
+        times = np.bincount(np.concatenate((bins, interval)), weights=weights, minlength=n)
     if rows is None:
         raise ValueError("need at least one replication trace")
     return ExposureTable(tuple(counts), tuple(times))

@@ -125,6 +125,44 @@ class TestSoftwareReliability:
         for t in T_GRID:
             assert software_reliability(p, t) == math.exp(-nhpp_mean_value(p, t))
 
+    @staticmethod
+    def assert_matches_decimal_oracle(p, t):
+        # m(t + T) - m(T) as defined, in 40 digits from the same float
+        # inputs.  A relative error e in that exponent x is one of x * e in
+        # R_sw; the direct form's e is a few ulps plus b T ulps, from
+        # rounding b T before its exponential.
+        with localcontext() as ctx:
+            ctx.prec = 40
+            a, b, big_t, u = map(Decimal, (p.total_faults, p.detection_rate, p.startup_time, t))
+            x = a * (-b * big_t).exp() - a * (-b * (u + big_t)).exp()
+            exact = (-x).exp()
+        tol = Decimal(2.0**-52) * (2 + x * (b * big_t + 8))
+        r = software_reliability(p, t)
+        assert abs(Decimal(r) - exact) <= tol * exact + Decimal(2.0**-1074)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-2.0, 12.0).map(lambda e: 10.0**e),
+        b=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        scaled_startup=st.floats(0.0, 30.0),
+        scaled_t=st.floats(0.0, 10.0),
+    )
+    def test_matches_decimal_oracle(self, a, b, scaled_startup, scaled_t):
+        # after a long startup m(t + T) and m(T) agree in most of their
+        # digits, so their difference would keep few
+        self.assert_matches_decimal_oracle(SoftwareParams(a, b, scaled_startup / b), scaled_t / b)
+
+    def test_no_digits_cancel_at_many_faults(self):
+        # the difference of the mean values was off by up to 1.9e-10 here
+        p = SoftwareParams(total_faults=1e6, detection_rate=1.0, startup_time=20.0)
+        for t in T_GRID:
+            self.assert_matches_decimal_oracle(p, t)
+        # an exponent of about 1.9e286, which the difference rounded to 0
+        p = SoftwareParams(total_faults=1e308, detection_rate=10.0, startup_time=5.0)
+        for t in T_GRID[1:]:
+            assert software_reliability(p, t) == 0.0
+            self.assert_matches_decimal_oracle(p, t)
+
 
 class TestInteractionClosedForm:
     def test_one_at_zero(self):

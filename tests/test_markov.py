@@ -380,6 +380,14 @@ class TestTransientGrid:
         with pytest.raises(ValueError):
             transient_grid(g, g.point_mass("UP"), times)
 
+    def test_overflowing_poisson_mean_names_its_interval(self):
+        # [0, 1] has a finite mean of 1e308, [1, 100] an infinite one, whose
+        # sub-steps cannot be counted
+        g = build_unified_model({"UP->HD3": 1e308, "HD3->F_INT": 3.92e-3})
+        message = r"^the Poisson mean of the interval \[1, 100\] at uniformization rate 1e\+308 overflows$"
+        with pytest.raises(ValueError, match=message):
+            transient_grid(g, g.point_mass("UP"), [0.0, 1.0, 100.0])
+
     @pytest.mark.parametrize("stop", [2e4, 5e4, 1e5])
     def test_long_stiff_horizons_meet_the_budget(self, stop):
         # up to 781266 sub-steps, each with a budget of about 1e-16: below the

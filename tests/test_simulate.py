@@ -489,31 +489,23 @@ class TestRunSimulation:
         cfg = base_config(n_replications=2000)
         assert run_simulation(cfg) == run_simulation(cfg)
 
-    # Chunk sizes at the default pair budget (id: the chunk size), and pair
-    # budgets of 1 and 7 at chunks of one trace and the default chunk.
-    @pytest.mark.parametrize(
-        "chunk,pairs",
-        [pytest.param(chunk, simulate.EXPOSURE_PAIRS, id=str(chunk)) for chunk in (1, 7, simulate.EXPOSURE_CHUNK)]
-        + [pytest.param(chunk, pairs, id=f"{chunk}-pairs_{pairs}")
-           for chunk in (1, simulate.EXPOSURE_CHUNK) for pairs in (1, 7)],
-    )
-    def test_identical_for_any_chunk_size(self, chunk, pairs, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("chunk", [1, 7, simulate.EXPOSURE_CHUNK])
+    def test_identical_for_any_chunk_size(self, chunk, monkeypatch, tmp_path):
         # two whole substream blocks and part of a third, so the streamed run
         # replaces the held tile and the kept seed words while it still
-        # buckets; a pair budget of 1 cuts every period of several intervals
-        # across slices
+        # buckets; a budget below a trace's pair bound makes every run a
+        # single trace
         n = 2 * simulate._SUBSTREAM_BLOCK + 37
         cfg = base_config(n_replications=n)
         default = output_bytes(run_simulation(cfg), tmp_path / "default")
         monkeypatch.setattr(simulate, "EXPOSURE_CHUNK", chunk)
-        monkeypatch.setattr(simulate, "EXPOSURE_PAIRS", pairs)
         summary = run_simulation(cfg)
-        assert output_bytes(summary, tmp_path / f"chunk{chunk}_pairs{pairs}") == default
+        assert output_bytes(summary, tmp_path / f"chunk{chunk}") == default
         assert summary.exposure == build_exposure_table([run_replication(cfg, i) for i in range(n)], cfg)
 
     def test_memory_grows_by_the_per_replication_arrays_only(self, fresh_tiles):
         # Whatever its length, the streamed campaign holds one walked tile,
-        # one block of seed words, one exposure chunk and one slice of its
+        # one block of seed words, one exposure run of traces and its
         # pairs, plus 16 bytes per replication for the up fractions and
         # failure counts; holding every trace costs hundreds.  Both sizes hold
         # the same tile and block sizes, so those cancel.
@@ -554,9 +546,10 @@ class TestRunSimulation:
     def test_memory_does_not_grow_with_interval_count(self, fresh_tiles):
         # A period expands into one (interval, overlap) pair per interval it
         # covers: about 130 per period at a thousand intervals over ten
-        # years, against 2 at eight.  They are expanded EXPOSURE_PAIRS at a
-        # time, so the peak stays put; expanding a chunk's pairs at once
-        # grows it by about 100 MiB here.
+        # years, against 2 at eight.  A run of traces is cut to keep their
+        # pair bounds within EXPOSURE_CHUNK, so the peak stays put; runs cut
+        # at 4096 periods instead, whatever their pairs, grow it by about
+        # 30 MiB here.
         def peak(n_intervals):
             cfg = base_config(n_replications=3000, n_intervals=n_intervals)
             fresh_tiles()
@@ -886,6 +879,28 @@ class TestBuildExposureTable:
         assert sum(table.times) == pytest.approx(
             sum(t.up_time for t in traces), abs=1e-9 * cfg.n_replications
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mission_time=st.sampled_from([10.0, 2000.0]),
+        n_intervals=st.sampled_from([1, 8, 1000]),
+        index=st.integers(0, 2 * simulate._SUBSTREAM_BLOCK),
+        quarters=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 12)), max_size=12),
+    )
+    def test_a_trace_covers_at_most_its_pair_bound(self, mission_time, n_intervals, index, quarters):
+        # the bound _chunks cuts runs by; cycles in quarter interval widths
+        # put period ends on interval edges (and past the horizon) as often
+        # as not
+        cfg = base_config(mission_time=mission_time, n_intervals=n_intervals, n_replications=index + 1)
+        width = mission_time / n_intervals
+        cycles = tuple((a * width / 4, b * width / 4) for a, b in quarters)
+        hand_made = engine_trace(ReferenceTrace(cycles, len(cycles), 0.0, 0.0))
+        edges = np.linspace(0.0, mission_time, n_intervals + 1)
+        for trace in (run_replication(cfg, index), hand_made):
+            ((rows, _),) = simulate._chunks([trace], mission_time, n_intervals)
+            starts, ends = simulate._up_periods(rows)
+            _, n_pairs = simulate._cover(starts, ends, np.searchsorted(edges, ends, side="left"), edges)
+            assert n_pairs.sum() <= len(trace.events) + n_intervals
 
     @pytest.mark.parametrize("chunk", [7, simulate.EXPOSURE_CHUNK])
     def test_one_shot_generator_equals_list(self, chunk, monkeypatch):
