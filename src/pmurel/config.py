@@ -295,6 +295,8 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"'{name}' must be a nonempty string, got {value!r}")
+        if "\0" in self.output_dir:
+            raise ValueError(f"'output_dir' must not hold a NUL byte, got {self.output_dir!r}")
         if self.fuzzy.repair_rate_unit == "hours_per_repair" and self.time_unit != "years":
             raise ValueError(
                 "repair_rate_unit 'hours_per_repair' gives events per year, so it needs "
@@ -358,11 +360,12 @@ def config_from_dict(doc) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate a JSON configuration file."""
-    text = Path(path).read_text()
+    """Read and validate a JSON configuration file.  A file that is not
+    UTF-8 JSON Python can parse (bad bytes or syntax, an integer past the
+    digit limit, nesting past the recursion limit) is a ConfigError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(doc)
 

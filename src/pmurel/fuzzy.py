@@ -13,13 +13,14 @@ membership level alpha is attained at corners of the (lambda, mu) box:
 which avoids the spurious widening of naive interval division.
 
 A band is a read-only float64 array of shape (levels, 3) whose rows are
-``(alpha, lo, hi)``, one per membership level, as in the band CSVs; one rule
-checks every band.  All functions here are pure.
+``(alpha, lo, hi)``, one per membership level, as in the band CSVs.  Bands
+leave this module but never enter it: ``alpha_cut``, ``fuzzy_availability``
+and ``fuzzy_unavailability`` make them, and one rule checks each band made,
+so every band a caller holds meets it.  All functions here are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,6 @@ class TriangularFuzzyNumber:
                 f"center={self.center}, halfwidth={self.halfwidth}"
             )
 
-    def membership(self, x: float) -> float:
-        """Degree of membership of ``x``, in [0, 1]."""
-        x = finite("x", x)
-        if self.halfwidth == 0.0:
-            return 1.0 if x == self.center else 0.0
-        return max(0.0, 1.0 - abs(x - self.center) / self.halfwidth)
-
 
 def _check(ok: np.ndarray, message, first: int = 0) -> None:
     """A ValueError with ``message(i)``, ``i`` the first failing level; ``ok[0]`` is level ``first``."""
@@ -69,23 +63,13 @@ def _check(ok: np.ndarray, message, first: int = 0) -> None:
         raise ValueError(f"level {i}: {message(i)}")
 
 
-def _band(rows, unit_interval: str = "") -> np.ndarray:
-    """``rows`` as a band, a read-only (levels, 3) float64 copy, if they make
-    one: at least one level; each alpha in [0, 1], strictly increasing; each
-    ``lo <= hi``, both finite; each cut nested in the one before it within
-    ``_NESTING_TOL``; and, where ``unit_interval`` names the quantity, every
-    endpoint in [0, 1].  A ValueError names the first level that breaks a
-    rule, and a TypeError says that ``rows`` are not (alpha, lo, hi) rows."""
-    try:
-        band = np.array(rows, dtype=np.float64)
-    except OverflowError:
-        # an int too large for a float, named by the scalar rule
-        for i, row in enumerate(rows):
-            for name, v in zip(("alpha", "lo", "hi"), row):
-                finite(f"level {i}: {name}", v)
-        raise
-    if band.ndim != 2 or band.shape[1] != 3:
-        raise TypeError(f"a band is a (levels, 3) array of (alpha, lo, hi) rows, got shape {band.shape}")
+def _band(band: np.ndarray, unit_interval: str = "") -> np.ndarray:
+    """``band``, a (levels, 3) float64 array of (alpha, lo, hi) rows, made
+    read-only once it meets the band rule: at least one level; each alpha in
+    [0, 1], strictly increasing; each ``lo <= hi``, both finite; each cut
+    nested in the one before it within ``_NESTING_TOL``; and, where
+    ``unit_interval`` names the quantity, every endpoint in [0, 1].  A
+    ValueError names the first level that breaks a rule."""
     if not len(band):
         raise ValueError("a band needs at least one alpha level")
     alpha, lo, hi = band.T
@@ -167,15 +151,9 @@ def fuzzy_unavailability(failure: TriangularFuzzyNumber, repair: TriangularFuzzy
     return _band(np.column_stack((alpha, 1.0 - hi, 1.0 - lo)), "unavailability")
 
 
-def defuzzify(value) -> float:
-    """Map a fuzzy quantity to a single crisp value.
-
-    For a symmetric triangular number the centroid is its center, returned
-    exactly.  For a band, or rows that make one, checked by the band rule,
-    it is the mean of the interval midpoints across the alpha grid, a
-    deterministic discrete centroid that is the crisp value when every
-    interval is degenerate."""
-    if isinstance(value, TriangularFuzzyNumber):
-        return value.center
-    band = _band(value)
-    return math.fsum(0.5 * (band[:, 1] + band[:, 2])) / len(band)
+def defuzzify(value: TriangularFuzzyNumber) -> float:
+    """The crisp value of a symmetric triangular number: its centroid, the
+    center, returned exactly.  Any other value raises TypeError."""
+    if not isinstance(value, TriangularFuzzyNumber):
+        raise TypeError(f"defuzzify takes a TriangularFuzzyNumber, got {type(value).__name__}")
+    return value.center

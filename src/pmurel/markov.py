@@ -15,6 +15,10 @@ The three F_* states together form the total-failure aggregate.  The chain's
 interaction reliability is the probability mass still inside the operational
 subset {UP, HD1, HD2, HD3} at time t.
 
+``build_unified_model`` builds this chain from its named rates, each one of
+ALLOWED_TRANSITIONS.  Any other chain is given as a matrix to the general
+constructor, ``GeneratorMatrix(states, matrix)``, which checks it.
+
 Transient distributions are solved by uniformization: with rate the largest
 exit rate, the generator Q is embedded into the discrete chain
 P = I + Q/rate, and exp(Q h) = sum_k Poisson(rate*h, k) P^k.
@@ -64,7 +68,6 @@ from ._checks import nonnegative
 
 STATES: tuple[str, ...] = ("UP", "HD1", "HD2", "HD3", "SD", "F_HW", "F_INT", "F_SW")
 OPERATIONAL_STATES: tuple[str, ...] = ("UP", "HD1", "HD2", "HD3")
-FAILURE_STATES: tuple[str, ...] = ("F_HW", "F_INT", "F_SW")
 
 # The only transitions the unified model admits.  Failure states are
 # absorbing; HD2 -> UP is software-driven recovery and SD -> UP an optional
@@ -86,14 +89,6 @@ _ROW_SUM_TOL = 1e-12
 _POISSON_TRUNCATION_EPS = 1e-10
 # Cap on the Poisson mean per uniformization step; larger horizons are split.
 _MAX_STEP_MEAN = 64.0
-
-
-def parse_transition(name: str) -> tuple[str, str]:
-    """Split a 'SRC->DST' transition label."""
-    src, sep, dst = name.partition("->")
-    if not sep or not src or not dst:
-        raise ValueError(f"malformed transition name {name!r}; expected 'SRC->DST'")
-    return src, dst
 
 
 @dataclass(frozen=True)
@@ -127,28 +122,6 @@ class GeneratorMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_rates(cls, states, rates: Mapping[str, float]) -> "GeneratorMatrix":
-        """Build a generator from 'SRC->DST' labeled rates.
-
-        Unnamed transitions default to rate 0; the diagonal is filled with
-        negative row sums.
-        """
-        states = tuple(states)
-        index = {s: i for i, s in enumerate(states)}
-        m = np.zeros((len(states), len(states)))
-        for name, rate in rates.items():
-            src, dst = parse_transition(name)
-            for s in (src, dst):
-                if s not in index:
-                    raise ValueError(f"unknown state {s!r} in transition {name!r}")
-            if src == dst:
-                raise ValueError(f"self-transition {name!r} is not allowed")
-            m[index[src], index[dst]] += nonnegative(f"rate for {name}", rate)
-        np.fill_diagonal(m, 0.0)
-        np.fill_diagonal(m, -m.sum(axis=1))
-        return cls(states, m)
 
     def index(self, state: str) -> int:
         try:
@@ -192,7 +165,12 @@ def build_unified_model(rates: Mapping[str, float]) -> GeneratorMatrix:
                 f"transition {name!r} is not part of the model; "
                 f"allowed: {', '.join(ALLOWED_TRANSITIONS)}"
             )
-    return GeneratorMatrix.from_rates(STATES, rates)
+    m = np.zeros((len(STATES), len(STATES)))
+    for name, rate in rates.items():
+        src, dst = name.split("->")
+        m[STATES.index(src), STATES.index(dst)] = nonnegative(f"rate for {name}", rate)
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return GeneratorMatrix(STATES, m)
 
 
 def _poisson_weights(mean: float, eps: float) -> tuple[list[float], float]:

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from pmurel import (
-    STATES,
     ExposureTable,
     FitResult,
-    GeneratorMatrix,
     HardwareParams,
     InteractionParams,
     SimulationConfig,
     SoftwareParams,
     TriangularFuzzyNumber,
-    defuzzify,
+    alpha_cut,
+    build_unified_model,
     fit_lambda1,
     interaction_reliability_closed_form,
     nhpp_mean_value,
@@ -32,7 +31,7 @@ from pmurel import (
 )
 from pmurel._checks import finite, integer, nonnegative, positive
 from pmurel.config import FitSection, FuzzySection, TimeGrid
-from pmurel.fuzzy import uniform_alpha_grid
+from pmurel.fuzzy import _band, uniform_alpha_grid
 
 NAN, INF = math.nan, math.inf
 FINITE = (NAN, INF, -INF)
@@ -94,14 +93,19 @@ SCALAR_FIELDS = [
     ("repair_rate_center", 5.0, POSITIVE, lambda v: fuzzy(repair_rate_center=v)),
     ("halfwidth_fraction", 0.0, NONNEGATIVE, lambda v: fuzzy(halfwidth_fraction=v)),
     ("ratio G", 2.0, POSITIVE, lambda v: FitSection((1.0, v))),
-    ("rate for UP->HD3", 0.0, NONNEGATIVE, lambda v: GeneratorMatrix.from_rates(STATES, {"UP->HD3": v})),
+    ("rate for UP->HD3", 0.0, NONNEGATIVE, lambda v: build_unified_model({"UP->HD3": v})),
     ("center", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(v, 0.0)),
     ("halfwidth", 0.0, NONNEGATIVE, lambda v: TriangularFuzzyNumber(1.0, v)),
-    ("x", -1.0, FINITE, lambda v: TriangularFuzzyNumber(1.0, 0.1).membership(v)),
-    # one level of a band, as the band rule meets it
-    ("alpha", 0.0, NONNEGATIVE, lambda v: defuzzify([(v, 0.0, 1.0)])),
-    ("lo", -1.0, FINITE, lambda v: defuzzify([(0.5, v, 1.0)])),
-    ("hi", 1.0, FINITE, lambda v: defuzzify([(0.5, 0.0, v)])),
+    # one level of an alpha grid, as the band rule meets it
+    ("alpha", 0.0, NONNEGATIVE, lambda v: alpha_cut(TriangularFuzzyNumber(1.0, 0.1), (v,))),
+]
+
+# One level of a band the fuzzy module made, as the band rule meets it.  No
+# call takes a band in, so an endpoint is always a float64 of the module's own
+# array, never an int too large for a float.
+BAND_FIELDS = [
+    ("lo", -1.0, FINITE, lambda v: _band(np.array([[0.5, v, 1.0]]))),
+    ("hi", 1.0, FINITE, lambda v: _band(np.array([[0.5, 0.0, v]]))),
 ]
 
 # (field as its error names it, its minimum, build); non-integers, even
@@ -128,7 +132,7 @@ def _cases(fields):
     return [pytest.param(name, v, build, id=f"{name}={v}") for name, _, bad, build in fields for v in bad]
 
 
-@pytest.mark.parametrize("name,value,build", _cases(SCALAR_FIELDS))
+@pytest.mark.parametrize("name,value,build", _cases(SCALAR_FIELDS + BAND_FIELDS))
 def test_rejected_value_names_its_field(name, value, build):
     # the name as a whole word: "g" must not match the "g" of "got"
     with pytest.raises(ValueError, match=rf"(?<!\w){re.escape(name)}(?!\w)"):
@@ -153,7 +157,7 @@ def test_int_too_large_for_a_float_names_its_field(name, build, sign):
 
 @pytest.mark.parametrize(
     "build,value",
-    [pytest.param(build, v, id=name) for name, v, _, build in SCALAR_FIELDS]
+    [pytest.param(build, v, id=name) for name, v, _, build in SCALAR_FIELDS + BAND_FIELDS]
     + [pytest.param(build, minimum, id=_integer_id(name, build)) for name, minimum, build in INTEGER_FIELDS],
 )
 def test_accepted_value_builds(build, value):

@@ -1,11 +1,14 @@
 import json
+import math
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pmurel import cli, markov
 from pmurel.cli import main
-from pmurel.config import SCHEMA, load_config
+from pmurel.config import SCHEMA, config_from_dict, default_config, load_config
 from pmurel.csvout import write_csv
 from pmurel.curves import InteractionParams, interaction_reliability_closed_form
 from pmurel.markov import build_unified_model, operational_mass, transient_grid
@@ -481,6 +484,27 @@ class TestConfigHandling:
         path.write_text("{oops")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            # past Python's digit limit; without one, time_unit must be a string
+            b'{"schema": "pmu-reliability/3", "time_unit": ' + b"1" * 5000 + b"}",
+            b"[" * 100000,
+        ],
+        ids=["not-utf-8", "5000-digits", "deep-array"],
+    )
+    def test_unparseable_config_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["fuzzy", "--config", str(path), "--dry-run"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_nul_in_output_dir_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output_dir="x\0y")
+        assert main(["fuzzy", "--config", str(cfg), "--dry-run"]) == 2
+        assert "'output_dir' must not hold a NUL byte" in capsys.readouterr().err
+
     def test_unknown_key_named_in_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"schema": SCHEMA, "simulatoin": {}}))
@@ -527,6 +551,64 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, output_dir=str(out))
         assert main(["fuzzy", "--config", str(cfg)]) == 0
         assert (out / "crisp.csv").exists()
+
+
+# The default document, every key written out.
+DEFAULT_DOC = {
+    "schema": SCHEMA,
+    "fuzzy": {"failure_rate_center": 0.6566, "repair_rate_center": 22.2898, "repair_rate_unit": "events_per_year",
+              "halfwidth_fraction": 0.1, "alpha_levels": 11},
+    "curves": {
+        "hardware": {"rate": 0.6566, "shape": 1.0},
+        "software": {"total_faults": 10.0, "detection_rate": 0.1, "startup_time": 5.0},
+        "time_grid": {"start": 0.0, "stop": 10.0, "count": 101},
+    },
+    "markov": {"transitions": {"UP->HD3": 8.92e-4, "HD3->F_INT": 3.92e-3},
+               "time_grid": {"start": 0.0, "stop": 5000.0, "count": 51}},
+    "simulation": {"mission_time": 10.0, "n_replications": 10000, "master_seed": 42, "n_intervals": 8},
+    "fit": {"g_grid": [2.0]},
+    "time_unit": "years",
+    "output_dir": "out",
+}
+
+
+def leaves(doc, path=()):
+    """The path of every leaf of ``doc``, through objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if not items:
+        return [path]
+    return [leaf for key, value in items for leaf in leaves(value, path + (key,))]
+
+
+def replaced(doc, path, value):
+    """``doc`` with ``value`` at ``path``; only the containers on the path are copied."""
+    if not path:
+        return value
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return doc
+
+
+ODD_VALUES = [None, True, False, 10**400, math.nan, math.inf, -0.0, 1e-320, "odd", [1.0], {"odd": 1.0}]
+DEFAULT_LEAVES = leaves(DEFAULT_DOC)
+
+
+def test_the_default_document_is_the_default_config():
+    assert config_from_dict(DEFAULT_DOC) == default_config()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(swaps=st.lists(st.tuples(st.sampled_from(DEFAULT_LEAVES), st.sampled_from(ODD_VALUES)), min_size=1, max_size=2))
+def test_odd_values_are_config_errors_or_load(tmp_path, capsys, swaps):
+    # a leaf or two of the default document swapped for odd JSON: every
+    # command loads it or exits 2, and no exception escapes main
+    doc = DEFAULT_DOC
+    for path, value in swaps:
+        doc = replaced(doc, path, value)
+    cfg = tmp_path / "odd.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("pipeline", "fuzzy", "markov", "simulate", "curve"):
+        assert main([command, "--config", str(cfg), "--dry-run"]) in (0, 2), capsys.readouterr().err
 
 
 class TestWriteCsv:

@@ -53,19 +53,6 @@ class TestTriangularFuzzyNumber:
         with pytest.raises(ValueError):
             TriangularFuzzyNumber(1.0, math.nan)
 
-    def test_membership_shape(self):
-        f = TriangularFuzzyNumber(2.0, 1.0)
-        assert f.membership(2.0) == 1.0
-        assert f.membership(1.0) == 0.0
-        assert f.membership(3.0) == 0.0
-        assert f.membership(2.5) == pytest.approx(0.5)
-        assert f.membership(5.0) == 0.0
-
-    def test_crisp_membership(self):
-        f = TriangularFuzzyNumber(2.0, 0.0)
-        assert f.membership(2.0) == 1.0
-        assert f.membership(2.0000001) == 0.0
-
 
 class TestAlphaCut:
     def test_core_collapses_at_alpha_one(self):
@@ -247,8 +234,6 @@ class TestScalarReference:
         bands = [alpha_cut(failure, grid), alpha_cut(repair, grid),
                  fuzzy_availability(failure, repair, grid), fuzzy_unavailability(failure, repair, grid)]
         assert [band.tolist() for band in bands] == scalar_bands(failure, repair, grid)
-        mids = [[0.5 * (lo + hi) for _, lo, hi in rows] for rows in scalar_bands(failure, repair, grid)]
-        assert [defuzzify(band) for band in bands] == [math.fsum(m) / len(m) for m in mids]
 
 
 class TestUnavailability:
@@ -276,51 +261,56 @@ class TestDefuzzify:
         assert defuzzify(TriangularFuzzyNumber(0.6566, 0.06566)) == 0.6566
         assert defuzzify(TriangularFuzzyNumber(22.2898, 2.22898)) == 22.2898
 
-    def test_crisp_availability_index(self):
-        band = fuzzy_availability(CRISP_FAILURE, CRISP_REPAIR, GRID_11)
-        assert defuzzify(band) == pytest.approx(CRISP_AVAILABILITY, rel=1e-15)
-
     def test_symmetric_rate_band(self):
-        band = alpha_cut(FAILURE, GRID_11)
-        assert defuzzify(band) == pytest.approx(0.6566, rel=1e-15)
-        # rows that make a band are the band
-        assert defuzzify(band.tolist()) == defuzzify(band)
+        # every cut of a symmetric triangle's band is centred on its crisp value
+        _, lo, hi = alpha_cut(FAILURE, GRID_11).T
+        assert 0.5 * (lo + hi) == pytest.approx(np.full(11, defuzzify(FAILURE)), rel=1e-15)
 
     def test_rejects_other_types(self):
-        for value in (0.5, [0.0, 0.1, 0.2], [[0.0, 0.1]]):
-            with pytest.raises(TypeError, match=r"^a band is a \(levels, 3\) array of \(alpha, lo, hi\) rows, "):
+        # bands leave the fuzzy module but never enter it
+        band = alpha_cut(FAILURE, GRID_11)
+        for value, name in ((0.5, "float"), (band, "ndarray"), (band.tolist(), "list")):
+            with pytest.raises(TypeError, match=f"^defuzzify takes a TriangularFuzzyNumber, got {name}$"):
                 defuzzify(value)
 
 
+def band_of(rows):
+    """The band rule over ``rows``, given as the float64 array the fuzzy
+    module makes."""
+    return _band(np.array(rows, dtype=np.float64).reshape(-1, 3))
+
+
 class TestFuzzyIndex:
-    """The band rule over a whole band, as defuzzify meets it: what the
-    FuzzyIndex type checked before bands were arrays."""
+    """The band rule over a whole band: what the FuzzyIndex type checked
+    before bands were arrays."""
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="^a band needs at least one alpha level$"):
-            defuzzify(np.empty((0, 3)))
+            band_of([])
 
     def test_rejects_non_nested_cuts(self):
         # the first level that breaks the rule is named
         with pytest.raises(ValueError, match=r"^level 2: alpha-cuts are not nested at alpha=1.0$"):
-            defuzzify([(0.0, 0.4, 0.6), (0.5, 0.45, 0.55), (1.0, 0.3, 0.5)])
+            band_of([(0.0, 0.4, 0.6), (0.5, 0.45, 0.55), (1.0, 0.3, 0.5)])
 
     def test_rejects_unsorted_alphas(self):
         message = "^level 1: alpha levels must be strictly increasing, got 0.5 after 0.5$"
         with pytest.raises(ValueError, match=message):
-            defuzzify([(0.5, 0.4, 0.6), (0.5, 0.45, 0.55)])
+            band_of([(0.5, 0.4, 0.6), (0.5, 0.45, 0.55)])
 
     def test_nesting_allows_a_few_ulps(self):
-        assert defuzzify([(0.0, 0.4, 0.6), (1.0, 0.4 - 1e-13, 0.6 + 1e-13)]) == pytest.approx(0.5)
+        rows = [(0.0, 0.4, 0.6), (1.0, 0.4 - 1e-13, 0.6 + 1e-13)]
+        assert band_of(rows).tolist() == [list(row) for row in rows]
 
     def test_rejects_availability_outside_unit_interval(self):
         # the corner formulas stay in [0, 1], so the rule is met directly
         for quantity in ("availability", "unavailability"):
             message = rf"^level 0: {quantity} values must lie in \[0, 1\], got \[0.0, 1.5\] at alpha=0.0$"
             with pytest.raises(ValueError, match=message):
-                _band([(0.0, 0.0, 1.5), (1.0, 0.5, 0.5)], quantity)
-        # a rate band may leave [0, 1]
-        assert _band([(1.0, -0.5, 1.5)]).tolist() == [[1.0, -0.5, 1.5]]
+                _band(np.array([(0.0, 0.0, 1.5), (1.0, 0.5, 0.5)]), quantity)
+        # a rate band may leave [0, 1], and the rule makes it read-only
+        rate_band = band_of([(1.0, -0.5, 1.5)])
+        assert rate_band.tolist() == [[1.0, -0.5, 1.5]] and not rate_band.flags.writeable
 
     def test_rows_roundtrip(self):
         band = fuzzy_availability(FAILURE, REPAIR, GRID_11)
@@ -337,8 +327,8 @@ class TestAlphaCutInterval:
 
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(ValueError, match=r"^level 0: interval endpoints out of order: \[1.0, 0.5\]$"):
-            defuzzify([(0.5, 1.0, 0.5)])
+            band_of([(0.5, 1.0, 0.5)])
 
     def test_rejects_alpha_outside_unit(self):
         with pytest.raises(ValueError, match=r"^level 0: alpha must lie in \[0, 1\], got 1.5$"):
-            defuzzify([(1.5, 0.0, 1.0)])
+            band_of([(1.5, 0.0, 1.0)])
