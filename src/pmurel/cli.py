@@ -86,8 +86,8 @@ def _resolve_config(args) -> RunConfig:
     """The configuration with the flags applied; the section types check a
     flag's value as they check a document's."""
     cfg = load_config(args.config) if args.config else default_config()
-    if args.out:
-        cfg = replace(cfg, output_dir=args.out)
+    if args.out is not None:
+        cfg = checked("--out", replace, cfg, output_dir=args.out)
     if args.seed is not None:
         simulation = checked("--seed", replace, cfg.simulation, master_seed=args.seed)
         cfg = replace(cfg, simulation=simulation)

@@ -41,19 +41,24 @@ results depend on the seed alone, not on the platform, and equal those of a
 scalar one-draw-at-a-time loop over the same log bit for bit
 (``tests/test_simulate_oracle.py`` keeps such a loop as its reference).
 
-Walking the tiles and bucketing them take about the same time, so a large
-campaign does both at once: ``run_simulation`` forks one walker process
-(``os.fork``), which walks the tiles in index order and pickles each to a
-pipe that only it writes, while the calling process buckets the tiles
-before it.
-It does so only where the platform can fork, the process may run on at
-least two CPUs and the campaign has at least ``WALKER_MIN_REPLICATIONS``
-replications; there is no option for it.  Everything else, a
-``run_replication`` call of its own too, walks in the calling thread.  The
-walker is reaped before ``run_simulation`` returns or raises, and killed
-first if it has not sent every tile.  Its memory is that of a separate
-process: the walk's temporaries, and the seed words it hashes, do not count
-in the caller's resident set.
+A campaign whose bucketing pays for a fork walks and buckets at once:
+``run_simulation`` forks one walker process (``os.fork``), which walks the
+tiles in index order and pickles each to a pipe that only it writes, while
+the calling process buckets the tiles before it.  It does so only where the
+platform can fork, the process may run on at least two CPUs, the campaign
+has more than one tile, and the caller's work that the walk overlaps
+reaches ``WALKER_MIN_WORK`` expected cycles: ``TRACE_CYCLES`` per
+replication for its trace, which grows with the replications, plus the
+campaign's expected renewal cycles, which its bucketing grows with
+(``_walker_pays``, whose constants record the campaigns they were measured
+on).  There is no option for it.  A native-stream campaign loads
+``numpy.random`` before the fork, as an in-process walk would, so the
+walker never loads it.  Everything else, a ``run_replication`` call of its
+own too, walks in the calling thread.  The walker is reaped before
+``run_simulation`` returns or raises, and killed first if it has not sent
+every tile.  Its memory is that of a separate process: the walk's
+temporaries, and the seed words it hashes, do not count in the caller's
+resident set.
 
 The engine draws in rounds, a window of uniforms for every row still walking,
 from one of two kinds of substream, chosen per campaign from its expected
@@ -586,21 +591,28 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     return events, counts, up0
 
 
+def _tile_rows(width: int) -> int:
+    """Rows of a tile whose rounds draw ``width`` uniforms: ``TILE_ROWS``,
+    halved while ``rows * (width + 1)`` exceeds the round budget of
+    ``TILE_ROWS * 16`` states."""
+    rows = TILE_ROWS
+    while rows > 1 and rows * (width + 1) > TILE_ROWS * 16:
+        rows //= 2
+    return rows
+
+
 def _walk_tile(cfg: SimulationConfig, index: int):
     """Walk the tile of rows holding replication ``index``: returns the
     tile's first index and ``_walk``'s three arrays for it.
 
-    A tile is a run of ``TILE_ROWS`` rows, halved while ``rows * (width +
-    1)`` exceeds the round budget of ``TILE_ROWS * 16`` states, whatever the
-    stream kind, within the index's aligned block of ``_SUBSTREAM_BLOCK``
-    indices, which is cut at ``cfg.n_replications`` (the whole block for an
-    index past it).
+    A tile is a run of ``_tile_rows`` rows, whatever the stream kind,
+    within the index's aligned block of ``_SUBSTREAM_BLOCK`` indices, which
+    is cut at ``cfg.n_replications`` (the whole block for an index past
+    it).
     """
     rates = cfg.failure_rate, cfg.repair_rate, cfg.mission_time
     kind, width = _draw_plan(*rates)
-    rows = TILE_ROWS
-    while rows > 1 and rows * (width + 1) > TILE_ROWS * 16:
-        rows //= 2
+    rows = _tile_rows(width)
     block, row = divmod(index, _SUBSTREAM_BLOCK)
     n_rows = cfg.n_replications - block * _SUBSTREAM_BLOCK
     if not row < n_rows < _SUBSTREAM_BLOCK:
@@ -665,15 +677,30 @@ def run_replication(cfg: SimulationConfig, replication_index: int) -> Replicatio
     return trace
 
 
-# Campaigns of at least this many replications walk in a forked process
-# (_walker_pays).  A first run_simulation in a fresh process at mission 10,
-# forked against in-process (medians of 12 alternating pairs, 2-core Xeon,
-# 1024-row array tiles): even or slower up to 7168 replications, 6-9 ms
-# faster at 8192 (9 of 12 pairs) and 14-20 ms at 10000 (11-12 of 12).  At
-# 200 replications of 2000-year missions the walker gained nothing (2 ms, 7
-# of 12), and the benchmark's pipeline at that size took 0.177-0.205 s with
-# it against 0.174-0.186 s without (4 pairs).
-WALKER_MIN_REPLICATIONS = 8192
+# A campaign walks forked (_walker_pays) when the caller's work that the walk
+# overlaps reaches WALKER_MIN_WORK expected renewal cycles: a replication's
+# trace path (run_replication and its share of a bucketing run, about 1.8 µs)
+# costs about TRACE_CYCLES cycles of bucketing (about 48 ns each), and each
+# expected cycle one.  The line comes from timing a fresh process's first
+# run_simulation forked against in-process at the default rates (2-core
+# Xeon, 20 alternating pairs, numpy.random loaded before the fork): missions
+# x years, work, median paired difference forked less in-process, pairs the
+# walker won.
+#   below the line:  2048 x 10, 95k, +3.5 ms, 1;  3072 x 10, 143k, +1.1 ms,
+#   7;  300 x 100, 31k, +3.7 ms, 2;  1000 x 100, 104k, +1.4 ms, 3;
+#   1500 x 100, 156k, -0.2 ms, 10;  20 x 2000, 26k, +4.1 ms, 2;
+#   50 x 2000, 66k, +3.8 ms, 5;  100 x 2000, 132k, -1.2 ms, 12;
+#   8 x 20000, 102k, +8.1 ms, 4;  12 x 20000, 154k, -3.3 ms, 13.
+#   above it:  4096 x 10, 190k, -1.2 ms, 12;  8192 x 10, 380k, -7.9 ms, 18;
+#   2000 x 100, 208k, -1.5 ms, 14;  200 x 2000, 263k, -6.3 ms, 12;
+#   16 x 20000, 205k, -1.4 ms, 11.
+# Between about 130k and 210k the sign changed from one series to the next
+# (100 x 2000 lost by 4.1 ms in 24 pairs, 12 x 20000 by 2.9 ms in 16, and
+# 1500 x 100 was even in 24), so the line sits mid-band.  The benchmark's
+# pipeline of 200 x 2000 years read 0.0913 s forked against 0.0966 s walked
+# in-process (medians of 10 alternating pairs of 34 s runs, 10 of 10).
+TRACE_CYCLES = 40
+WALKER_MIN_WORK = 160_000
 
 # Requested size of the walker's pipe, enough for several tiles: the calling
 # process buckets in bursts, and with the default 64 KiB pipe the walker
@@ -683,14 +710,16 @@ _PIPE_BYTES = 1 << 20
 
 def _walker_pays(cfg: SimulationConfig) -> bool:
     """Whether ``run_simulation`` walks in a forked process: the platform can
-    fork, this process may run on at least two CPUs, and the campaign is
-    large enough to pay for the fork."""
-    return (
-        cfg.n_replications >= WALKER_MIN_REPLICATIONS
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
+    fork, this process may run on at least two CPUs, the campaign has more
+    than one tile, and its replications' work, ``TRACE_CYCLES`` plus the
+    expected cycles each, reaches ``WALKER_MIN_WORK``."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (can_fork and len(os.sched_getaffinity(0)) >= 2):
+        return False
+    _, width = _draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)
+    cycles = cfg.mission_time / (1.0 / cfg.failure_rate + 1.0 / cfg.repair_rate)
+    work = cfg.n_replications * (TRACE_CYCLES + cycles)
+    return cfg.n_replications > _tile_rows(width) and work >= WALKER_MIN_WORK
 
 
 def _forked_tiles(cfg: SimulationConfig):
@@ -711,6 +740,10 @@ def _forked_tiles(cfg: SimulationConfig):
     import fcntl
     import signal
 
+    if _draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)[0] is _NativeStreams:
+        # load numpy.random here, as an in-process walk would, not in the
+        # walker after the fork
+        _seed_words_class()
     read_fd, write_fd = os.pipe()
     try:
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)

@@ -514,6 +514,19 @@ class TestConfigHandling:
     def test_negative_seed_rejected(self):
         assert main(["simulate", "--seed", "-1", "--dry-run"]) == 2
 
+    @pytest.mark.parametrize("out,problem", [
+        ("x\0y", "'output_dir' must not hold a NUL byte"),
+        ("", "'output_dir' must be a nonempty string"),
+    ], ids=["nul", "empty"])
+    def test_bad_out_is_config_error_naming_the_flag(self, tmp_path, monkeypatch, capsys, out, problem):
+        # an empty --out is rejected, not ignored in favour of the config's
+        # directory; nothing is written to either
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzzy", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out: ") and problem in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_time_grid_named_in_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         grid = {"start": 0.0, "stop": 0.0, "count": 3}

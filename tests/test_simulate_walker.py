@@ -17,8 +17,9 @@ from pmurel.cli import main
 from pmurel.simulate import SimulationConfig, build_exposure_table, run_replication, run_simulation
 
 BLOCK = simulate._SUBSTREAM_BLOCK
-# above the walker's threshold and ending in a partial block
-N_WALKED = simulate.WALKER_MIN_REPLICATIONS + 1234
+# two full blocks and a partial one, of 1024-row array-stream tiles
+N_WALKED = 2 * BLOCK + 1234
+SRC = os.path.dirname(os.path.dirname(simulate.__file__))
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"), reason="the walker needs os.fork"),
@@ -71,10 +72,30 @@ def assert_no_children():
 class TestSelection:
     def test_large_campaigns_on_two_cpus_walk_forked(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert simulate._walker_pays(config(n_replications=simulate.WALKER_MIN_REPLICATIONS))
-        assert not simulate._walker_pays(config(n_replications=simulate.WALKER_MIN_REPLICATIONS - 1))
-        # the long-mission benchmark campaign: one block, per-event work
-        assert not simulate._walker_pays(config(mission_time=2000.0, n_replications=200))
+        # the caller's work is n * (TRACE_CYCLES + expected cycles per
+        # mission) against WALKER_MIN_WORK: a campaign of each stream kind
+        # above the line and one below it
+        for mission_time, walked, in_process, kind in [
+            # 4096 * 46.4 = 190k and 3000 * 46.4 = 139k against 160k
+            (10.0, 4096, 3000, simulate._ArrayStreams),
+            # the long-mission benchmark campaign, 200 * 1316 = 263k, forks;
+            # 100 of those missions, 132k, do not
+            (2000.0, 200, 100, simulate._NativeStreams),
+            # 100-year missions: 2000 * 104 = 208k and 1000 * 104 = 104k
+            (100.0, 2000, 1000, simulate._NativeStreams),
+        ]:
+            assert simulate._draw_plan(0.6566, 22.2898, mission_time)[0] is kind
+            assert simulate._walker_pays(config(mission_time=mission_time, n_replications=walked))
+            assert not simulate._walker_pays(config(mission_time=mission_time, n_replications=in_process))
+
+    def test_a_campaign_of_one_tile_never_forks(self, monkeypatch):
+        # a 300000-year mission is about 191k cycles, past WALKER_MIN_WORK
+        # alone, but its rounds fill the budget, so a tile holds one row
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        plan = simulate._draw_plan(0.6566, 22.2898, 300000.0)
+        assert simulate._tile_rows(plan[1]) == 1
+        assert not simulate._walker_pays(config(mission_time=300000.0, n_replications=1))
+        assert simulate._walker_pays(config(mission_time=300000.0, n_replications=2))
 
     def test_one_cpu_walks_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
@@ -89,14 +110,44 @@ class TestSelection:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_replication forked"))
         run_replication(config(), N_WALKED - 1)
 
+    @pytest.mark.parametrize("command,loaded", [
+        ("simulate.run_simulation(config(2000.0, 200))", [True]),
+        ("simulate.run_simulation(config(10.0, 3 * 4096 + 5))", [False]),
+        ("main(['markov', '--out', sys.argv[1]])", []),
+    ], ids=["native_streams", "array_streams", "markov"])
+    def test_numpy_random_is_loaded_before_the_fork_only_for_native_streams(self, command, loaded, tmp_path):
+        # a fresh interpreter records, at each fork, whether numpy.random is
+        # loaded, and whether it is at the end
+        code = (
+            "import os, sys; from pmurel import simulate; from pmurel.cli import main; "
+            "loaded = []; fork = os.fork; "
+            "os.fork = lambda: loaded.append('numpy.random' in sys.modules) or fork(); "
+            "simulate._walker_pays = lambda cfg: True; "
+            "config = lambda t, n: simulate.SimulationConfig(0.6566, 22.2898, t, n_replications=n); "
+            f"{command}; "
+            "print(loaded, 'numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split() == [str(loaded), str(any(loaded))]
+
 
 class TestSameResultsWhateverTheLayout:
-    @pytest.mark.parametrize("mission_time,kind", [(10.0, "_ArrayStreams"), (60.0, "_NativeStreams")])
-    def test_walker_equals_in_process_and_single_calls(self, mission_time, kind, forks, monkeypatch,
-                                                       fresh_tiles):
-        cfg = config(mission_time=mission_time, master_seed=2**40 + 3)
+    @pytest.mark.parametrize("mission_time,n_replications,kind,rows,tiles", [
+        (10.0, N_WALKED, "_ArrayStreams", 1024, 10),
+        (60.0, N_WALKED, "_NativeStreams", 128, 74),
+        # the long-mission benchmark's shape: 4-row tiles in one partial block
+        (2000.0, 200, "_NativeStreams", 4, 50),
+    ])
+    def test_walker_equals_in_process_and_single_calls(self, mission_time, n_replications, kind, rows, tiles,
+                                                       forks, monkeypatch, fresh_tiles):
+        cfg = config(mission_time=mission_time, n_replications=n_replications, master_seed=2**40 + 3)
         plan = simulate._draw_plan(cfg.failure_rate, cfg.repair_rate, cfg.mission_time)
         assert plan[0] is getattr(simulate, kind)
+        assert simulate._tile_rows(plan[1]) == rows
+        assert len(list(simulate._tiles(cfg))) == tiles
+        fresh_tiles()
         assert cfg.n_replications % BLOCK
         forked = run_simulation(cfg)
         assert len(forks) == 1
@@ -266,7 +317,6 @@ class TestProcessHygiene:
     def test_buffered_output_is_written_once(self, tmp_path):
         # stdout to a pipe is block-buffered: a walker that flushed its copy
         # of the buffer on exit would print the first line twice
-        src = os.path.dirname(os.path.dirname(simulate.__file__))
         code = (
             "import os; from pmurel import simulate; "
             "print('before the run'); "
@@ -277,7 +327,7 @@ class TestProcessHygiene:
             "print('forks', len(forks))"
         )
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = src
+        env["PYTHONPATH"] = SRC
         done = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True, timeout=120, check=True)
         assert done.stdout == "before the run\nforks 1\n"
