@@ -2,14 +2,18 @@
 
 Each replication alternates exponentially distributed time-to-failure and
 time-to-repair draws (the constant-rate premise of the state model) on one
-clock, ``clock += ttf; clock += ttr``, its last repair clipped at the mission
-horizon, and carries only that clock and its up time.  Its events have three
-columns (time to failure, credited repair, failure time): a failure time
-ends its up period, bit for bit, the next starts at it plus the credited
-repair, where the clock goes on, and the down time is derived from the
-events.  Replications are aggregated into availability and failure-count
-estimates plus the interval-bucketed exposure table consumed by the
-rate-fitting module.
+clock, ``clock += ttf; clock += ttr``, and carries only that clock and its up
+time.  It takes every draw of its substream in order, by two rules.  A
+uniform u is the time ``-log(u) / rate``, and u = 0 an infinite one, the
+inverse transform's limit.  The first failure at or past the horizon, or
+repair clipped at or reaching it, ends the mission, whose remainder
+``max(horizon - clock, 0)`` is up time: at most an ulp of the horizon after
+a clipped repair.  A replication's events have three columns (time to
+failure, credited repair, failure time): a failure time ends its up period,
+bit for bit, the next starts at it plus the credited repair, where the clock
+goes on, and the down time is derived from the events.  Replications are
+aggregated into availability and failure-count estimates plus the
+interval-bucketed exposure table consumed by the rate-fitting module.
 
 Reproducibility contract: replication i draws from its own substream, the
 PCG64 stream of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``, and
@@ -61,11 +65,12 @@ temporaries, and the seed words it hashes, do not count in the caller's
 resident set.
 
 The engine draws in rounds, a window of uniforms for every row still walking,
-from one of two kinds of substream, chosen per campaign from its expected
-number of renewal cycles (``_draw_plan``).  Native streams are numpy's own
-PCG64 objects: about 2 µs to build per replication and a call per row and
-round, but little per draw, so their rounds hold the expected draws plus
-slack.  Array streams compute the same outputs for all rows of a tile at once
+which each round uses whole: a row ends in it or draws the next window after
+it.  Windows come from one of two kinds of substream, chosen per campaign
+from its expected number of renewal cycles (``_draw_plan``).  Native streams
+are numpy's own PCG64 objects: about 2 µs to build per replication and a
+call per row and round, but little per draw, so their rounds hold the
+expected draws plus slack.  Array streams compute the same outputs for all rows of a tile at once
 in numpy ``uint64`` arithmetic, the 128-bit LCG state in two limbs and a
 window's states jumped to from per-column constants: no object and no call
 per row, but 30 to 40 ns per draw, so their rounds hold just the expected
@@ -245,8 +250,10 @@ class ReplicationTrace:
     per failure before the mission horizon, on the one clock of the module
     docstring; the last repair is clipped at the horizon if the mission
     ended mid-repair.  A final up period that ran out the mission clock
-    appears in ``up_time`` only.  ``events`` is a read-only view of the
-    walked tile's one event array, and instances are immutable.
+    appears in ``up_time``, not in ``events``; so does the remainder, at
+    most an ulp of the horizon, where rounding leaves a clipped repair's end
+    below it, and ``up_periods`` lists it.  ``events`` is a read-only view
+    of the walked tile's one event array, and instances are immutable.
     """
 
     __slots__ = ("events", "up_time")
@@ -292,10 +299,7 @@ class _NativeStreams:
     """numpy's own PCG64 for each row of substream seed words.
 
     ``draw(rows, width)`` returns the next ``width`` raw outputs of each of
-    the given rows, one row each; ``resume(which, draws)`` moves the rows at
-    positions ``which`` of the last draw back to draw index ``draws`` of
-    their window, the first draw they did not use.  The other rows go on
-    after their window.
+    the given rows, one row each; the next draw of a row goes on after them.
     """
 
     def __init__(self, words: np.ndarray) -> None:
@@ -308,13 +312,7 @@ class _NativeStreams:
         return len(self._streams)
 
     def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
-        self._window = rows, width
         return np.array([self._streams[r].random_raw(width) for r in rows.tolist()])
-
-    def resume(self, which: np.ndarray, draws: np.ndarray) -> None:
-        rows, width = self._window
-        for r, d in zip(rows[which].tolist(), draws.tolist()):
-            self._streams[r].advance(d - width)
 
 
 # numpy's PCG64 (O'Neill's PCG XSL-RR 128/64): a 128-bit LCG, state = state *
@@ -386,9 +384,8 @@ class _ArrayStreams:
     A row is seeded as ``PCG64`` seeds itself from its four words (seed state,
     then stream), inc = 2 * stream + 1.  A draw computes the states after 0
     to ``width`` steps of every drawing row from per-column jump constants,
-    state_k = A_k * state + C_k * inc, and returns their outputs; a row
-    resumes by taking its state at its first unused draw, as
-    ``PCG64.advance`` would leave it.  The products C_k * inc of every row
+    state_k = A_k * state + C_k * inc, keeps the last and returns the
+    outputs of the others.  The products C_k * inc of every row
     are computed once per window width and reused in every round of that
     width, so a round takes one 128-bit product per draw.
     """
@@ -411,17 +408,11 @@ class _ArrayStreams:
             self._steps[width] = _times(c, (inc_hi[:, None], inc_lo[:, None]))
         step_hi, step_lo = self._steps[width]
         hi, lo = _jump(a, (state_hi[rows, None], state_lo[rows, None]), (step_hi[rows], step_lo[rows]))
-        self._window = rows, hi, lo
         state_hi[rows], state_lo[rows] = hi[:, -1], lo[:, -1]
         hi, lo = hi[:, 1:], lo[:, 1:]
         x = hi ^ lo
         rot = hi >> _U58
         return (x >> rot) | (x << ((_U64 - rot) & _U63))
-
-    def resume(self, which: np.ndarray, draws: np.ndarray) -> None:
-        rows, hi, lo = self._window
-        state_hi, state_lo = self._state
-        state_hi[rows[which]], state_lo[rows[which]] = hi[which, draws], lo[which, draws]
 
 
 # The widest native round (see _draw_plan) still drawn from array streams:
@@ -505,15 +496,15 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     its clock.
 
     A raw draw becomes ``(raw >> 11) * 2**-53``, the value ``Generator.random``
-    returns, and exact zeros are skipped.  Times are ``-_log(u) / rate``,
-    the package's own log, so they are the same bits on every platform, and
-    each round takes them and its clocks once.  Every clock and total is an
-    ``np.add.accumulate`` over durations in event order led by the running
-    value, so it rounds as ``clock += ttf; clock += ttr`` does.  A
-    replication that runs out of draws, or whose repair was clipped at the
-    horizon without its clock reaching it, carries its clock and up time
-    into the next round and resumes its stream at its first unused draw;
-    its clock goes on from its last failure time plus its credited repair.
+    returns, and its time ``-_log(u) / rate``, the package's own log, so it
+    is the same bits on every platform; u = 0, one draw in 2**53, is an
+    infinite time.  Each round takes its times and clocks once.  Every
+    clock and total is an ``np.add.accumulate`` over durations in event
+    order led by the running value, so it rounds as ``clock += ttf; clock
+    += ttr`` does.  A row ends at its first stop, a failure at or past the
+    horizon or a repair clipped at it or reaching it, its remainder
+    ``max(horizon - clock, 0)`` added to its up time; a row without a stop
+    in its window carries its clock and up time into the next round.
     """
     n = len(streams)
     # running clock and up time
@@ -522,38 +513,27 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
     active = np.arange(n)
     rounds = []
     neg_rates = np.tile([-failure_rate, -repair_rate], width // 2)
-    cols = np.arange(width)
+    cycles = np.arange(width // 2)
     while len(active):
         rows = np.arange(len(active))
         u = (streams.draw(active, width) >> _U11) * 2.0**-53
-        avail = np.full(len(active), width)
-        skips = None
-        zero = u == 0.0
-        if zero.any():
-            # the nonzero draws first, in stream order; the rest log to 0
-            skips = np.argsort(zero, axis=1, kind="stable")
-            u = np.take_along_axis(u, skips, axis=1)
-            avail -= zero.sum(axis=1)
-            u[cols >= avail[:, None]] = 1.0
         dur = _log(u)
         dur /= neg_rates
+        dur[u == 0.0] = np.inf
         clock = dur.copy()
         clock[:, 0] += clock0[active]
         np.add.accumulate(clock, axis=1, out=clock)
-        drawn = cols < avail[:, None]
 
         ttf, ttr = dur[:, 0::2], dur[:, 1::2]
         fail_at, repaired = clock[:, 0::2], clock[:, 1::2]
         gap = horizon - fail_at
         clipped = gap < ttr
-        stop = np.empty_like(drawn)
+        stop = np.empty(u.shape, dtype=bool)
         np.greater_equal(fail_at, horizon, out=stop[:, 0::2])
         np.logical_or(clipped, repaired >= horizon, out=stop[:, 1::2])
-        stop &= drawn
         end = stop.argmax(axis=1)
         ended = stop[rows, end]
-        n_cycles = np.where(ended, (end + 1) // 2, avail // 2)
-        by_failure = ended & (end % 2 == 0)
+        n_cycles = np.where(ended, (end + 1) // 2, width // 2)
         clip = np.flatnonzero(ended & (end % 2 == 1) & clipped[rows, end // 2])
         credited = ttr.copy()
         credited[clip, end[clip] // 2] = gap[clip, end[clip] // 2]
@@ -565,24 +545,13 @@ def _walk(streams, failure_rate: float, repair_rate: float, horizon: float, widt
         last, walked = np.maximum(n_cycles - 1, 0), n_cycles > 0
         clock_k = np.where(walked, fail_at[rows, last] + credited[rows, last], clock0[active])
         up_k = np.where(walked, up[rows, last], up0[active])
-        up0[active] = np.where(by_failure, up_k + (horizon - clock_k), up_k)
+        up0[active] = np.where(ended, up_k + np.maximum(horizon - clock_k, 0.0), up_k)
         clock0[active] = clock_k
         counts[active] += n_cycles
-        walk = cols[: width // 2] < n_cycles[:, None]
+        walk = cycles < n_cycles[:, None]
         events = np.column_stack((ttf[walk], credited[walk], fail_at[walk]))
         rounds.append((active, n_cycles, events))
-
-        going = ~(by_failure | (clock_k >= horizon))
-        consumed = np.where(ended, end + 1, 2 * n_cycles)
-        back = np.flatnonzero(going & (consumed < avail))
-        streams.resume(back, consumed[back] if skips is None else skips[back, consumed[back]])
-        if (consumed[going] == 0).any():
-            # a row's window held fewer than two nonzero draws: widen the next
-            # one, or the row would draw the same window again
-            width *= 2
-            neg_rates = np.tile(neg_rates, 2)
-            cols = np.arange(width)
-        active = active[going]
+        active = active[~ended]
 
     events = np.concatenate([e for _, _, e in rounds])
     if len(rounds) > 1:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from test_simulate_oracle import (
     engine_trace,
     reference_events,
     reference_run_replication,
+    reference_sample_exponential,
 )
 
 FAILURE_RATE = 0.6566
@@ -82,7 +84,7 @@ class TestConfig:
 class TestSampleExponential:
     """Exponential durations as the engine takes them: ``_walk``, the one
     place that turns a draw into a time, takes -ln(u)/rate of the substream's
-    uniforms u and skips exact zeros."""
+    uniforms u, and u = 0 as an infinite time."""
 
     def test_inverse_transform_identity(self):
         # u = e^-1 (to 2**-53) maps to one mean waiting time; TINY's failure
@@ -92,9 +94,19 @@ class TestSampleExponential:
             events, *_ = simulate._walk(_ScriptedStream(u, u, TINY, 0.5), rate, rate, 10.0 / rate, 4)
             assert events[0, 0] == -port_log(u) / rate == pytest.approx(1.0 / rate, rel=1e-12)
 
-    def test_zero_uniform_draw_is_rejected(self):
-        events, *_ = simulate._walk(_ScriptedStream(0.0, 0.5, 0.5, TINY), 1.0, 1.0, 10.0, 4)
-        assert events[0, 0] == -port_log(0.5)
+    def test_zero_uniform_is_an_infinite_time(self):
+        # the inverse transform's limit, in the engine and the scalar loop: a
+        # zero time to failure leaves the whole mission up without an event;
+        # a zero time to repair is credited to the horizon and ends the
+        # mission, whose remainder is up time
+        events, counts, up = simulate._walk(_ScriptedStream(0.0, 0.5, 0.5, TINY), 1.0, 1.0, 10.0, 4)
+        assert_same_events(events, reference_events(()))
+        assert (counts.tolist(), up.tolist()) == ([0], [10.0])
+        ttf = -port_log(0.5)
+        events, counts, up = simulate._walk(_ScriptedStream(0.5, 0.0, 0.5, TINY), 1.0, 1.0, 10.0, 4)
+        assert_same_events(events, reference_events(((ttf, 10.0 - ttf),)))
+        assert (counts.tolist(), up.tolist()) == ([1], [ttf + max(10.0 - (ttf + (10.0 - ttf)), 0.0)])
+        assert reference_sample_exponential(1.0, types.SimpleNamespace(random=lambda: 0.0)) == math.inf
 
     def test_rejects_nonpositive_rate(self):
         # the rates a draw is divided by are checked where a campaign is built
@@ -224,9 +236,8 @@ class TestStreams:
         data=st.data(),
     )
     def test_windows_match_pcg64_after_advance(self, kind, seed, indices, data):
-        # rounds over subsets of the rows, each followed by resuming some of
-        # them at a draw index of their window; numpy's PCG64 does the same
-        # with random_raw and advance
+        # rounds over subsets of the rows, of any width: each row's windows
+        # follow one another as numpy's PCG64 draws them with random_raw
         words = np.array([substream_words(seed, i) for i in indices])
         streams = getattr(simulate, kind)(words)
         assert len(streams) == len(indices)
@@ -238,11 +249,6 @@ class TestStreams:
             assert raw.dtype == np.uint64
             for got, r in zip(raw.tolist(), rows):
                 assert got == references[r].random_raw(width).tolist()
-            which = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1)), label="resumed"))
-            draws = [data.draw(st.integers(0, width), label="resume at") for _ in which]
-            streams.resume(np.array(which, dtype=np.intp), np.array(draws, dtype=np.intp))
-            for w, d in zip(which, draws):
-                references[rows[w]].advance(d - width)
         for r, reference in enumerate(references):
             assert streams.draw(np.array([r]), 2)[0].tolist() == reference.random_raw(2).tolist()
 
@@ -326,11 +332,6 @@ class _ScriptedStream:
         self.position += size
         return np.array([self.raw[self.position - size:self.position]], dtype=np.uint64)
 
-    def resume(self, which, draws):
-        assert which.tolist() in ([], [0])
-        if len(which):
-            self.position = self.draws[-1][0] + int(draws[0])
-
 
 # the smallest nonzero uniform; its failure time (about 56) outlives any
 # mission used below
@@ -360,13 +361,6 @@ class TestDrawPath:
         assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, 60.0) == (simulate._NativeStreams, 14)
         assert simulate._draw_plan(FAILURE_RATE, REPAIR_RATE, MISSION) == (simulate._ArrayStreams, 14)
 
-    def test_zero_inside_a_block_is_skipped(self, monkeypatch):
-        # 0.5 fails, 0.0 is skipped, 0.9 repairs, TINY outlives the mission
-        self.scripted(monkeypatch, 8, 0.5, 0.0, 0.9, TINY, 0.5, 0.5, 0.5, 0.5)
-        trace = run_replication(base_config(n_replications=1), 0)
-        assert_same_events(trace.events, reference_events(
-            ((-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),)))
-
     def test_exhausted_block_tops_up_from_the_same_substream(self, monkeypatch, fresh_tiles):
         cfg = base_config(mission_time=100.0, n_replications=5)
         expected = [run_replication(cfg, i) for i in range(5)]
@@ -387,22 +381,11 @@ class TestDrawPath:
             assert np.array_equal(np.concatenate(seeded), simulate._substream_block(cfg.master_seed, 0)[:5])
 
     def test_top_up_continues_the_block_stream(self, monkeypatch):
-        # the first round's last failure time has no repair draw, so the next
-        # round starts at it; its zero is skipped both times
-        stream = self.scripted(monkeypatch, 4, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
+        # a row that walks its whole window without a stop draws the next
+        # window after it: two cycles, then TINY outlives the mission
+        stream = self.scripted(monkeypatch, 4, 0.5, 0.9, 0.25, 0.8, TINY, 0.5, 0.5, 0.5)
         trace = run_replication(base_config(n_replications=1), 0)
-        assert stream.draws == [(0, 4), (2, 4)]
-        assert_same_events(trace.events, reference_events((
-            (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
-            (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),
-        )))
-
-    def test_window_without_two_nonzero_draws_widens(self, monkeypatch):
-        # two draws per round: the second round holds 0.25 and a zero, too few
-        # for a cycle, so the third starts at 0.25 again with twice the draws
-        stream = self.scripted(monkeypatch, 2, 0.5, 0.9, 0.25, 0.0, 0.8, TINY)
-        trace = run_replication(base_config(n_replications=1), 0)
-        assert stream.draws == [(0, 2), (2, 2), (2, 4)]
+        assert stream.draws == [(0, 4), (4, 4)]
         assert_same_events(trace.events, reference_events((
             (-port_log(0.5) / FAILURE_RATE, -port_log(0.9) / REPAIR_RATE),
             (-port_log(0.25) / FAILURE_RATE, -port_log(0.8) / REPAIR_RATE),

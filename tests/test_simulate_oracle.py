@@ -55,10 +55,9 @@ def reference_log(x):
 
 
 def reference_sample_exponential(rate, rng):
+    # u = 0 is the inverse transform's limit, an infinite time
     u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    return -reference_log(u) / rate
+    return math.inf if u == 0.0 else -reference_log(u) / rate
 
 
 def reference_events(cycles):
@@ -127,7 +126,11 @@ def reference_run_replication(cfg, replication_index):
         down_time += credited
         cycles.append((ttf, credited))
         clock += credited
-        if clock >= horizon:
+        if clock >= horizon or credited < ttr:
+            # a repair that reaches the horizon ends the mission, and so
+            # does a clipped one whose end rounds short of it: that
+            # remainder, at most an ulp, is up time
+            up_time += max(horizon - clock, 0.0)
             break
     return ReferenceTrace(tuple(cycles), len(cycles), up_time, down_time)
 
@@ -259,7 +262,7 @@ def test_capped_rounds_match_scalar_reference():
 @pytest.mark.parametrize("kind", ["_ArrayStreams", "_NativeStreams"])
 @pytest.mark.parametrize("mission_time", [0.3, 10.0, 40.0])
 def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch):
-    # one cycle per round: every row resumes its real stream many times
+    # one cycle per round: every row draws many windows from its real stream
     monkeypatch.setattr(simulate, "_draw_plan", lambda *rates_and_mission: (getattr(simulate, kind), 2))
     cfg = config(mission_time=mission_time, n_replications=25, master_seed=2**63 - 25)
     traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
@@ -267,6 +270,44 @@ def test_two_draw_rounds_match_scalar_reference(kind, mission_time, monkeypatch)
     for trace, ref in zip(traces, references):
         assert_same_trace(trace, ref, cfg.mission_time)
     assert_same_table(traces, references, cfg)
+
+
+def test_repairs_cut_short_match_scalar_reference():
+    # rates 0.5 and 0.02 over 7.3: 1882 of 2000 missions end in a clipped
+    # repair, and in 163 of them fail_at + (horizon - fail_at) rounds an ulp
+    # below the horizon; that remainder is up time, in up_time, as a last
+    # up period and in the exposure table
+    cfg = config(0.5, 0.02, 7.3, n_replications=2000, master_seed=5)
+    horizon = cfg.mission_time
+    traces = [run_replication(cfg, i) for i in range(cfg.n_replications)]
+    references = [reference_run_replication(cfg, i) for i in range(cfg.n_replications)]
+    clipped, short = [], []
+    for i, (trace, ref) in enumerate(zip(traces, references)):
+        assert_same_trace(trace, ref, horizon)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)))
+        uniforms = rng.random(2 * trace.n_failures).tolist()
+        if not trace.n_failures or trace.events[-1, 1] == -reference_log(uniforms[-1]) / cfg.repair_rate:
+            continue
+        clipped.append(trace)
+        _, repair, failure = trace.events[-1].tolist()
+        remainder = max(horizon - (failure + repair), 0.0)
+        assert remainder <= math.ulp(horizon)
+        up = 0.0
+        for ttf in trace.events[:, 0].tolist():
+            up += ttf
+        assert trace.up_time == up + remainder
+        periods = trace.up_periods(horizon)
+        if remainder:
+            short.append((trace, ref))
+            assert periods[-1] == (failure + repair, horizon)
+        assert len(periods) == trace.n_failures + (remainder > 0.0)
+    assert (len(clipped), len(short)) == (1882, 163)
+    short_traces, short_references = zip(*short)
+    table = build_exposure_table(short_traces, cfg)
+    assert sum(table.times) == pytest.approx(sum(t.up_time for t in short_traces), rel=1e-15)
+    assert_same_table(short_traces, short_references, cfg)
+    exposure = run_simulation(cfg).exposure
+    assert (exposure.counts, exposure.times) == reference_build_exposure_table(references, cfg)
 
 
 @pytest.mark.parametrize(
